@@ -28,8 +28,8 @@ from .quadrature import (IsolationIntegrals, expected_components_order2,
                          isolation_report, truncation_limit)
 from .simulate import (Census, MetricMismatchError, PointSet, RcmGraph,
                        boundary_coupling, build_graph, census,
-                       is_connected_via_ordering, isolated_count,
-                       sample_poisson, window_truncation_census)
+                       isolated_count, sample_poisson,
+                       window_truncation_census)
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "expected_isolated_infinite", "expected_isolated_square",
     "expected_isolated_torus", "frame_connection", "frame_region",
     "from_callable", "from_config", "inner_exposure", "integral_constant",
-    "is_connected_via_ordering", "isolated_count", "isolation_report",
+    "isolated_count", "isolation_report",
     "lens_difference_area", "lens_difference_derivative",
     "load_tabulated_csv", "lognormal", "necessary_condition_report",
     "omega_tail", "realize", "rescale_instance", "run_sweep", "run_trial",

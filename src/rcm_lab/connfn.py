@@ -19,6 +19,7 @@ rule, or from a user callable.
 """
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -292,39 +293,77 @@ def load_tabulated_csv(path, tail_rule=("zero",)):
     return tabulated(xs, gs, tail_rule=tail_rule, name="tabulated:%s" % path)
 
 
+_FAMILIES = {"unit_disk": unit_disk, "lognormal": lognormal,
+             "theta_tail": theta_tail, "omega_tail": omega_tail}
+
+
+def _check_keys(what, given, allowed, required=()):
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ValueError("unknown %s %s; expected some of %s"
+                         % (what, unknown, sorted(allowed)))
+    missing = [k for k in required if k not in given]
+    if missing:
+        raise ValueError("missing %s %s" % (what, missing))
+
+
+def _tail_rule(tail_cfg):
+    if not isinstance(tail_cfg, dict) or "kind" not in tail_cfg:
+        raise ValueError("tabulated 'tail' needs a 'kind' entry: "
+                         "'zero' or 'power_log'")
+    kind = tail_cfg["kind"]
+    if kind == "zero":
+        _check_keys("zero tail key", tail_cfg, ("kind",))
+        return ("zero",)
+    if kind == "power_log":
+        _check_keys("power_log tail key", tail_cfg, ("kind", "a", "p"),
+                    ("a", "p"))
+        return ("power_log", tail_cfg["a"], tail_cfg["p"])
+    raise ValueError("unknown tabulated tail kind %r; expected 'zero' or "
+                     "'power_log'" % (kind,))
+
+
 def from_config(cfg):
     """Build a connection function from a config mapping.
 
     {"family": "unit_disk", "params": {"r0": 1.0}} and similarly for
     lognormal / theta_tail / omega_tail; tabulated takes {"path": ...,
     "tail": {"kind": "zero"} | {"kind": "power_log", "a": ..., "p": ...}}.
+    Every malformed config raises ValueError naming the offending key.
     """
-    try:
-        family = cfg["family"]
-        params = dict(cfg.get("params", {}))
-    except (TypeError, KeyError) as exc:
-        raise ValueError("connection config needs a 'family' entry") from exc
+    if not isinstance(cfg, dict) or "family" not in cfg:
+        raise ValueError("connection config needs a 'family' entry")
     stray = set(cfg) - {"family", "params"}
     if stray:
         raise ValueError(
             "unexpected connection config keys %s; function parameters "
             "belong under 'params'" % sorted(stray))
-    if family == "unit_disk":
-        return unit_disk(**params)
-    if family == "lognormal":
-        return lognormal(**params)
-    if family == "theta_tail":
-        return theta_tail(**params)
-    if family == "omega_tail":
-        return omega_tail(**params)
+    family = cfg["family"]
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("connection config 'params' must be an object")
     if family == "tabulated":
-        tail_cfg = params.pop("tail", {"kind": "zero"})
-        if tail_cfg["kind"] == "zero":
-            rule = ("zero",)
-        else:
-            rule = ("power_log", tail_cfg["a"], tail_cfg["p"])
-        return load_tabulated_csv(params["path"], tail_rule=rule)
-    raise ValueError("unknown connection function family %r" % family)
+        _check_keys("tabulated parameter", params, ("path", "tail"),
+                    ("path",))
+        if not isinstance(params["path"], str):
+            raise ValueError("tabulated 'path' must be a string")
+        rule = _tail_rule(params.get("tail", {"kind": "zero"}))
+        make = load_tabulated_csv
+        kwargs = {"path": params["path"], "tail_rule": rule}
+    elif isinstance(family, str) and family in _FAMILIES:
+        make = _FAMILIES[family]
+        sig = inspect.signature(make).parameters
+        _check_keys("%s parameter" % family, params, sig,
+                    [k for k, v in sig.items() if v.default is v.empty])
+        kwargs = params
+    else:
+        raise ValueError("unknown connection function family %r" % (family,))
+    try:
+        return make(**kwargs)
+    except TypeError as exc:
+        # A parameter of the wrong type, e.g. a string where a number goes.
+        raise ValueError("bad %s parameters %r: %s"
+                         % (family, params, exc)) from exc
 
 
 def _head_breakpoints(g, upto):

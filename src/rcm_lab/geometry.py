@@ -48,22 +48,18 @@ def euclidean_distance(p, q):
     return np.hypot(d[..., 0], d[..., 1])
 
 
-def toroidal_distance(p, q, side):
-    """Shortest distance on the side-length torus.
+def minimum_image(d, side):
+    """Coordinate difference d shifted by the multiple of side that brings
+    it into [-side/2, side/2]: its shortest representative on the torus."""
+    return d - side * np.round(d / side)
 
-    Exhaustive minimum over the 9 lattice offsets {-side, 0, side}^2; exact
-    for points confined to the fundamental domain.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = p - q
-    shifts = np.array([-side, 0.0, side])
-    best = None
-    for sx in shifts:
-        for sy in shifts:
-            cand = np.hypot(d[..., 0] + sx, d[..., 1] + sy)
-            best = cand if best is None else np.minimum(best, cand)
-    return best
+
+def toroidal_distance(p, q, side):
+    """Shortest distance on the side-length torus; exact for points
+    confined to the fundamental domain."""
+    d = minimum_image(np.asarray(p, dtype=float) - np.asarray(q, dtype=float),
+                      side)
+    return np.hypot(d[..., 0], d[..., 1])
 
 
 def lens_difference_area(z, r):

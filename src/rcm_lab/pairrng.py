@@ -2,7 +2,7 @@
 
 Every potential edge (i, j) of a trial gets its own deterministic uniform,
 keyed by (seed, stream, min(i, j), max(i, j)).  Decisions are therefore
-independent of visit order, which is what makes Exact and CellList graph
+independent of visit order, which is what makes the exact and cells graph
 builds bit-identical and lets coupled models share randomness.
 
 The generator is a chained splitmix64 finalizer over the key words.  It is

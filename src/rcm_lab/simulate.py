@@ -3,20 +3,26 @@
 Edge decisions are pure functions of (trial seed, node pair, distance):
 a pair (i, j) is linked iff pair_uniform(seed, i, j) < g(d(i, j)).  Both
 build modes evaluate that same predicate, so their outputs are identical
-bit for bit; CellList only changes which pairs get a distance computed.
+bit for bit; the k-d tree of the cells mode only changes which pairs get a
+distance computed.
+
+scipy.spatial and scipy.sparse are imported inside the functions that use
+them: at module level they would add about 0.2 s to ``import rcm_lab`` for
+callers that never build a graph.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connfn import ConnectionFunction, effective_cutoff
-from .geometry import Region
+from .geometry import Region, minimum_image
 from .pairrng import STREAM_COUPLING, STREAM_EDGE, pair_uniform
 
-_PAIR_CHUNK = 1 << 22
+# Pairs per block of the all-pairs scans.  A block's temporaries take
+# about 100 bytes per pair, so 2^20 pairs hold them near 100 MB.
+_PAIR_CHUNK = 1 << 20
 
 
 class MetricMismatchError(ValueError):
@@ -73,16 +79,14 @@ def sample_poisson(region, density, seed, expected_count=None):
 
 
 def _distances(pos, ii, jj, metric, side):
+    # Per-coordinate (m,) differences: gathering (m, 2) rows for
+    # geometry.toroidal_distance raises the peak memory of a pair block.
     dx = pos[ii, 0] - pos[jj, 0]
     dy = pos[ii, 1] - pos[jj, 1]
-    if metric == "euclidean":
-        return np.hypot(dx, dy)
-    best = None
-    for sx in (-side, 0.0, side):
-        for sy in (-side, 0.0, side):
-            cand = np.hypot(dx + sx, dy + sy)
-            best = cand if best is None else np.minimum(best, cand)
-    return best
+    if metric == "toroidal":
+        dx = minimum_image(dx, side)
+        dy = minimum_image(dy, side)
+    return np.hypot(dx, dy)
 
 
 def _decide(pos, ii, jj, g, metric, side, seed):
@@ -129,61 +133,29 @@ def _edges_exact(pts, g, metric, seed):
     return np.column_stack([np.concatenate(out_i), np.concatenate(out_j)])
 
 
-def _cell_candidates(pos, side, ncell, wrap):
-    """All unordered pairs whose cells are identical or 3x3 neighbours."""
-    width = side / ncell
-    ix = np.clip(((pos[:, 0] + 0.5 * side) / width).astype(np.int64), 0, ncell - 1)
-    iy = np.clip(((pos[:, 1] + 0.5 * side) / width).astype(np.int64), 0, ncell - 1)
-    cid = ix * ncell + iy
-    order = np.argsort(cid, kind="stable")
-    counts = np.bincount(cid, minlength=ncell * ncell)
-    starts = np.concatenate([[0], np.cumsum(counts)])
+# Slack on the k-d tree query radius, per unit of side.  The tree's own
+# arithmetic (wrapped coordinates, squared distances) differs from
+# _distances by a few ulps of the side, so the tree is asked for slightly
+# more than r_cut and the d <= r_cut filter on the program's own distance
+# decides every pair.
+_QUERY_SLACK = 1e-9
 
-    pairs_i, pairs_j = [], []
-    # Half neighbourhood: same cell plus 4 directed offsets covers every
-    # adjacent unordered cell pair exactly once.
-    for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)):
-        nx = ix + dx
-        ny = iy + dy
-        if wrap:
-            nx %= ncell
-            ny %= ncell
-            valid = np.ones(len(pos), dtype=bool)
-        else:
-            valid = (nx >= 0) & (nx < ncell) & (ny >= 0) & (ny < ncell)
-        src = np.nonzero(valid)[0]
-        if src.size == 0:
-            continue
-        ncid = nx[src] * ncell + ny[src]
-        sizes = counts[ncid]
-        keep = sizes > 0
-        src, ncid, sizes = src[keep], ncid[keep], sizes[keep]
-        if src.size == 0:
-            continue
-        tot = int(sizes.sum())
-        rep_src = np.repeat(src, sizes)
-        base = np.repeat(starts[ncid], sizes)
-        offs = np.arange(tot, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(sizes)[:-1]]), sizes)
-        tgt = order[base + offs]
-        if dx == 0 and dy == 0:
-            m = rep_src < tgt
-        else:
-            m = rep_src != tgt
-        pairs_i.append(rep_src[m])
-        pairs_j.append(tgt[m])
-    if not pairs_i:
-        return (np.empty(0, dtype=np.int64),) * 2
-    ii = np.concatenate(pairs_i)
-    jj = np.concatenate(pairs_j)
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    # Directed offsets can see a cross pair once only, but same-cell plus
-    # wrap-around in tiny grids is excluded by the ncell >= 3 guard; dedupe
-    # is still cheap insurance against double decisions.
-    key = lo * (hi.max() + 1 if hi.size else 1) + hi
-    _, uniq = np.unique(key, return_index=True)
-    return lo[uniq], hi[uniq]
+
+def _near_candidates(pos, side, r_cut, wrap):
+    """Unordered pairs (i < j) within r_cut, plus a few just beyond it."""
+    from scipy.spatial import cKDTree
+
+    if wrap:
+        # cKDTree's periodic box takes coordinates in [0, side); shifted
+        # points lie in [0, side], and np.mod folds side onto 0.
+        data = np.mod(pos + 0.5 * side, side)
+        tree = cKDTree(data, boxsize=side, balanced_tree=False)
+    else:
+        tree = cKDTree(pos, balanced_tree=False)
+    pairs = tree.query_pairs(r_cut + _QUERY_SLACK * side,
+                             output_type="ndarray")
+    pairs = pairs.astype(np.int64, copy=False)
+    return pairs[:, 0], pairs[:, 1]
 
 
 _CUTOFF_CACHE = {}
@@ -210,7 +182,7 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     if ncell < 3 or n < 16:
         return _edges_exact(pts, g, metric, seed)
 
-    ii, jj = _cell_candidates(pos, side, ncell, wrap)
+    ii, jj = _near_candidates(pos, side, r_cut, wrap)
     d = _distances(pos, ii, jj, metric, side)
     near = d <= r_cut
     ii, jj, d = ii[near], jj[near], d[near]
@@ -218,11 +190,13 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     keep = u < g._eval(d)
     near_edges = [(ii[keep], jj[keep])]
 
-    # Long-range remainder: every pair whose uniform clears p_max is visited
-    # (gaps are Geometric(p_max) in law); the edge test is unchanged, so the
-    # result matches the exact build pair for pair.  p_max bounds g beyond
-    # the cutoff: zero once the support ends, else g at the cutoff itself
-    # (g is non-increasing, so that is an upper bound for every far pair).
+    # Long-range remainder: one edge uniform is drawn for every one of the
+    # n(n-1)/2 pairs, so this scan is quadratic in n.  Only pairs whose
+    # uniform falls below p_max get a distance; those beyond r_cut take
+    # the same edge test as the exact build, so the result matches it pair
+    # for pair.  p_max bounds g beyond the cutoff: zero once the support
+    # ends, else g at the cutoff itself (g is non-increasing, so that is an
+    # upper bound for every far pair).
     if g.support_radius <= r_cut:
         p_max = 0.0
     else:
@@ -252,9 +226,9 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
 def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
     """Realize the random connection graph on a sampled point set.
 
-    mode "exact" visits all pairs; mode "cells" uses spatial hashing within
-    the effective cutoff plus a thinned scan of the long pairs.  Both give
-    the same edge set for the same seed.
+    mode "exact" visits all pairs; mode "cells" takes the pairs within the
+    effective cutoff from a k-d tree and scans the long pairs by their
+    uniforms.  Both give the same edge set for the same seed.
     """
     if metric not in ("euclidean", "toroidal"):
         raise MetricMismatchError("metric must be 'euclidean' or 'toroidal'")
@@ -271,83 +245,42 @@ def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
         edges = _edges_cells(points, g, metric, points.seed, tail_mass)
 
     if edges.shape[0] > 1:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
+        # With i < j < n, the key i*n + j orders pairs lexicographically.
+        n = points.n
+        i, j = np.divmod(np.sort(edges[:, 0] * n + edges[:, 1]), n)
+        edges = np.column_stack([i, j])
     return RcmGraph(points=points, edges=edges, metric=metric, g=g)
 
 
-class _UnionFind:
-    """Array union-find with path halving and union by size."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def census(graph):
-    """Component-order counts via union-find over the edge list."""
+    """Component-order counts from scipy's connected components."""
     n = graph.n
-    uf = _UnionFind(n)
-    for i, j in graph.edges.tolist():
-        uf.union(i, j)
-    sizes = Counter()
-    for v in range(n):
-        if uf.find(v) == v:
-            sizes[uf.size[v]] += 1
-    xi = dict(sorted(sizes.items()))
+    if n == 0:
+        xi = {}
+    else:
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
+        ii, jj = graph.edges[:, 0], graph.edges[:, 1]
+        adj = coo_array((np.ones(ii.size, dtype=np.int8), (ii, jj)),
+                        shape=(n, n))
+        _, labels = connected_components(adj, directed=False)
+        counts = np.bincount(np.bincount(labels))
+        xi = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
     total = sum(k * c for k, c in xi.items())
-    assert total == n, "component orders must partition the nodes"
+    if total != n:
+        raise RuntimeError("component orders sum to %d, not to the %d nodes"
+                           % (total, n))
     return Census(W=xi.get(1, 0), xi=xi, largest_order=max(xi) if xi else 0)
+
+
+def _degrees(n, edges):
+    return np.bincount(edges.ravel(), minlength=n)
 
 
 def isolated_count(graph):
     """Number of degree-zero nodes (fast path; equals census(graph).W)."""
-    if graph.edges.size == 0:
-        return graph.n
-    return graph.n - np.unique(graph.edges).size
-
-
-def is_connected_via_ordering(points, adjacency):
-    """Connectivity by greedy ordering growth.
-
-    Tries to order the points so each one (after the first) is adjacent to
-    some earlier point; such an ordering exists iff the graph is connected.
-    adjacency(p, q) is a symmetric pair predicate on positions.
-    """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    n = len(pts)
-    if n == 0:
-        return True
-    reached = [False] * n
-    reached[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in range(n):
-                if not reached[j] and adjacency(pts[i], pts[j]):
-                    reached[j] = True
-                    nxt.append(j)
-                    count += 1
-        frontier = nxt
-    return count == n
+    return int(np.count_nonzero(_degrees(graph.n, graph.edges) == 0))
 
 
 def boundary_coupling(torus_graph):
@@ -388,7 +321,8 @@ def boundary_coupling(torus_graph):
     w = isolated_count(square_graph)
     w_e = w - w_t
     # Thinning only deletes edges, so isolated nodes can only appear.
-    assert w_e >= 0, "thinning cannot remove isolated nodes"
+    if w_e < 0:
+        raise RuntimeError("thinning removed %d isolated nodes" % -w_e)
     return square_graph, w_t, w_e, w
 
 
@@ -406,15 +340,10 @@ def window_truncation_census(window_graph, core_side):
     h = 0.5 * core_side
     in_core = (np.abs(pos[:, 0]) <= h) & (np.abs(pos[:, 1]) <= h)
     n = window_graph.n
-    deg_any = np.zeros(n, dtype=np.int64)
-    deg_core = np.zeros(n, dtype=np.int64)
-    if window_graph.edges.size:
-        ii, jj = window_graph.edges[:, 0], window_graph.edges[:, 1]
-        np.add.at(deg_any, ii, 1)
-        np.add.at(deg_any, jj, 1)
-        both = in_core[ii] & in_core[jj]
-        np.add.at(deg_core, ii[both], 1)
-        np.add.at(deg_core, jj[both], 1)
+    edges = window_graph.edges
+    both = in_core[edges[:, 0]] & in_core[edges[:, 1]]
+    deg_any = _degrees(n, edges)
+    deg_core = _degrees(n, edges[both])
     w_trunc = int(np.sum(in_core & (deg_core == 0)))
     w_pad = int(np.sum(in_core & (deg_any == 0)))
     return w_trunc, w_pad

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from importlib.metadata import distributions
@@ -60,6 +61,33 @@ def test_quad_invalid_params_exit_2(capsys):
     # parameters misplaced at the top level must error, not default
     flat = '{"family": "unit_disk", "r0": 2.0}'
     assert main(["quad", "--g", flat, "--rho", "100"]) == 2
+
+
+def _cli(*args, cwd=None):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "rcm_lab.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def test_classify_bad_g_param_exits_2_without_traceback():
+    proc = _cli("classify", "--g",
+                '{"family": "unit_disk", "params": {"radius": 1}}')
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "radius" in proc.stderr
+
+
+def test_tabulated_tail_without_kind_exits_2_without_traceback(tmp_path):
+    (tmp_path / "g.csv").write_text("0.5,1.0\n1.0,0.5\n")
+    g = json.dumps({"family": "tabulated",
+                    "params": {"path": "g.csv", "tail": {"a": 0.1, "p": 2}}})
+    proc = _cli("classify", "--g", g, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "kind" in proc.stderr
 
 
 def test_classify_command(capsys):

@@ -8,8 +8,7 @@ from rcm_lab.geometry import Region, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (MetricMismatchError, PointSet, boundary_coupling,
-                              build_graph, census, build_graph as _bg,
-                              is_connected_via_ordering, isolated_count,
+                              build_graph, census, isolated_count,
                               sample_poisson, window_truncation_census)
 
 from _oracles import (bfs_components, pairwise_edges_bruteforce,
@@ -179,26 +178,31 @@ def test_window_truncation_census():
         window_truncation_census(graph, graph.points.region.side * 2.0)
 
 
-def test_connectivity_ordering_matches_bfs():
+def test_connectivity_via_census_matches_bfs():
     rng = np.random.default_rng(5)
     hits = [0, 0]
     for _ in range(40):
         n = int(rng.integers(2, 25))
-        pos = rng.random((n, 2)) * 3.0
+        pos = rng.random((n, 2)) * 3.0 - 1.5
         r = float(rng.uniform(0.4, 1.4))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if math.hypot(*(pos[i] - pos[j])) <= r]
         want = (max(bfs_components(n, edges)) == n)
-        got = is_connected_via_ordering(
-            list(pos), lambda p, q: math.hypot(*(p - q)) <= r)
+        pts = PointSet(positions=pos, region=Region("square", 3.0),
+                       density=1.0, seed=0)
+        got = census(build_graph(pts, unit_disk(r))).largest_order == n
         assert got == want
         hits[int(want)] += 1
     assert min(hits) > 3  # both outcomes exercised
 
 
-def test_connectivity_ordering_trivial_cases():
-    assert is_connected_via_ordering([], lambda p, q: True)
-    assert is_connected_via_ordering([np.zeros(2)], lambda p, q: False)
+def test_connectivity_via_census_trivial_cases():
+    for n in (0, 1):
+        pts = PointSet(positions=np.zeros((n, 2)),
+                       region=Region("square", 1.0), density=1.0, seed=0)
+        c = census(build_graph(pts, unit_disk(1.0)))
+        assert c.largest_order == n
+        assert c.xi == ({1: 1} if n else {}) and c.W == n
 
 
 def test_toroidal_distance_helper():
