@@ -380,6 +380,23 @@ def _head_breakpoints(g, upto):
     return brks
 
 
+def _power_log_tail(g):
+    """(a, p, x_from, scale) of the exact power-log tail g carries, or None.
+
+    A scaled function has the tail of its base, stretched by scale: it
+    starts at x_from * scale.
+    """
+    if g.tail is not None and g.tail[0] == "power_log":
+        _, a, p, x_from = g.tail
+        return a, p, x_from, 1.0
+    if g.kind == "scaled":
+        base = g.params["base"]
+        if base.tail is not None and base.tail[0] == "power_log":
+            _, a, p, x_from = base.tail
+            return a, p, x_from, g.params["factor"]
+    return None
+
+
 def integral_constant(g, rel_tol=1e-10):
     """The plane integral of g: C = 2 pi * integral_0^inf x g(x) dx.
 
@@ -404,14 +421,10 @@ def integral_constant(g, rel_tol=1e-10):
         return total
 
     # Analytic tail: quadrature head + closed-form remainder.
-    tail_from = None
-    if g.tail is not None and g.tail[0] == "power_log":
-        tail_from = g.tail[3]
-    elif g.kind == "scaled":
-        base = g.params["base"]
-        if base.tail is not None and base.tail[0] == "power_log":
-            tail_from = base.tail[3] * g.params["factor"]
-    if tail_from is not None:
+    tail = _power_log_tail(g)
+    if tail is not None:
+        _, _, x_from, scale = tail
+        tail_from = x_from * scale
         head, _ = adaptive_quad(xg, 0.0, tail_from, rel_tol=rel_tol * 0.5,
                                 breakpoints=_head_breakpoints(g, tail_from))
         total = 2.0 * math.pi * head + g.analytic_tail_integral(tail_from)
@@ -481,17 +494,9 @@ def effective_cutoff(g, tail_mass):
     C = integral_constant(g)
     target = tail_mass * C
 
-    tail_from = None
-    a = p = None
-    if g.tail is not None and g.tail[0] == "power_log":
-        _, a, p, tail_from = g.tail
-        scale = 1.0
-    elif g.kind == "scaled":
-        base = g.params["base"]
-        if base.tail is not None and base.tail[0] == "power_log":
-            _, a, p, tail_from = base.tail
-            scale = g.params["factor"]
-    if tail_from is not None:
+    tail = _power_log_tail(g)
+    if tail is not None:
+        a, p, tail_from, scale = tail
         # Solve 2 pi a (ln u)^(1-p) / (p-1) = target / scale^2 for u = R/scale.
         t = target / (scale * scale)
         ln_u = (2.0 * math.pi * a / ((p - 1.0) * t)) ** (1.0 / (p - 1.0))

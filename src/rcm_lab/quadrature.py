@@ -6,10 +6,13 @@ isolated-node counts are integrals of lambda * exp(-I(y)).
 
 Inner integrals use a radial-angular decomposition: the circle of radius r
 around y meets the square in arcs whose total angle has a closed form, so
-I(y) reduces to a 1-D integral of g(r) * r * angle(r).  Outer integrals
-exploit the square's 8-fold symmetry, or, when g has a (numerically)
-compact range, an exact central/side/corner decomposition where the central
-block is constant and the side strips reduce to 1-D transverse profiles.
+I(y) reduces to a 1-D integral of g(r) * r * angle(r).  Outer integrals of
+exp(-I) use one nested adaptive routine over {x0 <= x <= x1, ylo(x) <= y <=
+yhi(x)}, split where a structural radius of g reaches a wall: EW is eight
+copies of the triangle {0 <= y <= x <= side/2}, and the central/side/corner
+split (Coon, Dettmann and Georgiou 2012) is a triangle, a strip and a
+square.  When g has a (numerically) compact range that split is exact and
+cheaper: a constant central block, 1-D side profiles, tensor-rule corners.
 """
 
 import math
@@ -113,58 +116,40 @@ def inner_exposure(y, spec, rel_tol=1e-8):
                      rel_tol=rel_tol)
 
 
-def _rect_integral(lam, side, g, x0, x1, y0, y1, rel_tol, inner_tol):
-    """lambda * integral of exp(-I) over [x0,x1] x [y0,y1] (nested adaptive)."""
+def _survival(xs, ys, side, lam, g, inner_tol):
+    """exp(-I) at every point of the broadcast coordinate arrays xs, ys."""
+    xs, ys = np.broadcast_arrays(xs, ys)
+    out = np.empty(xs.shape)
+    for idx in np.ndindex(xs.shape):
+        out[idx] = math.exp(-_exposure(xs[idx], ys[idx], side, lam, g,
+                                       inner_tol))
+    return out
+
+
+def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol):
+    """lambda * integral of exp(-I) over {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}.
+
+    Nested adaptive quadrature; both levels split where a structural radius
+    of g reaches a wall, at +-(h - rad).
+    """
     h = 0.5 * side
-    radii = _structural_radii(g, side * math.sqrt(2.0))
     kinks = []
-    for rad in radii:
-        for edge in (h - rad, rad - h):
-            kinks.append(edge)
+    for rad in _structural_radii(g, side * math.sqrt(2.0)):
+        kinks.extend((h - rad, rad - h))
 
     def inner_at(x):
         def f(ys):
-            ys = np.atleast_1d(ys)
-            return np.array([math.exp(-_exposure(x, y, side, lam, g, inner_tol))
-                             for y in ys])
-        val, _ = adaptive_quad(f, y0, y1, rel_tol=rel_tol / 4.0,
+            return _survival(x, ys, side, lam, g, inner_tol)
+        val, _ = adaptive_quad(f, ylo(x), yhi(x), rel_tol=rel_tol / 4.0,
                                breakpoints=kinks)
         return val
 
     def outer(xs):
-        xs = np.atleast_1d(xs)
-        return np.array([inner_at(x) for x in xs])
+        return np.array([inner_at(x) for x in np.atleast_1d(xs)])
 
-    val, err = adaptive_quad(outer, x0, x1, rel_tol=rel_tol / 2.0,
-                             breakpoints=kinks, limit=400)
-    return lam * val
-
-
-def _triangle_ew(lam, side, g, rel_tol, inner_tol):
-    """EW over the whole square via 8 copies of the fundamental triangle
-    {0 <= y <= x <= side/2}."""
-    h = 0.5 * side
-    radii = _structural_radii(g, side * math.sqrt(2.0))
-    kinks = [h - rad for rad in radii if 0.0 < h - rad < h]
-
-    def inner_at(x):
-        if x <= 0.0:
-            return 0.0
-        def f(ys):
-            ys = np.atleast_1d(ys)
-            return np.array([math.exp(-_exposure(x, y, side, lam, g, inner_tol))
-                             for y in ys])
-        val, _ = adaptive_quad(f, 0.0, x, rel_tol=rel_tol / 4.0,
-                               breakpoints=kinks)
-        return val
-
-    def outer(xs):
-        xs = np.atleast_1d(xs)
-        return np.array([inner_at(x) for x in xs])
-
-    val, _ = adaptive_quad(outer, 0.0, h, rel_tol=rel_tol / 2.0,
+    val, _ = adaptive_quad(outer, x0, x1, rel_tol=rel_tol / 2.0,
                            breakpoints=kinks, limit=400)
-    return 8.0 * lam * val
+    return lam * val
 
 
 def _compact_margin(g, side):
@@ -194,21 +179,14 @@ def _decomposed_pieces(lam, side, g, margin, m_supp, rel_tol, inner_tol):
         tbreaks = sorted(set(radii + ([m_supp] if m_supp < margin else [])))
 
         def profile(ts):
-            ts = np.atleast_1d(ts)
-            return np.array([math.exp(-_exposure(h - t, 0.0, side, lam, g,
-                                                 inner_tol)) for t in ts])
+            return _survival(h - ts, 0.0, side, lam, g, inner_tol)
 
         pval, _ = adaptive_quad(profile, 0.0, margin, rel_tol=rel_tol / 4.0,
                                 breakpoints=tbreaks)
         side_term = 4.0 * (side - 2.0 * margin) * lam * pval
 
         def patch(t1, t2):
-            t1, t2 = np.broadcast_arrays(t1, t2)
-            out = np.empty(t1.shape)
-            for idx in np.ndindex(t1.shape):
-                out[idx] = math.exp(-_exposure(h - t1[idx], h - t2[idx],
-                                               side, lam, g, inner_tol))
-            return out
+            return _survival(h - t1, h - t2, side, lam, g, inner_tol)
 
         cval, _ = fixed_tensor_quad(patch, 0.0, margin, 0.0, margin,
                                     rel_tol=rel_tol / 4.0, n0=12,
@@ -218,38 +196,13 @@ def _decomposed_pieces(lam, side, g, margin, m_supp, rel_tol, inner_tol):
 
     # Generic fallback: nested quadrature region by region.
     hp = h - margin
-    central = 8.0 * lam * _rect_triangle(lam, side, g, hp, rel_tol, inner_tol)
-    strip = _rect_integral(lam, side, g, hp, h, 0.0, hp, rel_tol, inner_tol)
-    side_term = 4.0 * 2.0 * strip
-    corner = 4.0 * _rect_integral(lam, side, g, hp, h, hp, h, rel_tol,
-                                  inner_tol)
+    central = 8.0 * _region_integral(lam, side, g, 0.0, hp, lambda x: 0.0,
+                                     lambda x: x, rel_tol, inner_tol)
+    side_term = 8.0 * _region_integral(lam, side, g, hp, h, lambda x: 0.0,
+                                       lambda x: hp, rel_tol, inner_tol)
+    corner = 4.0 * _region_integral(lam, side, g, hp, h, lambda x: hp,
+                                    lambda x: h, rel_tol, inner_tol)
     return central, side_term, corner
-
-
-def _rect_triangle(lam, side, g, hp, rel_tol, inner_tol):
-    """Integral of exp(-I) over the triangle {0 <= y <= x <= hp}."""
-    radii = _structural_radii(g, side * math.sqrt(2.0))
-    h = 0.5 * side
-    kinks = [h - rad for rad in radii if 0.0 < h - rad < hp]
-
-    def inner_at(x):
-        if x <= 0.0:
-            return 0.0
-        def f(ys):
-            ys = np.atleast_1d(ys)
-            return np.array([math.exp(-_exposure(x, y, side, lam, g, inner_tol))
-                             for y in ys])
-        val, _ = adaptive_quad(f, 0.0, x, rel_tol=rel_tol / 4.0,
-                               breakpoints=kinks)
-        return val
-
-    def outer(xs):
-        xs = np.atleast_1d(xs)
-        return np.array([inner_at(x) for x in xs])
-
-    val, _ = adaptive_quad(outer, 0.0, hp, rel_tol=rel_tol / 2.0,
-                           breakpoints=kinks, limit=400)
-    return val
 
 
 def expected_isolated_square(spec, rel_tol=1e-6):
@@ -262,7 +215,10 @@ def expected_isolated_square(spec, rel_tol=1e-6):
         central, side_term, corner = _decomposed_pieces(
             lam, side, g, m, m, rel_tol, inner_tol)
         return central + side_term + corner
-    return _triangle_ew(lam, side, g, rel_tol, inner_tol)
+    # Eight copies of the fundamental triangle {0 <= y <= x <= side/2}.
+    return 8.0 * _region_integral(lam, side, g, 0.0, 0.5 * side,
+                                  lambda x: 0.0, lambda x: x, rel_tol,
+                                  inner_tol)
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
@@ -320,12 +276,8 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
     ew_t = expected_isolated_torus(spec, rel_tol=min(rel_tol, 1e-9))
     ew_inf = expected_isolated_infinite(spec.b)
 
-    m_supp = None
-    m = _compact_margin(g, side)
-    if m is not None:
-        m_supp = m
     central, side_term, corner = _decomposed_pieces(
-        lam, side, g, margin, m_supp, rel_tol, inner_tol)
+        lam, side, g, margin, _compact_margin(g, side), rel_tol, inner_tol)
 
     total = central + side_term + corner
     resid = abs(total - ew) / max(abs(ew), 1e-300)
@@ -375,16 +327,23 @@ def _disk_overlap_batch(pts, r, h):
     return math.pi * r * r - seg.sum(axis=-1) + corner
 
 
-def _disk_cross_batch(x1, x2, r, h, slices=2048, block=4096):
+# Midpoint slices per pair in _disk_cross_batch, and pairs per block.  A
+# block holds about ten (block x slices) float64 temporaries, 16 kB per row
+# each: 64 rows cost ~10 MB, where 4096 rows would cost ~640 MB.
+_CROSS_SLICES = 2048
+_CROSS_BLOCK = 64
+
+
+def _disk_cross_batch(x1, x2, r, h):
     """Area of A and both disks of radius r around rows x1, x2 (midpoint
     rule across the common vertical extent; kinks cost ~slices^-1.5)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     n = x1.shape[0]
     out = np.zeros(n)
-    mids = (np.arange(slices) + 0.5) / slices
-    for lo in range(0, n, block):
-        p1, p2 = x1[lo:lo + block], x2[lo:lo + block]
+    mids = (np.arange(_CROSS_SLICES) + 0.5) / _CROSS_SLICES
+    for lo in range(0, n, _CROSS_BLOCK):
+        p1, p2 = x1[lo:lo + _CROSS_BLOCK], x2[lo:lo + _CROSS_BLOCK]
         ylo = np.maximum(-h, np.maximum(p1[:, 1], p2[:, 1]) - r)
         yhi = np.minimum(h, np.minimum(p1[:, 1], p2[:, 1]) + r)
         span = np.maximum(yhi - ylo, 0.0)
@@ -396,7 +355,7 @@ def _disk_cross_batch(x1, x2, r, h, slices=2048, block=4096):
         xhi = np.minimum(np.minimum(p1[:, 0, None] + w1,
                                     p2[:, 0, None] + w2), h)
         width = np.clip(xhi - xlo, 0.0, None)
-        out[lo:lo + block] = width.mean(axis=1) * span
+        out[lo:lo + _CROSS_BLOCK] = width.mean(axis=1) * span
     return out
 
 

@@ -11,6 +11,7 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
+from rcm_lab.quadrature import _compact_margin, _frame, _region_integral
 from rcm_lab.simulate import census
 
 from _oracles import disk_square_overlap, riemann_expected_isolated_disk
@@ -63,11 +64,16 @@ def test_square_ew_against_riemann_oracle():
     assert got == pytest.approx(2.3071, abs=2e-3)
 
 
-def test_square_ew_generic_path_matches_compact_path():
-    # lognormal has unbounded support: exercises the generic triangle path.
-    # Cross-check against simulation.
-    g = lognormal(sigma=0.25, eta=4.0)
+@pytest.mark.parametrize("g, compact", [
+    # compact margin m = 2.0 at rho = 60: the central/side/corner shortcuts
+    pytest.param(lognormal(sigma=0.25, eta=4.0), True, id="lognormal-compact"),
+    # infinite cutoff: eight copies of the fundamental triangle
+    pytest.param(theta_tail(a=0.5), False, id="theta_tail-triangle"),
+])
+def test_square_ew_matches_simulation(g, compact):
     spec = ModelSpec(model="square", rho=60.0, b=0.0, g=g)
+    _, d, gf = _frame(spec)
+    assert (_compact_margin(gf, d.core_side) is not None) == compact
     ew = expected_isolated_square(spec, rel_tol=1e-5)
     vals = []
     for s in range(4000):
@@ -75,6 +81,16 @@ def test_square_ew_generic_path_matches_compact_path():
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - ew) <= 3.0 * se
+
+
+def test_region_integral_triangle_matches_frozen_ew():
+    # the non-compact path on a compact g: 8 triangles against the frozen
+    # rho = 1e2 ladder value of acceptance criterion 4
+    _, d, g = _frame(_disk_spec("square", 100.0))
+    ew = 8.0 * _region_integral(d.density, d.core_side, g, 0.0,
+                                0.5 * d.core_side, lambda x: 0.0,
+                                lambda x: x, 1e-6, 1e-8)
+    assert ew == pytest.approx(2.2779393402, rel=1e-6)
 
 
 def test_infinite_limit():
@@ -110,6 +126,14 @@ def _wiggly():
 
 
 def test_isolation_report_consistency():
+    # margin 1.467 < compact margin 2.0: the decomposition runs region by
+    # region, so only its sum is checked here
+    logn = ModelSpec(model="square", rho=60.0, b=0.0,
+                     g=lognormal(sigma=0.25, eta=4.0))
+    rep = isolation_report(logn, rel_tol=1e-3)
+    assert rep.EW == pytest.approx(rep.central + rep.side + rep.corner,
+                                   rel=1e-3)
+
     rep = isolation_report(_disk_spec("square", 1000.0), rel_tol=1e-6)
     assert rep.EW == pytest.approx(rep.central + rep.side + rep.corner,
                                    rel=1e-6)
