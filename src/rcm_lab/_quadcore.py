@@ -2,7 +2,9 @@
 
 Gauss-Kronrod 7/15 on each panel, worst-panel bisection, explicit breakpoint
 splitting so discontinuities and kinks always land on panel edges.  Integrands
-must accept numpy arrays (they are called once per panel on all 15 nodes).
+must accept numpy arrays: adaptive_quad calls them once per panel on its 15
+nodes, batched_quad once per block of panels on all their nodes, and its
+array form integrates many independent integrals in the same calls.
 """
 
 import heapq
@@ -99,72 +101,121 @@ def adaptive_quad(f, a, b, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
     return total, total_err
 
 
-def _panels_eval(f, los, his):
-    """GK15 on a batch of panels with one call to f; returns (vals, errs)."""
-    h = 0.5 * (his - los)
-    c = 0.5 * (his + los)
-    xs = c[:, None] + h[:, None] * _XK[None, :]
-    fx = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    ik = h * (fx @ _WK)
-    ig = h * (fx[:, _GAUSS_IDX] @ _WG)
-    width = his - los
-    safe = np.where(width > 0.0, width, 1.0)
-    mean = np.where(width > 0.0, ik / safe, 0.0)
-    resasc = np.abs(h) * (np.abs(fx - mean[:, None]) @ _WK)
-    diff = np.abs(ik - ig)
-    safe_asc = np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where((resasc > 0.0) & (diff > 0.0),
-                   resasc * np.minimum(1.0, (200.0 * diff / safe_asc) ** 1.5),
-                   diff)
-    return ik, err
+# Panels per integrand call.  A call holds the (panels x 15) nodes, values
+# and the integrand's own temporaries, about ten float64 arrays of 120 bytes
+# per panel: 1024 panels keep a call near 1 MB however many panels a round
+# refines.  Unblocked, the first round of a 512-point exposure pass (about
+# 19 000 panels) lifts the traced peak of 20 000 lognormal exposures from
+# 3.0 to 5.2 MB.
+_PANEL_BLOCK = 1024
+
+
+def _panels_eval(f, los, his, owner):
+    """GK15 on a batch of panels; returns (vals, errs).
+
+    f(x, k) gets the nodes x, shape (m, 15), and the owner index k, shape
+    (m, 1), of at most _PANEL_BLOCK panels per call.
+    """
+    vals = np.empty(los.size)
+    errs = np.empty(los.size)
+    for lo in range(0, los.size, _PANEL_BLOCK):
+        blk = slice(lo, lo + _PANEL_BLOCK)
+        width = his[blk] - los[blk]
+        h = 0.5 * width
+        c = 0.5 * (his[blk] + los[blk])
+        xs = c[:, None] + h[:, None] * _XK[None, :]
+        fx = np.asarray(f(xs, owner[blk, None]), dtype=float).reshape(xs.shape)
+        ik = h * (fx @ _WK)
+        ig = h * (fx[:, _GAUSS_IDX] @ _WG)
+        safe = np.where(width > 0.0, width, 1.0)
+        mean = np.where(width > 0.0, ik / safe, 0.0)
+        resasc = np.abs(h) * (np.abs(fx - mean[:, None]) @ _WK)
+        diff = np.abs(ik - ig)
+        safe_asc = np.where(resasc > 0.0, resasc, 1.0)
+        vals[blk] = ik
+        errs[blk] = np.where(
+            (resasc > 0.0) & (diff > 0.0),
+            resasc * np.minimum(1.0, (200.0 * diff / safe_asc) ** 1.5), diff)
+    return vals, errs
 
 
 def batched_quad(f, a, b, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
                  limit=4000):
-    """Same contract as adaptive_quad, refined in vectorized rounds.
+    """Integrate f over [a, b] in vectorized rounds; returns (value, error).
 
-    Each round bisects every panel holding a meaningful share of the error
-    and evaluates all children with a single call to f.  Preferable when
-    one call to f on a large array is much cheaper than many small calls.
+    With scalar a and b this has the contract of adaptive_quad: f(x) takes
+    an array of nodes and breakpoints is a sequence.  With arrays a and b
+    (broadcast to length n) it integrates n independent integrals at once:
+    f(x, k) gets the nodes x, shape (m, 15), and the index k, shape (m, 1),
+    of the integral each row belongs to; breakpoints is an (n, K) table
+    padded with NaN; value and error are length-n arrays.
+
+    Each round bisects, integral by integral, every panel holding a
+    meaningful share of that integral's error, and evaluates all children
+    of all integrals together.  An integral stops refining once
+    sum(err) <= max(abs_tol, rel_tol * |sum(value)|) or it has limit panels.
     """
-    if b <= a:
-        return 0.0, 0.0
-    pts = [a]
-    for p in sorted(set(float(x) for x in breakpoints)):
-        if a < p < b:
-            pts.append(p)
-    pts.append(b)
-    los = np.asarray(pts[:-1], dtype=float)
-    his = np.asarray(pts[1:], dtype=float)
-    vals, errs = _panels_eval(f, los, his)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    if scalar:
+        scalar_f = f
+
+        def f(x, k):
+            return scalar_f(x.ravel())
+
+        brk = np.array([float(p) for p in breakpoints]).reshape(1, -1)
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    n = a.size
+    if not scalar:
+        brk = np.asarray(breakpoints, dtype=float)
+        brk = brk.reshape(n, -1) if brk.size else np.empty((n, 0))
+
+    # Panel edges of each integral: a, its distinct breakpoints strictly
+    # inside (a, b), then b; NaN marks unused slots.
+    live = b > a
+    lo, hi = a[live, None], b[live, None]
+    pts = np.concatenate(
+        [lo, np.where((brk[live] > lo) & (brk[live] < hi), brk[live], np.nan),
+         hi], axis=1)
+    pts.sort(axis=1)
+    used = ~np.isnan(pts)
+    used[:, 1:] &= pts[:, 1:] != pts[:, :-1]
+    edge = pts[used]
+    owner = np.broadcast_to(np.nonzero(live)[0][:, None], pts.shape)[used]
+    inner = owner[:-1] == owner[1:]
+    los, his, owner = edge[:-1][inner], edge[1:][inner], owner[:-1][inner]
+    vals, errs = _panels_eval(f, los, his, owner)
 
     while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if total_err <= tol or los.size >= limit:
-            break
+        total = np.bincount(owner, vals, n)
+        total_err = np.bincount(owner, errs, n)
+        count = np.bincount(owner, minlength=n)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        open_ = (total_err > tol) & (count < limit)
         floor = 16.0 * np.spacing(np.maximum(np.maximum(np.abs(los),
                                                         np.abs(his)), 1.0))
-        can = (his - los) > floor
-        if not can.any():
-            break
-        emax = errs[can].max()
-        if emax <= 0.0:
-            break
-        split = can & ((errs >= 0.25 * emax) | (errs > tol / los.size))
+        can = open_[owner] & ((his - los) > floor)
+        emax = np.zeros(n)
+        np.maximum.at(emax, owner[can], errs[can])
+        split = can & (emax[owner] > 0.0) & (
+            (errs >= 0.25 * emax[owner])
+            | (errs > tol[owner] / count[owner]))
         if not split.any():
             break
         mids = 0.5 * (los[split] + his[split])
         child_lo = np.concatenate([los[split], mids])
         child_hi = np.concatenate([mids, his[split]])
-        cv, ce = _panels_eval(f, child_lo, child_hi)
+        child_own = np.concatenate([owner[split], owner[split]])
+        cv, ce = _panels_eval(f, child_lo, child_hi, child_own)
         keep = ~split
         los = np.concatenate([los[keep], child_lo])
         his = np.concatenate([his[keep], child_hi])
+        owner = np.concatenate([owner[keep], child_own])
         vals = np.concatenate([vals[keep], cv])
         errs = np.concatenate([errs[keep], ce])
-    return float(vals.sum()), float(errs.sum())
+    if scalar:
+        return float(total[0]), float(total_err[0])
+    return total, total_err
 
 
 def doubling_tail_quad(f, start, rel_tol=1e-10, max_doublings=60,

@@ -384,16 +384,16 @@ def _power_log_tail(g):
     """(a, p, x_from, scale) of the exact power-log tail g carries, or None.
 
     A scaled function has the tail of its base, stretched by scale: it
-    starts at x_from * scale.
+    starts at x_from * scale.  Nested scalings multiply their factors.
     """
     if g.tail is not None and g.tail[0] == "power_log":
         _, a, p, x_from = g.tail
         return a, p, x_from, 1.0
     if g.kind == "scaled":
-        base = g.params["base"]
-        if base.tail is not None and base.tail[0] == "power_log":
-            _, a, p, x_from = base.tail
-            return a, p, x_from, g.params["factor"]
+        tail = _power_log_tail(g.params["base"])
+        if tail is not None:
+            a, p, x_from, scale = tail
+            return a, p, x_from, scale * g.params["factor"]
     return None
 
 
@@ -423,11 +423,16 @@ def integral_constant(g, rel_tol=1e-10):
     # Analytic tail: quadrature head + closed-form remainder.
     tail = _power_log_tail(g)
     if tail is not None:
-        _, _, x_from, scale = tail
+        a, p, x_from, scale = tail
         tail_from = x_from * scale
         head, _ = adaptive_quad(xg, 0.0, tail_from, rel_tol=rel_tol * 0.5,
                                 breakpoints=_head_breakpoints(g, tail_from))
-        total = 2.0 * math.pi * head + g.analytic_tail_integral(tail_from)
+        # The base's analytic_tail_integral(x_from), stretched by scale^2;
+        # taken from the tail itself, since tail_from / scale can round to
+        # just below x_from.
+        rest = scale * scale * (2.0 * math.pi * a * math.log(x_from)
+                                ** (1.0 - p) / (p - 1.0))
+        total = 2.0 * math.pi * head + rest
         if not total > 0.0:
             raise ValueError("connection function must have positive mass")
         return total

@@ -49,6 +49,23 @@ def test_scaled_rescales_distance():
         2.5 ** 2 * integral_constant(g), rel=1e-8)
 
 
+@pytest.mark.parametrize("f1, f2", [(0.5, 0.6), (0.7, 1.3)])
+def test_twice_scaled_power_log_tail_matches_single_scaling(f1, f2):
+    # the analytic tail is found through every level of scaling, so the
+    # numeric doubling tail (which cannot converge on 1/(x^2 ln^2 x)) is
+    # never reached
+    g = theta_tail(a=0.5)
+    twice, once = g.scaled(f1).scaled(f2), g.scaled(f1 * f2)
+    assert integral_constant(twice) == pytest.approx(integral_constant(once),
+                                                     rel=1e-10)
+    # x_from * 0.7 / 0.7 rounds below x_from: the tail must still be found
+    assert integral_constant(g.scaled(f1)) == pytest.approx(
+        f1 * f1 * integral_constant(g), rel=1e-9)
+    for mass in (1e-12, 1e-3, 0.1):
+        assert effective_cutoff(twice, mass) == pytest.approx(
+            effective_cutoff(once, mass), rel=1e-10)
+
+
 def test_theta_tail_is_exact_past_x0():
     a = 0.5
     g = theta_tail(a=a)

@@ -84,3 +84,55 @@ def test_tensor_with_breaks():
     val, _ = fixed_tensor_quad(f, 0.0, 1.0, 0.0, 1.0, rel_tol=1e-11,
                                xbreaks=(0.5,))
     assert val == pytest.approx(0.5, rel=1e-12)
+
+
+def test_batched_array_matches_scalar_calls():
+    # a kinked family of integrands, ragged breakpoint rows (NaN-padded,
+    # with repeats and points outside [a, b]) and one empty interval (b < a)
+    c = np.array([0.5, 1.0, 2.0, 3.0, 0.7, 1.5])
+    p = np.array([0.25, 0.6, 0.1, 0.9, 0.5, 0.3])
+    a = np.array([0.0, -1.0, 0.0, 0.2, 1.0, 0.0])
+    b = np.array([5.0, 1.0, 1.0, 2.5, 0.5, 3.0])
+    nan = np.nan
+    brk = np.array([[nan, nan, nan],
+                    [0.6, 0.6, nan],
+                    [0.1, -3.0, 7.0],
+                    [0.9, 2.0, 1.0],
+                    [0.5, nan, nan],
+                    [0.3, 1.0, 2.0]])
+
+    def fk(x, k):
+        return np.exp(-c[k] * x) * np.sin(3.0 * x) + np.abs(x - p[k]) ** 0.5
+
+    vals, errs = batched_quad(fk, a, b, rel_tol=1e-11, breakpoints=brk)
+    assert vals.shape == errs.shape == a.shape
+    for i in range(a.size):
+        row = brk[i][~np.isnan(brk[i])]
+        fi = lambda x: fk(x, i)
+        v, e = batched_quad(fi, a[i], b[i], rel_tol=1e-11, breakpoints=row)
+        assert vals[i] == pytest.approx(v, rel=1e-14, abs=0.0)
+        # an error estimate grows from |GK15 - G7|, the difference of two
+        # nearly equal sums, so last-bit changes show in it magnified
+        assert errs[i] == pytest.approx(e, rel=1e-8, abs=0.0)
+        va, _ = adaptive_quad(fi, a[i], b[i], rel_tol=1e-11, breakpoints=row)
+        assert vals[i] == pytest.approx(va, rel=1e-9)
+    assert vals[4] == 0.0 and errs[4] == 0.0
+
+
+def test_batched_array_integrand_arguments_broadcast():
+    import rcm_lab._quadcore as qc
+
+    n = 3 * qc._PANEL_BLOCK
+    seen = []
+
+    def f(x, k):
+        seen.append((x.shape, k.shape, np.broadcast(x, k).shape))
+        return (1.0 + k) * np.cos(x)
+
+    vals, _ = batched_quad(f, np.zeros(n), np.ones(n), rel_tol=1e-12)
+    assert vals == pytest.approx((1.0 + np.arange(n)) * math.sin(1.0),
+                                 rel=1e-13)
+    assert sum(s[0][0] for s in seen) >= n
+    for xs, ks, bs in seen:
+        assert xs == bs == (ks[0], 15) and ks[1] == 1
+        assert ks[0] <= qc._PANEL_BLOCK

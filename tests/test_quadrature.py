@@ -11,7 +11,8 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import _compact_margin, _frame, _region_integral
+from rcm_lab.quadrature import (_compact_margin, _cross_mass_generic,
+                                _exposure, _frame, _region_integral)
 from rcm_lab.simulate import census
 
 from _oracles import disk_square_overlap, riemann_expected_isolated_disk
@@ -46,6 +47,72 @@ def test_inner_exposure_matches_overlap_formula():
         p = rng.random(2) * d.side - h
         want = d.lam * disk_square_overlap(p[0], p[1], 1.0, h)
         assert inner_exposure(p, spec) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(lognormal(sigma=0.25, eta=4.0), id="lognormal"),
+    pytest.param(theta_tail(a=0.5), id="theta_tail"),
+])
+def test_array_exposure_matches_pointwise(g):
+    _, d, gf = _frame(ModelSpec(model="square", rho=100.0, b=0.0, g=g))
+    h = 0.5 * d.core_side
+    rng = np.random.default_rng(31)
+    # interior points, points near the walls and corners, and the exact
+    # center, corner and wall midpoint
+    pts = np.vstack([rng.random((40, 2)) * 2 * h - h,
+                     h - rng.random((20, 2)) * 2.5,
+                     [[0.0, 0.0], [h, h], [-h, 0.0]]])
+    got = _exposure(pts[:, 0], pts[:, 1], d.core_side, d.density, gf)
+    assert got.shape == (pts.shape[0],)
+    want = [_exposure(float(x), float(y), d.core_side, d.density, gf)
+            for x, y in pts]
+    assert got == pytest.approx(want, rel=1e-13)
+    # broadcast coordinate arrays keep their shape
+    grid = _exposure(pts[:5, 0, None], pts[None, :3, 1], d.core_side,
+                     d.density, gf)
+    assert grid.shape == (5, 3)
+    with pytest.raises(ValueError):
+        _exposure(np.array([0.0, 1.01 * h]), 0.0, d.core_side, d.density, gf)
+
+
+def test_exposure_memory_stays_bounded():
+    # points are integrated in fixed blocks, so the peak does not grow with
+    # the number of points
+    import tracemalloc
+
+    _, d, g = _frame(ModelSpec(model="square", rho=100.0, b=0.0,
+                               g=lognormal(sigma=0.25, eta=4.0)))
+    h = 0.5 * d.core_side
+    pts = np.random.default_rng(32).random((20_000, 2)) * 2 * h - h
+    tracemalloc.start()
+    try:
+        _exposure(pts[:, 0], pts[:, 1], d.core_side, d.density, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_cross_mass_generic_matches_dblquad():
+    from scipy.integrate import dblquad
+
+    g = lognormal(sigma=0.25, eta=4.0)
+    kslope = 10.0 * 4.0 / (0.25 * math.sqrt(2.0))
+
+    def gref(r):
+        return 0.5 * math.erfc(kslope * math.log10(r)) if r > 0.0 else 1.0
+
+    # reach 2.0 is this g's cutoff at tail mass 1e-12; the reference
+    # integrates over the whole square.  Interior, corner and wall pairs:
+    h = 4.0
+    for x1, x2 in (((0.3, -0.2), (1.1, 0.4)), ((3.6, 3.7), (2.9, 3.1)),
+                   ((-3.9, 0.5), (-3.2, -0.6))):
+        got = _cross_mass_generic(np.array(x1), np.array(x2), g, h, 2.0)
+        want, _ = dblquad(
+            lambda y, x: (gref(math.hypot(x - x1[0], y - x1[1]))
+                          * gref(math.hypot(x - x2[0], y - x2[1]))),
+            -h, h, -h, h, epsabs=1e-11, epsrel=1e-9)
+        assert got == pytest.approx(want, rel=1e-7)
 
 
 def test_torus_closed_form_disk():
