@@ -9,15 +9,18 @@ y meets the square in arcs whose total angle has a closed form, so I(y)
 reduces to a 1-D integral of g(r) * r * angle(r).  These radial integrals
 are never taken one point at a time: one array call of batched_quad
 integrates a whole block of points, each split at its own wall and corner
-distances, and a hard disk needs no quadrature at all (I(y) is lambda times
-the area of disk and square).  Outer integrals of exp(-I) use one nested
-adaptive routine over {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}, split where a
-structural radius of g reaches a wall; the inner integrals at all nodes of
-an outer panel form one array call.  EW is eight copies of the triangle
-{0 <= y <= x <= side/2}, and the central/side/corner split (Coon, Dettmann
-and Georgiou 2012) is a triangle, a strip and a square.  When g has a
-(numerically) compact range that split is exact and cheaper: a constant
-central block, 1-D side profiles, tensor-rule corners.
+distances and at halvings of its farthest radius, and a hard disk needs no
+quadrature at all (I(y) is lambda times the area of disk and square).
+Integrals of exp(-I) over regions {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}
+are one two-level array quadrature (_quadcore.nested_quad), split where a
+structural radius of g reaches a wall: the inner y-integrals of all outer
+nodes go to array calls together.  The xi_2 cross masses of all sampled
+pairs are one such call too, split where each pair's structural circles
+cross.  EW is eight copies of the triangle {0 <= y <= x <= side/2}, and
+the central/side/corner split (Coon, Dettmann and Georgiou 2012) is a
+triangle, a strip and a square.  When g has a (numerically) compact range
+that split is exact and cheaper: a constant central block, 1-D side
+profiles, tensor-rule corners.
 """
 
 import math
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadcore import adaptive_quad, batched_quad, fixed_tensor_quad
+from ._quadcore import (adaptive_quad, batched_quad, fixed_tensor_quad,
+                        nested_quad)
 from .connfn import _head_breakpoints, classify_tail, effective_cutoff, integral_constant
 from .models import derive, frame_connection
 
@@ -130,8 +134,13 @@ def _radial_exposure(d, g, rel_tol):
     # doublings of the largest break (at least rmax / 64) below rmax.
     base = np.fmax(np.fmax.reduce(breaks, axis=1), rmax / 64.0)[:, None]
     pads = base * 2.0 ** np.arange(1, 6)
-    breaks = np.concatenate([breaks, np.where(pads < rcol, pads, np.nan)],
-                            axis=1)
+    # A smooth g has no structural radii, so its fall-off could sit inside
+    # one long panel whose 15 nodes miss it while the error estimate
+    # passes: halvings of rmax down to rmax / 1024 put panel edges at every
+    # scale.
+    halvings = rcol * 2.0 ** -np.arange(1, 11)
+    breaks = np.concatenate([breaks, np.where(pads < rcol, pads, np.nan),
+                             halvings], axis=1)
     edges = d.T
 
     def integrand(r, k):
@@ -158,30 +167,24 @@ def _survival(xs, ys, side, lam, g, inner_tol):
 def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol):
     """lambda * integral of exp(-I) over {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}.
 
-    Nested adaptive quadrature; both levels split where a structural radius
-    of g reaches a wall, at +-(h - rad).  Each outer panel integrates the
-    inner y-integrals of all its nodes in one array call.
+    One nested_quad; both levels split where a structural radius of g
+    reaches a wall, at +-(h - rad).
     """
     h = 0.5 * side
     kinks = []
     for rad in _structural_radii(g, side * math.sqrt(2.0)):
         kinks.extend((h - rad, rad - h))
 
-    def outer(xs):
-        xs = np.atleast_1d(xs)
+    def inner(xs, k):
+        return ylo(xs), yhi(xs), kinks
 
-        def f(ys, k):
-            return _survival(xs[k], ys, side, lam, g, inner_tol)
+    def f(ys, xs, k):
+        return _survival(xs, ys, side, lam, g, inner_tol)
 
-        val, _ = batched_quad(
-            f, np.broadcast_to(ylo(xs), xs.shape),
-            np.broadcast_to(yhi(xs), xs.shape), rel_tol=rel_tol / 4.0,
-            breakpoints=np.broadcast_to(kinks, (xs.size, len(kinks))))
-        return val
-
-    val, _ = adaptive_quad(outer, x0, x1, rel_tol=rel_tol / 2.0,
-                           breakpoints=kinks, limit=400)
-    return lam * val
+    val, _ = nested_quad(f, x0, x1, inner, rel_tol=rel_tol / 2.0,
+                         breakpoints=[kinks], inner_rel_tol=rel_tol / 4.0,
+                         limit=400)
+    return lam * float(val[0])
 
 
 def _compact_margin(g, side):
@@ -392,48 +395,49 @@ def _disk_cross_batch(x1, x2, r, h):
 
 
 def _cross_mass_generic(x1, x2, g, h, reach):
-    """integral over A of g(|y - x1|) g(|y - x2|) dy by nested quadrature."""
+    """integral over A of g(|y - p|) g(|y - q|) dy for every row pair p, q
+    of the (n, 2) arrays x1, x2, by one two-level array quadrature.
+
+    Each pair integrates over the part of A where both points are within
+    reach (0 where those boxes do not meet): y splits at both centres and
+    where a structural circle around one reaches height y, x at both
+    centres and where such a circle crosses the line at height y.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
     radii = _structural_radii(g, 2.0 * reach) + ([g.support_radius]
         if math.isfinite(g.support_radius) else [])
-    radii = sorted(set(r for r in radii if r > 0.0))
-    lo, hi = np.full(2, -h), np.full(2, h)
+    radii = np.array(sorted(set(r for r in radii if r > 0.0)))
+    lo, hi = np.full(x1.shape, -h), np.full(x1.shape, h)
     if math.isfinite(reach):
         lo = np.maximum(lo, np.maximum(x1, x2) - reach)
         hi = np.minimum(hi, np.minimum(x1, x2) + reach)
-    if np.any(hi <= lo):
-        return 0.0
-    (xlo, ylo), (xhi, yhi) = lo, hi
 
-    ybreaks = []
-    for c in (x1[1], x2[1]):
-        ybreaks.append(c)
-        for rad in radii:
-            ybreaks.extend((c - rad, c + rad))
+    # per pair: each centre's height, and that height +- every radius
+    nbrk = 2 * (1 + 2 * radii.size)
+    cy = np.stack([x1[:, 1], x2[:, 1]], axis=1)[:, :, None]
+    ybreaks = np.concatenate([cy, cy - radii, cy + radii],
+                             axis=2).reshape(x1.shape[0], nbrk)
+    cx = np.stack([x1[:, 0], x2[:, 0]], axis=1)
 
-    def outer(ys):
-        # x-breaks of every node: each center, and where each structural
+    def inner(ys, k):
+        # x-breaks of every node: each centre, and where each structural
         # circle around it crosses the line at height y (NaN if it misses).
-        ys = np.atleast_1d(ys)
-        xbreaks = []
-        for c, cy in ((x1[0], x1[1]), (x2[0], x2[1])):
-            xbreaks.append(np.full(ys.shape, c))
-            for rad in radii:
-                off = rad * rad - (ys - cy) ** 2
-                w = np.sqrt(np.where(off > 0.0, off, np.nan))
-                xbreaks.extend((c - w, c + w))
+        off = radii ** 2 - (ys[:, None, None] - cy[k]) ** 2
+        w = np.sqrt(np.where(off > 0.0, off, np.nan))
+        c = cx[k][:, :, None]
+        brk = np.concatenate([c, c - w, c + w], axis=2)
+        return lo[k, 0], hi[k, 0], brk.reshape(ys.size, nbrk)
 
-        def f(xs, k):
-            d1 = np.hypot(xs - x1[0], ys[k] - x1[1])
-            d2 = np.hypot(xs - x2[0], ys[k] - x2[1])
-            return g._eval(d1) * g._eval(d2)
+    def f(xs, ys, k):
+        d1 = np.hypot(xs - x1[k, 0], ys - x1[k, 1])
+        d2 = np.hypot(xs - x2[k, 0], ys - x2[k, 1])
+        return g._eval(d1) * g._eval(d2)
 
-        val, _ = batched_quad(f, np.full(ys.shape, xlo), xhi, rel_tol=1e-8,
-                              abs_tol=1e-13,
-                              breakpoints=np.stack(xbreaks, axis=1))
-        return val
-
-    val, _ = adaptive_quad(outer, ylo, yhi, rel_tol=1e-7, abs_tol=1e-12,
-                           breakpoints=ybreaks)
+    val, _ = nested_quad(f, lo[:, 1], hi[:, 1], inner, rel_tol=1e-7,
+                         abs_tol=1e-12,
+                         breakpoints=ybreaks,
+                         inner_rel_tol=1e-8, inner_abs_tol=1e-13)
     return val
 
 
@@ -562,8 +566,7 @@ def expected_components_order2(spec, samples=20000, seed=0,
     if disk_r is not None:
         cross = _disk_cross_batch(p1, p2, disk_r, h)
     else:
-        cross = np.array([_cross_mass_generic(a, b, g, h, reach)
-                          for a, b in zip(p1, p2)])
+        cross = _cross_mass_generic(p1, p2, g, h, reach)
     decay = np.exp(-lam * (z1 + z2 - cross))
     w = np.zeros(n)
     w[keep] = z1 * decay if mode == "importance" else area * gd[keep] * decay

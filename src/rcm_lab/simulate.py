@@ -158,14 +158,21 @@ def _near_candidates(pos, side, r_cut, wrap):
     return pairs[:, 0], pairs[:, 1]
 
 
+# Effective cutoffs by (g.signature(), tail_mass), oldest first.  A custom
+# g's signature holds id(fn), which CPython reuses once fn is collected, so
+# each entry also holds its g: while an entry is cached no other callable
+# can take its id.  Bounded, so long runs over many g stay small.
 _CUTOFF_CACHE = {}
+_CUTOFF_CACHE_SIZE = 64
 
 
 def _cutoff_cached(g, tail_mass):
     key = (g.signature(), float(tail_mass))
     if key not in _CUTOFF_CACHE:
-        _CUTOFF_CACHE[key] = effective_cutoff(g, tail_mass)
-    return _CUTOFF_CACHE[key]
+        if len(_CUTOFF_CACHE) >= _CUTOFF_CACHE_SIZE:
+            del _CUTOFF_CACHE[next(iter(_CUTOFF_CACHE))]
+        _CUTOFF_CACHE[key] = (g, effective_cutoff(g, tail_mass))
+    return _CUTOFF_CACHE[key][1]
 
 
 def _edges_cells(pts, g, metric, seed, tail_mass):
@@ -300,18 +307,22 @@ def boundary_coupling(torus_graph):
     g = torus_graph.g
     edges = torus_graph.edges
 
-    if edges.shape[0] == 0:
-        keep = np.zeros(0, dtype=bool)
-    else:
-        ii, jj = edges[:, 0], edges[:, 1]
+    # Only wrap-around edges can go: an edge whose coordinate differences
+    # need no shift of the side has d_e == d_t exactly, ratio 1, and a
+    # uniform in [0, 1) always keeps it.  The others are decided as
+    # v < g_e / g_t, with g_t > 0 since the edge exists.
+    keep = np.ones(edges.shape[0], dtype=bool)
+    dx = pos[edges[:, 0], 0] - pos[edges[:, 1], 0]
+    dy = pos[edges[:, 0], 1] - pos[edges[:, 1], 1]
+    wrap = np.flatnonzero((np.round(dx / side) != 0)
+                          | (np.round(dy / side) != 0))
+    if wrap.size:
+        ii, jj = edges[wrap, 0], edges[wrap, 1]
         d_e = _distances(pos, ii, jj, "euclidean", side)
         d_t = _distances(pos, ii, jj, "toroidal", side)
-        g_e = np.atleast_1d(g._eval(d_e))
-        g_t = np.atleast_1d(g._eval(d_t))
-        # g_t > 0 whenever the edge exists; interior pairs have d_e == d_t,
-        # ratio 1, and are never removed.
         v = pair_uniform(pts.seed, ii, jj, stream=STREAM_COUPLING)
-        keep = np.atleast_1d(v) < g_e / g_t
+        keep[wrap] = np.atleast_1d(v) < (np.atleast_1d(g._eval(d_e))
+                                         / np.atleast_1d(g._eval(d_t)))
 
     square_pts = PointSet(positions=pos, region=Region("square", side),
                           density=pts.density, seed=pts.seed)

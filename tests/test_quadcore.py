@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rcm_lab._quadcore import (adaptive_quad, batched_quad,
-                               doubling_tail_quad, fixed_tensor_quad)
+                               doubling_tail_quad, fixed_tensor_quad,
+                               nested_quad)
 
 
 def test_polynomial_exact():
@@ -136,3 +137,64 @@ def test_batched_array_integrand_arguments_broadcast():
     for xs, ks, bs in seen:
         assert xs == bs == (ks[0], 15) and ks[1] == 1
         assert ks[0] <= qc._PANEL_BLOCK
+
+
+@pytest.mark.parametrize("node_block", [7, 2048])
+def test_nested_matches_per_integral_nesting(monkeypatch, node_block):
+    # ragged outer bounds (one empty), NaN-padded outer breakpoint rows,
+    # inner bounds and a NaN-padded inner kink that move with the outer
+    # node; the reference nests scalar batched_quad calls one integral at
+    # a time, with one array call over each outer panel's nodes
+    import rcm_lab._quadcore as qc
+
+    monkeypatch.setattr(qc, "_NODE_BLOCK", node_block)
+    nan = np.nan
+    a = np.array([0.0, -1.0, 0.5, 0.2, 1.0])
+    b = np.array([1.0, 1.0, 0.5, 2.5, 3.0])
+    obrk = np.array([[nan, nan], [0.0, 0.0], [0.3, nan], [1.0, 7.0],
+                     [2.0, nan]])
+    c = np.array([0.5, 1.0, 2.0, 3.0, 0.7])
+    p = np.array([0.25, 0.6, 0.1, 0.9, 0.5])
+
+    def inner(s, k):
+        kink = p[k] * s
+        brk = np.stack([kink, np.where(s > 0.5, kink + 0.5, nan)], axis=1)
+        return c[k] * s - 1.0, 1.0 + s * s, brk
+
+    def f(t, s, k):
+        return np.abs(t - p[k] * s) ** 0.5 * np.exp(-c[k] * s * t) + np.cos(s)
+
+    vals, errs = nested_quad(f, a, b, inner, rel_tol=1e-10,
+                             breakpoints=obrk, inner_rel_tol=1e-11)
+    assert vals.shape == errs.shape == a.shape
+    assert vals[2] == 0.0 and errs[2] == 0.0
+    for i in range(a.size):
+        def outer(s):
+            lo, hi, brk = inner(s, np.full(s.shape, i))
+            v, _ = batched_quad(lambda t, j: f(t, s[j], np.full(j.shape, i)),
+                                lo, hi, rel_tol=1e-11, breakpoints=brk)
+            return v
+
+        row = obrk[i][~np.isnan(obrk[i])]
+        want, _ = batched_quad(outer, a[i], b[i], rel_tol=1e-10,
+                               breakpoints=row)
+        assert vals[i] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_tensor_last_doubling_stops_at_max_n():
+    import rcm_lab._quadcore as qc
+
+    seen = []
+
+    def f2(x, y):
+        seen.append(x.size)
+        # never settles: each refinement changes the sum by 1
+        return np.full(np.broadcast(x, y).shape, float(len(seen)))
+
+    qc._leggauss.cache_clear()
+    _, err = fixed_tensor_quad(f2, 0.0, 1.0, 0.0, 1.0, n0=12, max_n=256)
+    assert seen == [12, 24, 48, 96, 192, 256]
+    assert err > 0.0
+    # node tables are made once per n and cannot be written to
+    xg, wg = qc._leggauss(256)
+    assert qc._leggauss(256)[0] is xg and not xg.flags.writeable

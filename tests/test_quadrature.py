@@ -93,26 +93,93 @@ def test_exposure_memory_stays_bounded():
     assert peak < 8e6
 
 
-def test_cross_mass_generic_matches_dblquad():
-    from scipy.integrate import dblquad
-
-    g = lognormal(sigma=0.25, eta=4.0)
-    kslope = 10.0 * 4.0 / (0.25 * math.sqrt(2.0))
+def _lognormal_ref(sigma=0.25, eta=4.0):
+    # lognormal's erfc roll-off, written apart from the library for scipy
+    kslope = 10.0 * eta / (sigma * math.sqrt(2.0))
 
     def gref(r):
         return 0.5 * math.erfc(kslope * math.log10(r)) if r > 0.0 else 1.0
 
+    return gref
+
+
+def test_cross_mass_generic_matches_dblquad():
+    from scipy.integrate import dblquad
+
+    g = lognormal(sigma=0.25, eta=4.0)
+    gref = _lognormal_ref()
     # reach 2.0 is this g's cutoff at tail mass 1e-12; the reference
-    # integrates over the whole square.  Interior, corner and wall pairs:
+    # integrates over the whole square.  Interior, corner and wall pairs,
+    # then one whose reach boxes do not meet:
     h = 4.0
-    for x1, x2 in (((0.3, -0.2), (1.1, 0.4)), ((3.6, 3.7), (2.9, 3.1)),
-                   ((-3.9, 0.5), (-3.2, -0.6))):
-        got = _cross_mass_generic(np.array(x1), np.array(x2), g, h, 2.0)
+    x1 = np.array([(0.3, -0.2), (3.6, 3.7), (-3.9, 0.5), (-3.5, 0.0)])
+    x2 = np.array([(1.1, 0.4), (2.9, 3.1), (-3.2, -0.6), (1.0, 0.2)])
+    got = _cross_mass_generic(x1, x2, g, h, 2.0)
+    assert got.shape == (4,)
+    for p, q, v in zip(x1[:3], x2[:3], got):
         want, _ = dblquad(
-            lambda y, x: (gref(math.hypot(x - x1[0], y - x1[1]))
-                          * gref(math.hypot(x - x2[0], y - x2[1]))),
+            lambda y, x: (gref(math.hypot(x - p[0], y - p[1]))
+                          * gref(math.hypot(x - q[0], y - q[1]))),
             -h, h, -h, h, epsabs=1e-11, epsrel=1e-9)
-        assert got == pytest.approx(want, rel=1e-7)
+        assert v == pytest.approx(want, rel=1e-7)
+    assert got[3] == 0.0
+    # one array call gives what single-pair calls give
+    for i in range(4):
+        one = _cross_mass_generic(x1[i:i + 1], x2[i:i + 1], g, h, 2.0)
+        assert one.shape == (1,)
+        assert got[i] == pytest.approx(one[0], rel=1e-10, abs=0.0)
+    assert _cross_mass_generic(np.empty((0, 2)), np.empty((0, 2)), g, h,
+                               2.0).shape == (0,)
+
+
+def test_cross_mass_memory_stays_bounded():
+    # inner integrals run in fixed blocks of outer nodes, so the peak does
+    # not grow with the number of pairs
+    import tracemalloc
+
+    _, d, g = _frame(ModelSpec(model="square", rho=100.0, b=0.0,
+                               g=lognormal(sigma=0.25, eta=4.0)))
+    h = 0.5 * d.core_side
+    rng = np.random.default_rng(33)
+    x1 = rng.random((600, 2)) * 2 * h - h
+    x2 = np.clip(x1 + rng.normal(scale=0.6, size=(600, 2)), -h, h)
+    tracemalloc.start()
+    try:
+        _cross_mass_generic(x1, x2, g, h, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("side", [21.33, 60.0])
+def test_exposure_matches_dblquad_near_walls(side):
+    # a smooth g's fall-off must not hide inside one long radial panel;
+    # (1.0097, 0.0195), (0.15, 1.0) and (0.0, 0.85) are wall distances
+    # where it once did
+    from scipy.integrate import dblquad
+
+    g = lognormal(sigma=0.25, eta=4.0)
+    gref = _lognormal_ref()
+    h, reach = 0.5 * side, 2.0
+    for dx, dy in ((1.0097, 0.0195), (0.15, 1.0), (0.0, 0.85), (0.0, 0.0),
+                   (0.05, 0.6), (0.4, h)):
+        x, y = h - dx, h - dy
+        got = _exposure(x, y, side, 1.0, g)
+        want, _ = dblquad(lambda v, u: gref(math.hypot(u - x, v - y)),
+                          max(-h, x - reach), min(h, x + reach),
+                          max(-h, y - reach), min(h, y + reach),
+                          epsabs=1e-13, epsrel=1e-11)
+        assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_lognormal_square_ew_meets_tolerance_at_rho_1e3():
+    # 2.3074144134 is the solve at rel_tol 1e-8 (agreeing to 1.7e-11); the
+    # default rel_tol 1e-6 must land within it
+    spec = ModelSpec(model="square", rho=1000.0, b=0.0,
+                     g=lognormal(sigma=0.25, eta=4.0))
+    assert expected_isolated_square(spec) == pytest.approx(2.3074144134,
+                                                           rel=1e-6)
 
 
 def test_torus_closed_form_disk():
@@ -285,9 +352,9 @@ def test_disk_cross_batch_matches_generic():
     x2 = x1 + rng.normal(scale=0.7, size=(6, 2))  # keep most pairs close
     x2 = np.clip(x2, -h, h)
     got = _disk_cross_batch(x1, x2, r, h)
-    for a, b, v in zip(x1, x2, got):
-        want = _cross_mass_generic(a, b, g, h, 2.0 * r)
-        assert v == pytest.approx(want, rel=5e-4, abs=1e-6)
+    want = _cross_mass_generic(x1, x2, g, h, 2.0 * r)
+    for v, w in zip(got, want):
+        assert v == pytest.approx(w, rel=5e-4, abs=1e-6)
     # disjoint disks share no mass
     far = _disk_cross_batch(np.array([[-h + 0.1, 0.0]]),
                             np.array([[h - 0.1, 0.0]]), r, h)

@@ -154,6 +154,43 @@ def test_boundary_coupling_is_square_law_for_disk():
         assert np.array_equal(sq.edges, square.edges)
 
 
+@pytest.mark.parametrize("g, C", [
+    pytest.param(unit_disk(1.0), math.pi, id="unit_disk"),
+    pytest.param(lognormal(sigma=0.25, eta=4.0), None, id="lognormal"),
+])
+def test_boundary_coupling_matches_all_edge_thinning(g, C):
+    # the reference decides every torus edge by v < g(d_e) / g(d_t); the
+    # library decides only the wrap-around ones and must keep the same set
+    from rcm_lab.pairrng import STREAM_COUPLING
+
+    spec = ModelSpec(model="torus", rho=200.0, b=0.0, g=g, C=C)
+    removed = 0
+    for seed in range(6):
+        tg = realize(spec, seed)
+        pos, side, edges = tg.points.positions, tg.points.region.side, tg.edges
+        ii, jj = edges[:, 0], edges[:, 1]
+        d_e = np.hypot(*(pos[ii] - pos[jj]).T)
+        d_t = toroidal_distance(pos[ii], pos[jj], side)
+        v = pair_uniform(tg.points.seed, ii, jj, stream=STREAM_COUPLING)
+        keep = v < tg.g._eval(d_e) / tg.g._eval(d_t)
+        sq, _, _, _ = boundary_coupling(tg)
+        assert np.array_equal(sq.edges, edges[keep])
+        removed += int(np.count_nonzero(~keep))
+    assert removed > 0
+
+
+def test_cutoff_cache_never_serves_a_collected_g():
+    # a custom g's signature holds id(fn); ids come back after collection,
+    # so a new g must not find the cutoff of an old one
+    from rcm_lab.connfn import effective_cutoff, from_callable
+    from rcm_lab.simulate import _cutoff_cached
+
+    for r in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+        g = from_callable(lambda x, r=r: np.exp(-(x / r) ** 2))
+        assert _cutoff_cached(g, 1e-6) == effective_cutoff(g, 1e-6)
+        del g
+
+
 def test_boundary_coupling_needs_torus():
     graph = build_graph(_pts(1), unit_disk(1.0))
     with pytest.raises(MetricMismatchError):
