@@ -10,8 +10,8 @@ integrates many independent integrals in the same calls.  nested_quad is
 that array form at two levels: n integrals of inner integrals, whose outer
 integrand gathers every node of every outer panel of every integral and
 integrates their inner integrals in array calls of bounded size.
-fixed_tensor_quad is a doubling tensor Gauss-Legendre rule for smooth 2-D
-patches.
+fixed_tensor_quad, a doubling tensor Gauss-Legendre rule for smooth 2-D
+patches, has no caller left in the package.
 """
 
 import functools
@@ -321,6 +321,7 @@ def _leggauss(n):
     return xg, wg
 
 
+# Unused by the package; kept because perfbench's tracer wraps it by name.
 def fixed_tensor_quad(f2, ax, bx, ay, by, rel_tol=1e-9, n0=16, max_n=256,
                       xbreaks=(), ybreaks=()):
     """Tensor Gauss-Legendre quadrature of f2(x, y) over a rectangle.

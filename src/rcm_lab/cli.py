@@ -134,6 +134,8 @@ def _cmd_classify(args):
 
 
 def _cmd_coupling(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     g = _load_g(args.g)
     spec = ModelSpec(model="torus", rho=args.rho, b=args.b, g=g).with_constant()
     sums = {"W": 0, "W_T": 0, "W_E": 0}
@@ -141,8 +143,8 @@ def _cmd_coupling(args):
         rec = run_trial(spec, args.seed + t, mode=args.mode)
         for k in sums:
             sums[k] += rec[k]
-    n = max(args.trials, 1)
-    print(f"trials = {args.trials}, identity W = W_T + W_E held in all")
+    n = args.trials
+    print(f"trials = {n}, identity W = W_T + W_E held in all")
     print(f"mean W   = {sums['W'] / n:.6f}")
     print(f"mean W_T = {sums['W_T'] / n:.6f}")
     print(f"mean W_E = {sums['W_E'] / n:.6f}")
@@ -150,6 +152,8 @@ def _cmd_coupling(args):
 
 
 def _cmd_components(args):
+    if args.trials < 0:
+        raise ValueError("--trials must not be negative")
     g = _load_g(args.g)
     spec = ModelSpec(model="square", rho=args.rho, b=args.b, g=g).with_constant()
     est, se = expected_components_order2(spec, samples=args.samples,

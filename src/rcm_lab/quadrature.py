@@ -13,14 +13,12 @@ distances and at halvings of its farthest radius, and a hard disk needs no
 quadrature at all (I(y) is lambda times the area of disk and square).
 Integrals of exp(-I) over regions {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}
 are one two-level array quadrature (_quadcore.nested_quad), split where a
-structural radius of g reaches a wall: the inner y-integrals of all outer
-nodes go to array calls together.  The xi_2 cross masses of all sampled
-pairs are one such call too, split where each pair's structural circles
-cross.  EW is eight copies of the triangle {0 <= y <= x <= side/2}, and
-the central/side/corner split (Coon, Dettmann and Georgiou 2012) is a
-triangle, a strip and a square.  When g has a (numerically) compact range
-that split is exact and cheaper: a constant central block, 1-D side
-profiles, tensor-rule corners.
+structural radius of g, or its cutoff at tail mass 1e-12, reaches a wall:
+the inner y-integrals of all outer nodes go to array calls together.  The
+xi_2 cross masses of all sampled pairs are one such call too, split where
+each pair's structural circles cross.  EW is eight copies of the triangle
+{0 <= y <= x <= side/2}, and the central/side/corner split (Coon, Dettmann
+and Georgiou 2012) is one call over a triangle, a strip and a square.
 """
 
 import math
@@ -28,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadcore import (adaptive_quad, batched_quad, fixed_tensor_quad,
-                        nested_quad)
+from ._quadcore import batched_quad, nested_quad
 from .connfn import _head_breakpoints, classify_tail, effective_cutoff, integral_constant
 from .models import derive, frame_connection
 
@@ -46,6 +43,11 @@ class IsolationIntegrals:
     margin: float             # decomposition margin r_rho^(-eps)
     eps: float
     tolerances: dict
+
+
+def _check_rel_tol(rel_tol):
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1), got %r" % (rel_tol,))
 
 
 def _frame(spec):
@@ -165,95 +167,69 @@ def _survival(xs, ys, side, lam, g, inner_tol):
 
 
 def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol):
-    """lambda * integral of exp(-I) over {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}.
+    """lambda * integral of exp(-I) over each region k of
+    {x0_k <= x <= x1_k, ylo(x, k) <= y <= yhi(x, k)}; a length-n array.
 
-    One nested_quad; both levels split where a structural radius of g
-    reaches a wall, at +-(h - rad).
+    One nested_quad for all n regions; both levels split where a
+    structural radius of g reaches a wall, at +-(h - rad).  The radii
+    include g's cutoff at tail mass 1e-12: farther than that from every
+    wall, exp(-I) is constant to 1e-12 of g's mass.
     """
     h = 0.5 * side
+    upto = side * math.sqrt(2.0)
+    radii = set(_structural_radii(g, upto))
+    cut = effective_cutoff(g, 1e-12)
+    if cut < upto:
+        radii.add(cut)
     kinks = []
-    for rad in _structural_radii(g, side * math.sqrt(2.0)):
+    for rad in sorted(radii):
         kinks.extend((h - rad, rad - h))
 
     def inner(xs, k):
-        return ylo(xs), yhi(xs), kinks
+        return ylo(xs, k), yhi(xs, k), kinks
 
     def f(ys, xs, k):
         return _survival(xs, ys, side, lam, g, inner_tol)
 
+    n = np.broadcast(x0, x1).size
     val, _ = nested_quad(f, x0, x1, inner, rel_tol=rel_tol / 2.0,
-                         breakpoints=[kinks], inner_rel_tol=rel_tol / 4.0,
-                         limit=400)
-    return lam * float(val[0])
+                         breakpoints=np.broadcast_to(kinks, (n, len(kinks))),
+                         inner_rel_tol=rel_tol / 4.0, limit=400)
+    return lam * val
 
 
-def _compact_margin(g, side):
-    """Radius beyond which g's mass is numerically negligible, or None."""
-    if math.isfinite(g.support_radius):
-        m = g.support_radius
-    else:
-        m = effective_cutoff(g, 1e-12)
-        if not math.isfinite(m):
-            return None
-    return m if 2.0 * m < side * 0.999 else None
-
-
-def _decomposed_pieces(lam, side, g, margin, m_supp, rel_tol, inner_tol):
+def _decomposed_pieces(lam, side, g, margin, rel_tol, inner_tol):
     """(central, side, corner) contributions with the given split margin.
 
-    Exact shortcuts apply when margin >= m_supp: the central block is
-    constant, side strips depend only on the transverse coordinate, and the
-    corner blocks are genuine 2-D patches of size margin x margin.
+    One _region_integral over three regions of the fundamental triangle:
+    the central triangle (8 copies), a side strip (8) and a corner square
+    (4), split at h - margin.
     """
     h = 0.5 * side
-    if m_supp is not None and margin >= m_supp:
-        i_center = _exposure(0.0, 0.0, side, lam, g, inner_tol)
-        central = lam * (side - 2.0 * margin) ** 2 * math.exp(-i_center)
-
-        radii = _structural_radii(g, margin)
-        tbreaks = sorted(set(radii + ([m_supp] if m_supp < margin else [])))
-
-        def profile(ts):
-            return _survival(h - ts, 0.0, side, lam, g, inner_tol)
-
-        pval, _ = adaptive_quad(profile, 0.0, margin, rel_tol=rel_tol / 4.0,
-                                breakpoints=tbreaks)
-        side_term = 4.0 * (side - 2.0 * margin) * lam * pval
-
-        def patch(t1, t2):
-            return _survival(h - t1, h - t2, side, lam, g, inner_tol)
-
-        cval, _ = fixed_tensor_quad(patch, 0.0, margin, 0.0, margin,
-                                    rel_tol=rel_tol / 4.0, n0=12,
-                                    xbreaks=tbreaks, ybreaks=tbreaks)
-        corner = 4.0 * lam * cval
-        return central, side_term, corner
-
-    # Generic fallback: nested quadrature region by region.
     hp = h - margin
-    central = 8.0 * _region_integral(lam, side, g, 0.0, hp, lambda x: 0.0,
-                                     lambda x: x, rel_tol, inner_tol)
-    side_term = 8.0 * _region_integral(lam, side, g, hp, h, lambda x: 0.0,
-                                       lambda x: hp, rel_tol, inner_tol)
-    corner = 4.0 * _region_integral(lam, side, g, hp, h, lambda x: hp,
-                                    lambda x: h, rel_tol, inner_tol)
-    return central, side_term, corner
+
+    def ylo(x, k):
+        return np.where(k == 2, hp, 0.0)
+
+    def yhi(x, k):
+        return np.where(k == 0, x, np.where(k == 1, hp, h))
+
+    val = _region_integral(lam, side, g, [0.0, hp, hp], [hp, h, h], ylo, yhi,
+                           rel_tol, inner_tol)
+    return tuple((np.array([8.0, 8.0, 4.0]) * val).tolist())
 
 
 def expected_isolated_square(spec, rel_tol=1e-6):
-    """E(W) for the square frame: integral of lambda * exp(-I(y)) over A."""
+    """E(W) for the square frame: integral of lambda * exp(-I(y)) over A,
+    eight copies of the fundamental triangle {0 <= y <= x <= side/2}."""
+    _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
     side, lam = d.core_side, d.density
     inner_tol = min(1e-8, rel_tol * 1e-2)
-    m = _compact_margin(g, side)
-    if m is not None:
-        central, side_term, corner = _decomposed_pieces(
-            lam, side, g, m, m, rel_tol, inner_tol)
-        return central + side_term + corner
-    # Eight copies of the fundamental triangle {0 <= y <= x <= side/2}.
-    return 8.0 * _region_integral(lam, side, g, 0.0, 0.5 * side,
-                                  lambda x: 0.0, lambda x: x, rel_tol,
-                                  inner_tol)
+    val = _region_integral(lam, side, g, 0.0, 0.5 * side,
+                           lambda x, k: 0.0, lambda x, k: x, rel_tol,
+                           inner_tol)
+    return 8.0 * float(val[0])
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
@@ -262,6 +238,7 @@ def expected_isolated_torus(spec, rel_tol=1e-9):
     On the torus every point sees the same exposure, so one radial integral
     anchored at the center settles it.
     """
+    _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
     i0 = _exposure(0.0, 0.0, d.core_side, d.density, g, rel_tol=rel_tol)
     return d.lam * d.core_side ** 2 * math.exp(-i0)
@@ -299,6 +276,7 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
     """
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
+    _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
     side, lam = d.core_side, d.density
     margin = d.r_rho ** (-eps)
@@ -312,7 +290,7 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
     ew_inf = expected_isolated_infinite(spec.b)
 
     central, side_term, corner = _decomposed_pieces(
-        lam, side, g, margin, _compact_margin(g, side), rel_tol, inner_tol)
+        lam, side, g, margin, rel_tol, inner_tol)
 
     total = central + side_term + corner
     resid = abs(total - ew) / max(abs(ew), 1e-300)
@@ -494,6 +472,8 @@ def expected_components_order2(spec, samples=20000, seed=0,
     """
     if mode not in ("importance", "uniform"):
         raise ValueError("mode must be 'importance' or 'uniform'")
+    if not samples >= 1:
+        raise ValueError("samples must be at least 1, got %r" % (samples,))
     spec, d, g = _frame(spec)
     side, lam = d.core_side, d.density
     h = 0.5 * side

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connfn import ConnectionFunction, effective_cutoff
+from .connfn import ConnectionFunction, check_monotonicity, effective_cutoff
 from .geometry import Region, minimum_image
 from .pairrng import STREAM_COUPLING, STREAM_EDGE, pair_uniform
 
@@ -161,7 +161,9 @@ def _near_candidates(pos, side, r_cut, wrap):
 # Effective cutoffs by (g.signature(), tail_mass), oldest first.  A custom
 # g's signature holds id(fn), which CPython reuses once fn is collected, so
 # each entry also holds its g: while an entry is cached no other callable
-# can take its id.  Bounded, so long runs over many g stay small.
+# can take its id.  Bounded, so long runs over many g stay small.  Cells
+# mode is exact only for a g that is non-increasing beyond its cutoff, so
+# filling an entry first checks that g is non-increasing.
 _CUTOFF_CACHE = {}
 _CUTOFF_CACHE_SIZE = 64
 
@@ -169,6 +171,9 @@ _CUTOFF_CACHE_SIZE = 64
 def _cutoff_cached(g, tail_mass):
     key = (g.signature(), float(tail_mass))
     if key not in _CUTOFF_CACHE:
+        if not check_monotonicity(g):
+            raise ValueError("cells mode needs a non-increasing g; "
+                             "use mode 'exact'")
         if len(_CUTOFF_CACHE) >= _CUTOFF_CACHE_SIZE:
             del _CUTOFF_CACHE[next(iter(_CUTOFF_CACHE))]
         _CUTOFF_CACHE[key] = (g, effective_cutoff(g, tail_mass))

@@ -90,6 +90,23 @@ def test_tabulated_tail_without_kind_exits_2_without_traceback(tmp_path):
     assert "kind" in proc.stderr
 
 
+@pytest.mark.parametrize("args, word", [
+    (("quad", "--rho", "100", "--rel-tol", "0"), "rel_tol"),
+    (("quad", "--rho", "100", "--rel-tol", "-1"), "rel_tol"),
+    (("components", "--rho", "50", "--samples", "-5"), "samples"),
+    (("components", "--rho", "50", "--samples", "0"), "samples"),
+    (("components", "--rho", "50", "--samples", "10", "--trials", "-1"),
+     "trials"),
+    (("coupling", "--rho", "80", "--trials", "0"), "trials"),
+])
+def test_bad_tolerance_or_count_exits_2_without_traceback(args, word):
+    proc = _cli(*args, "--g", DISK)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert word in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_classify_command(capsys):
     assert main(["classify", "--g", DISK]) == 0
     out = capsys.readouterr().out

@@ -11,8 +11,8 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_compact_margin, _cross_mass_generic,
-                                _exposure, _frame, _region_integral)
+from rcm_lab.quadrature import (_cross_mass_generic, _exposure, _frame,
+                                _region_integral)
 from rcm_lab.simulate import census
 
 from _oracles import disk_square_overlap, riemann_expected_isolated_disk
@@ -198,16 +198,15 @@ def test_square_ew_against_riemann_oracle():
     assert got == pytest.approx(2.3071, abs=2e-3)
 
 
-@pytest.mark.parametrize("g, compact", [
-    # compact margin m = 2.0 at rho = 60: the central/side/corner shortcuts
-    pytest.param(lognormal(sigma=0.25, eta=4.0), True, id="lognormal-compact"),
-    # infinite cutoff: eight copies of the fundamental triangle
-    pytest.param(theta_tail(a=0.5), False, id="theta_tail-triangle"),
+@pytest.mark.parametrize("g", [
+    # cutoff 2.0 at tail mass 1e-12, well inside the square of side 6.79:
+    # the region integral also splits where that cutoff reaches a wall
+    pytest.param(lognormal(sigma=0.25, eta=4.0), id="lognormal-cutoff"),
+    # infinite cutoff: only g's structural radii split the triangle
+    pytest.param(theta_tail(a=0.5), id="theta_tail-triangle"),
 ])
-def test_square_ew_matches_simulation(g, compact):
+def test_square_ew_matches_simulation(g):
     spec = ModelSpec(model="square", rho=60.0, b=0.0, g=g)
-    _, d, gf = _frame(spec)
-    assert (_compact_margin(gf, d.core_side) is not None) == compact
     ew = expected_isolated_square(spec, rel_tol=1e-5)
     vals = []
     for s in range(4000):
@@ -218,13 +217,17 @@ def test_square_ew_matches_simulation(g, compact):
 
 
 def test_region_integral_triangle_matches_frozen_ew():
-    # the non-compact path on a compact g: 8 triangles against the frozen
-    # rho = 1e2 ladder value of acceptance criterion 4
+    # 8 triangles against the frozen rho = 1e2 ladder value of acceptance
+    # criterion 4, with a second region in the same call
     _, d, g = _frame(_disk_spec("square", 100.0))
-    ew = 8.0 * _region_integral(d.density, d.core_side, g, 0.0,
-                                0.5 * d.core_side, lambda x: 0.0,
-                                lambda x: x, 1e-6, 1e-8)
-    assert ew == pytest.approx(2.2779393402, rel=1e-6)
+    h = 0.5 * d.core_side
+    val = _region_integral(d.density, d.core_side, g, [0.0, 0.0], [h, h],
+                           lambda x, k: 0.0,
+                           lambda x, k: np.where(k == 0, x, h), 1e-6, 1e-8)
+    assert val.shape == (2,)
+    assert 8.0 * val[0] == pytest.approx(2.2779393402, rel=1e-6)
+    # the second region, {0 <= x, y <= h}, is 2 triangles
+    assert val[1] == pytest.approx(2.0 * val[0], rel=1e-6)
 
 
 def test_infinite_limit():
@@ -260,8 +263,8 @@ def _wiggly():
 
 
 def test_isolation_report_consistency():
-    # margin 1.467 < compact margin 2.0: the decomposition runs region by
-    # region, so only its sum is checked here
+    # margin 1.467 lies inside lognormal's cutoff 2.0, so no piece has a
+    # closed form here: only their sum is checked
     logn = ModelSpec(model="square", rho=60.0, b=0.0,
                      g=lognormal(sigma=0.25, eta=4.0))
     rep = isolation_report(logn, rel_tol=1e-3)
@@ -283,6 +286,39 @@ def test_isolation_report_consistency():
         isolation_report(_disk_spec("square", 1000.0), eps=0.0)
 
 
+@pytest.mark.parametrize("rho", [1e3, 1e5])
+def test_decomposition_pieces_match_disk_closed_forms(rho):
+    from scipy.integrate import quad
+
+    spec = _disk_spec("square", rho)
+    rep = isolation_report(spec, rel_tol=1e-6)
+    _, d, _ = _frame(spec)
+    side, lam, m = d.core_side, d.density, rep.margin
+    assert m > 1.0
+    # deeper than r0 = 1 from every wall a node sees the whole disk
+    assert rep.central == pytest.approx(
+        lam * (side - 2.0 * m) ** 2 * math.exp(-lam * PI), rel=1e-12)
+
+    def seg(t):
+        # disk area beyond a wall at distance t
+        return math.acos(t) - t * math.sqrt(1.0 - t * t) if t < 1.0 else 0.0
+
+    # a side strip node only sees the wall it is near
+    prof, _ = quad(lambda t: math.exp(-lam * (PI - seg(t))), 0.0, m,
+                   points=[1.0], epsabs=0.0, epsrel=1e-12, limit=200)
+    assert rep.side == pytest.approx(4.0 * (side - 2.0 * m) * lam * prof,
+                                     rel=1e-8)
+
+
+def test_bad_rel_tol_is_rejected():
+    spec = _disk_spec("square", 100.0)
+    for fn in (expected_isolated_square, expected_isolated_torus,
+               isolation_report):
+        for bad in (0.0, -1.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="rel_tol"):
+                fn(spec, rel_tol=bad)
+
+
 def test_xi2_importance_vs_uniform():
     spec = _disk_spec("square", 60.0)
     ei, si = expected_components_order2(spec, samples=4000, seed=1)
@@ -292,6 +328,9 @@ def test_xi2_importance_vs_uniform():
     assert abs(ei - eu) <= 4.0 * math.hypot(si, su)
     with pytest.raises(ValueError):
         expected_components_order2(spec, samples=10, mode="other")
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            expected_components_order2(spec, samples=bad)
 
 
 def test_xi2_against_simulation():

@@ -191,6 +191,22 @@ def test_cutoff_cache_never_serves_a_collected_g():
         del g
 
 
+def test_cells_mode_rejects_increasing_g():
+    # cells mode is exact only for a g that is non-increasing beyond its
+    # cutoff; exact mode takes any g
+    from rcm_lab.connfn import from_callable
+
+    def bump(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 2.0) & (x < 3.0), 0.9, np.exp(-x))
+
+    bump = from_callable(bump)
+    pts = _pts(1)
+    with pytest.raises(ValueError, match="non-increasing"):
+        build_graph(pts, bump, mode="cells")
+    assert build_graph(pts, bump, mode="exact").edges.shape[1] == 2
+
+
 def test_boundary_coupling_needs_torus():
     graph = build_graph(_pts(1), unit_disk(1.0))
     with pytest.raises(MetricMismatchError):
