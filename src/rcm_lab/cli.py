@@ -168,7 +168,8 @@ def _cmd_components(args):
             vals.append(census(graph).xi.get(2, 0))
         import numpy as np
         vals = np.asarray(vals, dtype=float)
-        se_sim = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        se_sim = (vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1
+                  else math.nan)
         print(f"mean xi_2 simulated = {vals.mean():.6g} (se {se_sim:.2g}, "
               f"{args.trials} trials)")
     return 0

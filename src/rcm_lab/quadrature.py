@@ -9,14 +9,16 @@ y meets the square in arcs whose total angle has a closed form, so I(y)
 reduces to a 1-D integral of g(r) * r * angle(r).  These radial integrals
 are never taken one point at a time: one array call of batched_quad
 integrates a whole block of points, each split at its own wall and corner
-distances and at halvings of its farthest radius, and a hard disk needs no
-quadrature at all (I(y) is lambda times the area of disk and square).
-Integrals of exp(-I) over regions {x0 <= x <= x1, ylo(x) <= y <= yhi(x)}
-are one two-level array quadrature (_quadcore.nested_quad), split where a
-structural radius of g, or its cutoff at tail mass 1e-12, reaches a wall:
-the inner y-integrals of all outer nodes go to array calls together.  The
-xi_2 cross masses of all sampled pairs are one such call too, split where
-each pair's structural circles cross.  EW is eight copies of the triangle
+distances and at halvings of its farthest radius.  A hard disk needs no
+quadrature at all: I(y) is lambda times the area of disk and square, and
+the xi_2 cross mass of a pair is the area of both disks and the square,
+both closed forms from geometry.  Integrals of exp(-I) over regions
+{x0 <= x <= x1, ylo(x) <= y <= yhi(x)} are one two-level array quadrature
+(_quadcore.nested_quad), split where a structural radius of g, or its
+cutoff at tail mass 1e-12, reaches a wall: the inner y-integrals of all
+outer nodes go to array calls together.  For any other g the xi_2 cross
+masses of all sampled pairs are one such call too, split where each pair's
+structural circles cross.  EW is eight copies of the triangle
 {0 <= y <= x <= side/2}, and the central/side/corner split (Coon, Dettmann
 and Georgiou 2012) is one call over a triangle, a strip and a square.
 """
@@ -28,6 +30,7 @@ import numpy as np
 
 from ._quadcore import batched_quad, nested_quad
 from .connfn import _head_breakpoints, classify_tail, effective_cutoff, integral_constant
+from .geometry import _disk_cross_batch, _disk_overlap_batch
 from .models import derive, frame_connection
 
 
@@ -312,66 +315,6 @@ def _disk_radius(g):
     return None
 
 
-def _disk_overlap_batch(pts, r, h):
-    """Area of [-h, h]^2 and disk(p, r) for every row p of pts (inside A).
-
-    Segment inclusion-exclusion: full disk, minus one circular segment per
-    wall the disk crosses, plus one corner piece per square corner the disk
-    covers (cut off twice by the adjacent wall segments).
-    """
-    pts = np.asarray(pts, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
-    d = np.stack([h - x, h + x, h - y, h + y], axis=-1)
-    dc = np.clip(d, 0.0, r)
-    seg = (r * r * np.arccos(dc / r)
-           - dc * np.sqrt(np.maximum(r * r - dc * dc, 0.0)))
-
-    def g1(t):
-        # antiderivative of sqrt(r^2 - u^2)
-        return 0.5 * (r * r * np.arcsin(np.clip(t / r, -1.0, 1.0))
-                      + t * np.sqrt(np.maximum(r * r - t * t, 0.0)))
-
-    corner = 0.0
-    for i, j in ((0, 2), (2, 1), (1, 3), (3, 0)):
-        dx, dy = dc[..., i], dc[..., j]
-        yc = np.sqrt(np.maximum(r * r - dx * dx, 0.0))
-        piece = g1(yc) - g1(dy) - dx * (yc - dy)
-        corner = corner + np.where(dx * dx + dy * dy < r * r, piece, 0.0)
-    return math.pi * r * r - seg.sum(axis=-1) + corner
-
-
-# Midpoint slices per pair in _disk_cross_batch, and pairs per block.  A
-# block holds about ten (block x slices) float64 temporaries, 16 kB per row
-# each: 64 rows cost ~10 MB, where 4096 rows would cost ~640 MB.
-_CROSS_SLICES = 2048
-_CROSS_BLOCK = 64
-
-
-def _disk_cross_batch(x1, x2, r, h):
-    """Area of A and both disks of radius r around rows x1, x2 (midpoint
-    rule across the common vertical extent; kinks cost ~slices^-1.5)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    n = x1.shape[0]
-    out = np.zeros(n)
-    mids = (np.arange(_CROSS_SLICES) + 0.5) / _CROSS_SLICES
-    for lo in range(0, n, _CROSS_BLOCK):
-        p1, p2 = x1[lo:lo + _CROSS_BLOCK], x2[lo:lo + _CROSS_BLOCK]
-        ylo = np.maximum(-h, np.maximum(p1[:, 1], p2[:, 1]) - r)
-        yhi = np.minimum(h, np.minimum(p1[:, 1], p2[:, 1]) + r)
-        span = np.maximum(yhi - ylo, 0.0)
-        ys = ylo[:, None] + mids * span[:, None]
-        w1 = np.sqrt(np.clip(r * r - (ys - p1[:, 1, None]) ** 2, 0.0, None))
-        w2 = np.sqrt(np.clip(r * r - (ys - p2[:, 1, None]) ** 2, 0.0, None))
-        xlo = np.maximum(np.maximum(p1[:, 0, None] - w1,
-                                    p2[:, 0, None] - w2), -h)
-        xhi = np.minimum(np.minimum(p1[:, 0, None] + w1,
-                                    p2[:, 0, None] + w2), h)
-        width = np.clip(xhi - xlo, 0.0, None)
-        out[lo:lo + _CROSS_BLOCK] = width.mean(axis=1) * span
-    return out
-
-
 def _cross_mass_generic(x1, x2, g, h, reach):
     """integral over A of g(|y - p|) g(|y - q|) dy for every row pair p, q
     of the (n, 2) arrays x1, x2, by one two-level array quadrature.
@@ -468,7 +411,8 @@ def expected_components_order2(spec, samples=20000, seed=0,
     mode "uniform" is a plain cross-check sampler.
 
     Returns (estimate, standard_error); samples is a lower bound on the
-    number of integrand evaluations.
+    number of integrand evaluations.  The standard error is NaN when a
+    stratum holds a single sample, and exactly 0 only for a g of zero mass.
     """
     if mode not in ("importance", "uniform"):
         raise ValueError("mode must be 'importance' or 'uniform'")
@@ -560,6 +504,7 @@ def expected_components_order2(spec, samples=20000, seed=0,
         chunk = w[lo:lo + m]
         lo += m
         est += area_s * float(chunk.mean())
-        if m > 1:
-            var += (area_s * float(chunk.std(ddof=1)) / math.sqrt(m)) ** 2
+        # one sample carries no spread: the error is unknown, not zero
+        var += ((area_s * float(chunk.std(ddof=1)) / math.sqrt(m)) ** 2
+                if m > 1 else math.nan)
     return scale * est, scale * math.sqrt(var)

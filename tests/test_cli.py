@@ -137,6 +137,15 @@ def test_components_command(capsys):
     assert "E(xi_2) quadrature" in out and "mean xi_2 simulated" in out
 
 
+def test_components_single_sample_and_trial_print_nan_error():
+    proc = _cli("components", "--g", DISK, "--rho", "60", "--samples", "1",
+                "--seed", "3", "--trials", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert all("(se nan" in line for line in lines)
+
+
 def test_entry_point_installed(tmp_path):
     # An install registers the metadata that setuptools' egg_info writes;
     # build it from the source tree into tmp_path and read it back with the

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rcm_lab.geometry import (Region, clipped_lens_difference_area,
+from rcm_lab.geometry import (Region, _disk_cross_batch, _disk_overlap_batch,
+                              clipped_lens_difference_area,
                               euclidean_distance, lens_difference_area,
                               lens_difference_derivative, toroidal_distance)
 
@@ -154,3 +155,142 @@ def test_clipped_lens_far_second_center():
     reg = Region("square", 10.0)
     got = clipped_lens_difference_area((0.0, 0.0), (100.0, 0.0), 1.0, reg)
     assert got == pytest.approx(math.pi, rel=1e-9)
+
+
+def test_clipped_lens_accepts_point_arrays():
+    reg = Region("square", 4.0)
+    rng = np.random.default_rng(33)
+    x1 = rng.uniform(-2, 2, (50, 2))
+    x2 = rng.uniform(-2, 2, (50, 2))
+    got = clipped_lens_difference_area(x1, x2, 0.9, reg)
+    assert got.shape == (50,)
+    for p, q, v in zip(x1, x2, got):
+        assert clipped_lens_difference_area(p, q, 0.9, reg) == v
+    one = clipped_lens_difference_area(x1[0], x2, 0.9, reg)
+    assert one.shape == (50,) and one[0] == got[0]
+
+
+def _pair_area_quad(p, q, r, h):
+    """|D(p, r) & D(q, r) & [-h, h]^2| by scipy.integrate.quad of the slice
+    width, panel by panel between the heights where the circles meet each
+    other or a wall; y = a + (b - a)(1 - cos t)/2 removes the square-root
+    ends of each panel."""
+    from scipy.integrate import quad
+
+    ylo, yhi = max(-h, p[1] - r, q[1] - r), min(h, p[1] + r, q[1] + r)
+    if yhi <= ylo:
+        return 0.0
+
+    def width(y):
+        s1 = math.sqrt(max(r * r - (y - p[1]) ** 2, 0.0))
+        s2 = math.sqrt(max(r * r - (y - q[1]) ** 2, 0.0))
+        return max(min(p[0] + s1, q[0] + s2, h)
+                   - max(p[0] - s1, q[0] - s2, -h), 0.0)
+
+    cuts = []
+    for c in (p, q):
+        for wall in (-h, h):
+            off = r * r - (wall - c[0]) ** 2
+            if off >= 0.0:
+                cuts += [c[1] - math.sqrt(off), c[1] + math.sqrt(off)]
+    z = math.hypot(q[0] - p[0], q[1] - p[1])
+    if 0.0 < z <= 2.0 * r:
+        half = math.sqrt(r * r - 0.25 * z * z) * (q[0] - p[0]) / z
+        cuts += [0.5 * (p[1] + q[1]) - half, 0.5 * (p[1] + q[1]) + half]
+    edges = [ylo] + sorted(c for c in set(cuts) if ylo < c < yhi) + [yhi]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += quad(lambda t: width(a + 0.5 * (b - a) * (1.0 - math.cos(t)))
+                      * 0.5 * (b - a) * math.sin(t), 0.0, math.pi,
+                      epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def _pair_cases(h, r):
+    rng = np.random.default_rng(41)
+    # interior pairs
+    x1 = [rng.uniform(-h + r, h - r, 2) for _ in range(30)]
+    x2 = [p + rng.normal(scale=0.7 * r, size=2) for p in x1]
+    # near walls and corners: both disks cut by a wall or two
+    for _ in range(40):
+        p = (h - rng.uniform(0.05, 1.2 * r, 2)) * rng.choice([-1.0, 1.0], 2)
+        x1.append(p)
+        x2.append(np.clip(p + rng.normal(scale=0.7 * r, size=2), -h, h))
+    # centres exactly on a wall and on a corner
+    x1 += [np.array(c) for c in ((h, 0.3), (h, h), (-h, -h), (0.2, -h),
+                                 (h, h), (h, -h + 0.5), (-h, 0.0))]
+    x2 += [np.array(c) for c in ((h - 0.5, 0.9), (h - 0.3, h - 1.2),
+                                 (-h + 1.0, -h), (0.2, -h + 0.7), (h, h),
+                                 (h, -h), (-h, 1.1))]
+    return np.array(x1), np.array(x2)
+
+
+def test_disk_cross_batch_matches_quad():
+    h, r = 4.43, 1.0
+    x1, x2 = _pair_cases(h, r)
+    got = _disk_cross_batch(x1, x2, r, h)
+    assert got.shape == (x1.shape[0],)
+    for p, q, v in zip(x1, x2, got):
+        assert v == pytest.approx(_pair_area_quad(p, q, r, h), abs=1e-12)
+
+
+def test_disk_cross_batch_coincident_is_one_disk():
+    h, r = 4.43, 1.0
+    rng = np.random.default_rng(42)
+    pts = np.vstack([rng.uniform(-h, h, (200, 2)),
+                     (h - rng.uniform(0.0, 1.2, (200, 2)))
+                     * rng.choice([-1.0, 1.0], (200, 2)),
+                     [(h, h), (-h, 0.0), (0.0, h), (h - 0.5, -h + 0.5)]])
+    got = _disk_cross_batch(pts, pts, r, h)
+    np.testing.assert_allclose(got, _disk_overlap_batch(pts, r, h),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_disk_cross_batch_tangent_and_disjoint_are_zero():
+    # r = 5/8 and the offsets are dyadic, so |x2 - x1| = 2r holds exactly
+    h, r = 4.0, 0.625
+    x1 = np.array([(0.0, 0.0), (0.0, 0.0), (1.0, -2.0), (h - 0.5, h - 0.25),
+                   (-h, -h), (0.0, 0.0), (-3.0, 1.0), (h, 0.5), (-1.0, 1.0)])
+    off = np.array([(1.25, 0.0), (0.0, 1.25), (0.75, 1.0), (-0.75, -1.0),
+                    (1.0, 0.75), (1.3, 0.0), (1.0, 1.0), (-0.9, -1.0),
+                    (3.0, 0.2)])
+    got = _disk_cross_batch(x1, x1 + off, r, h)
+    assert np.all(got == 0.0)
+    assert np.all(_disk_cross_batch(x1 + off, x1, r, h) == 0.0)
+
+
+def test_disk_cross_batch_symmetric_and_free_lens():
+    h, r = 4.43, 1.0
+    x1, x2 = _pair_cases(h, r)
+    np.testing.assert_allclose(_disk_cross_batch(x2, x1, r, h),
+                               _disk_cross_batch(x1, x2, r, h),
+                               rtol=0.0, atol=1e-13)
+    # away from every wall the lens is the free closed form
+    inner = np.all(np.abs(np.vstack([x1, x2])) <= h - r, axis=1)
+    inner = inner[:x1.shape[0]] & inner[x1.shape[0]:]
+    z = np.minimum(np.hypot(*(x2 - x1).T), 2.0 * r)
+    free = (2.0 * r * r * np.arccos(z / (2.0 * r))
+            - 0.5 * z * np.sqrt(4.0 * r * r - z * z))
+    assert inner.sum() >= 20
+    np.testing.assert_allclose(_disk_cross_batch(x1, x2, r, h)[inner],
+                               free[inner], rtol=0.0, atol=1e-12)
+    assert _disk_cross_batch(np.empty((0, 2)), np.empty((0, 2)), r,
+                             h).shape == (0,)
+
+
+def test_disk_cross_batch_memory_stays_bounded():
+    # pairs are measured in fixed blocks, so the peak does not grow with the
+    # number of pairs
+    import tracemalloc
+
+    h, r = 4.43, 1.0
+    rng = np.random.default_rng(43)
+    x1 = rng.uniform(-h, h, (20_000, 2))
+    x2 = np.clip(x1 + rng.normal(scale=0.7, size=(20_000, 2)), -h, h)
+    tracemalloc.start()
+    try:
+        _disk_cross_batch(x1, x2, r, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

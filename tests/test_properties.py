@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from rcm_lab.connfn import (ConnectionFunction, effective_cutoff, from_config,
                             lognormal, unit_disk)
-from rcm_lab.geometry import Region, toroidal_distance
+from rcm_lab.geometry import (Region, _disk_cross_batch, _disk_overlap_batch,
+                              toroidal_distance)
 from rcm_lab.simulate import (PointSet, RcmGraph, build_graph, census,
                               isolated_count)
 
@@ -137,6 +138,23 @@ def test_toroidal_distance_matches_reference(side, u):
     q = np.array(u[2:]) * side
     want = torus_distance_reference(p, q, side)
     assert abs(toroidal_distance(p, q, side) - want) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.integers(8, 160), r=st.integers(1, 64),
+       u=st.lists(st.integers(-GRID // 2, GRID // 2), min_size=4,
+                  max_size=4))
+def test_two_disk_area_within_each_clipped_disk(side, r, u):
+    # Grid coordinates put centres on walls and corners, and make tangent
+    # or coincident disks exact, often enough to matter.
+    side, r = side / 8.0, r / 8.0
+    h = 0.5 * side
+    pts = np.array(u, dtype=float).reshape(2, 2) / GRID * side
+    area = _disk_cross_batch(pts[:1], pts[1:], r, h)[0]
+    one = _disk_overlap_batch(pts, r, h)
+    assert 0.0 <= area <= one.min() + 1e-12
+    if np.hypot(*(pts[1] - pts[0])) >= 2.0 * r:
+        assert area == 0.0
 
 
 _VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
