@@ -5,7 +5,7 @@ regions identify opposite sides; all points are expected to lie in the
 fundamental domain [-side/2, side/2]^2.
 
 Every area here is closed form: the free lens, one disk and the square
-(segment inclusion-exclusion), and two equal disks and the square, whose
+(four quadrant pieces), and two equal disks and the square, whose
 slice width is integrated exactly piece by piece between the heights where
 an arc or a wall takes over as its left or right end.
 """
@@ -101,24 +101,22 @@ def _arc_antiderivative(t, r):
 def _disk_overlap_batch(pts, r, h):
     """Area of [-h, h]^2 and disk(p, r) for every row p of pts (inside A).
 
-    Segment inclusion-exclusion: full disk, minus one circular segment per
-    wall the disk crosses, plus one corner piece per square corner the disk
-    covers (cut off twice by the adjacent wall segments).
+    Sum of the four quadrants around p, each |[0, a] x [0, b] & D(0, r)|
+    for wall distances a, b clipped to [0, r]: the rectangle b * u0 up to
+    u0 = min(a, sqrt(r^2 - b^2)), where the arc rises above height b, and
+    the arc beyond it.  Every piece is nonnegative, so a disk that covers
+    the square gives its area without cancellation.
     """
     pts = np.asarray(pts, dtype=float)
     x, y = pts[..., 0], pts[..., 1]
-    d = np.stack([h - x, h + x, h - y, h + y], axis=-1)
-    dc = np.clip(d, 0.0, r)
-    seg = (r * r * np.arccos(dc / r)
-           - dc * np.sqrt(np.maximum(r * r - dc * dc, 0.0)))
-    corner = 0.0
-    for i, j in ((0, 2), (2, 1), (1, 3), (3, 0)):
-        dx, dy = dc[..., i], dc[..., j]
-        yc = np.sqrt(np.maximum(r * r - dx * dx, 0.0))
-        piece = (_arc_antiderivative(yc, r) - _arc_antiderivative(dy, r)
-                 - dx * (yc - dy))
-        corner = corner + np.where(dx * dx + dy * dy < r * r, piece, 0.0)
-    return math.pi * r * r - seg.sum(axis=-1) + corner
+    area = 0.0
+    for a, b in ((h - x, h - y), (h + x, h - y), (h + x, h + y),
+                 (h - x, h + y)):
+        a, b = np.clip(a, 0.0, r), np.clip(b, 0.0, r)
+        u0 = np.minimum(a, np.sqrt(r * r - b * b))
+        area = area + (u0 * b + _arc_antiderivative(a, r)
+                       - _arc_antiderivative(u0, r))
+    return area
 
 
 # Pairs per _disk_cross_batch block.  A block keeps a few dozen

@@ -37,8 +37,10 @@ def _mix(z):
 def pair_uniform(seed, i, j, stream=STREAM_EDGE):
     """Uniform in [0, 1) for the unordered pair {i, j} under this seed.
 
-    i and j may be scalars or integer arrays (broadcast together).  The
-    result only depends on {i, j} as a set.
+    i and j may be scalars or integer arrays (broadcast together, so a
+    column of rows against a row of columns gives the whole tile).  The
+    result only depends on {i, j} as a set; it is a float when both are
+    scalars.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)
@@ -51,6 +53,6 @@ def pair_uniform(seed, i, j, stream=STREAM_EDGE):
         h = _mix(h ^ lo)
         h = _mix(h ^ hi)
     u = (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    if np.isscalar(i) or u.shape == ():
+    if u.shape == ():
         return float(u)
     return u

@@ -3,15 +3,15 @@
 Edge decisions are pure functions of (trial seed, node pair, distance):
 a pair (i, j) is linked iff pair_uniform(seed, i, j) < g(d(i, j)).  Both
 build modes evaluate that same predicate, so their outputs are identical
-bit for bit; the k-d tree of the cells mode only changes which pairs get a
-distance computed.
+bit for bit.  Mode "exact" scans every pair in row tiles; mode "cells"
+takes the pairs within the cutoff from a k-d tree when g is zero beyond
+it, and runs the same scan otherwise.
 
 scipy.spatial and scipy.sparse are imported inside the functions that use
 them: at module level they would add about 0.2 s to ``import rcm_lab`` for
 callers that never build a graph.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +20,9 @@ from .connfn import ConnectionFunction, check_monotonicity, effective_cutoff
 from .geometry import Region, minimum_image
 from .pairrng import STREAM_COUPLING, STREAM_EDGE, pair_uniform
 
-# Pairs per block of the all-pairs scans.  A block's temporaries take
-# about 100 bytes per pair, so 2^20 pairs hold them near 100 MB.
-_PAIR_CHUNK = 1 << 20
+# Pairs per row tile of the all-pairs scan.  A tile's temporaries take
+# about 64 bytes per pair, so 2^16-pair tiles peak near 4 MB traced.
+_TILE = 1 << 16
 
 
 class MetricMismatchError(ValueError):
@@ -78,58 +78,38 @@ def sample_poisson(region, density, seed, expected_count=None):
                     density=density, seed=int(seed))
 
 
-def _distances(pos, ii, jj, metric, side):
-    # Per-coordinate (m,) differences: gathering (m, 2) rows for
-    # geometry.toroidal_distance raises the peak memory of a pair block.
-    dx = pos[ii, 0] - pos[jj, 0]
-    dy = pos[ii, 1] - pos[jj, 1]
+def _distances(dx, dy, metric, side):
+    """Pair distances from coordinate differences, minimum image on the
+    torus."""
     if metric == "toroidal":
         dx = minimum_image(dx, side)
         dy = minimum_image(dy, side)
     return np.hypot(dx, dy)
 
 
-def _decide(pos, ii, jj, g, metric, side, seed):
-    d = _distances(pos, ii, jj, metric, side)
-    u = pair_uniform(seed, ii, jj, stream=STREAM_EDGE)
-    keep = u < g._eval(d)
-    return ii[keep], jj[keep]
+def _scan_pairs(pts, g, metric, seed):
+    """Edges (i < j) over all pairs, in lexicographic order.
 
-
-def _pair_block(n, k0, k1):
-    """Decode linear pair indices k in [k0, k1) to (i, j) with i < j."""
-    k = np.arange(k0, k1, dtype=np.int64)
-    # i is the largest row with offset(i) <= k, offset(i) = i*n - i(i+1)/2.
-    kf = k.astype(np.float64)
-    i = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * kf)) / 2).astype(np.int64)
-    off = i * n - (i * (i + 1)) // 2
-    over = off > k
-    while np.any(over):
-        i[over] -= 1
-        off = i * n - (i * (i + 1)) // 2
-        over = off > k
-    under = (i + 1) * n - ((i + 1) * (i + 2)) // 2 <= k
-    while np.any(under):
-        i[under] += 1
-        off = i * n - (i * (i + 1)) // 2
-        under = (i + 1) * n - ((i + 1) * (i + 2)) // 2 <= k
-    j = (k - off) + i + 1
-    return i, j
-
-
-def _edges_exact(pts, g, metric, seed):
-    pos = pts.positions
+    Each tile is rows [r0, r0 + _TILE // n) against columns [r0, n), at
+    most max(_TILE, n) pairs.  Coordinate differences come from contiguous
+    slices, so no pair index is decoded and no coordinate gathered; the
+    triangle j <= i at the start of each tile is computed and masked out.
+    """
+    x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
     side = pts.region.side
-    total = n * (n - 1) // 2
-    out_i, out_j = [], []
-    for k0 in range(0, total, _PAIR_CHUNK):
-        ii, jj = _pair_block(n, k0, min(k0 + _PAIR_CHUNK, total))
-        ei, ej = _decide(pos, ii, jj, g, metric, side, seed)
-        out_i.append(ei)
-        out_j.append(ej)
-    if not out_i:
-        return np.empty((0, 2), dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    out_i, out_j = [idx[:0]], [idx[:0]]
+    rows = max(1, _TILE // max(n, 1))
+    for r0 in range(0, n - 1, rows):
+        r1 = min(n - 1, r0 + rows)
+        i, j = idx[r0:r1, None], idx[None, r0:]
+        d = _distances(x[r0:r1, None] - x[None, r0:],
+                       y[r0:r1, None] - y[None, r0:], metric, side)
+        u = pair_uniform(seed, i, j, stream=STREAM_EDGE)
+        ti, tj = np.nonzero((j > i) & (u < g._eval(d)))
+        out_i.append(ti + r0)
+        out_j.append(tj + r0)
     return np.column_stack([np.concatenate(out_i), np.concatenate(out_j)])
 
 
@@ -182,65 +162,39 @@ def _cutoff_cached(g, tail_mass):
 
 def _edges_cells(pts, g, metric, seed, tail_mass):
     pos = pts.positions
-    n = pts.n
     side = pts.region.side
     wrap = metric == "toroidal"
 
+    # The tree only pays when no pair beyond the cutoff can link, that is
+    # when g is zero at the cutoff (g is non-increasing).  Otherwise the
+    # far pairs need a distance and a uniform each, so the tree's near
+    # pairs would be scanned twice; and a cutoff beyond a third of the side
+    # leaves the tree little to prune.  Either way: scan all pairs.
     r_cut = _cutoff_cached(g, tail_mass)
-    max_dist = side * math.sqrt(2.0) * (0.5 if wrap else 1.0)
-    if not math.isfinite(r_cut) or r_cut >= max_dist:
-        return _edges_exact(pts, g, metric, seed)
-    ncell = int(side / r_cut)
-    if ncell < 3 or n < 16:
-        return _edges_exact(pts, g, metric, seed)
+    if (side < 3.0 * r_cut or pts.n < 16 or (
+            g.support_radius > r_cut
+            and g._eval(np.asarray(r_cut, dtype=float)) > 0.0)):
+        return _scan_pairs(pts, g, metric, seed)
 
     ii, jj = _near_candidates(pos, side, r_cut, wrap)
-    d = _distances(pos, ii, jj, metric, side)
+    d = _distances(pos[ii, 0] - pos[jj, 0], pos[ii, 1] - pos[jj, 1],
+                   metric, side)
     near = d <= r_cut
     ii, jj, d = ii[near], jj[near], d[near]
     u = pair_uniform(seed, ii, jj, stream=STREAM_EDGE)
     keep = u < g._eval(d)
-    near_edges = [(ii[keep], jj[keep])]
-
-    # Long-range remainder: one edge uniform is drawn for every one of the
-    # n(n-1)/2 pairs, so this scan is quadratic in n.  Only pairs whose
-    # uniform falls below p_max get a distance; those beyond r_cut take
-    # the same edge test as the exact build, so the result matches it pair
-    # for pair.  p_max bounds g beyond the cutoff: zero once the support
-    # ends, else g at the cutoff itself (g is non-increasing, so that is an
-    # upper bound for every far pair).
-    if g.support_radius <= r_cut:
-        p_max = 0.0
-    else:
-        p_max = float(g._eval(np.asarray(r_cut, dtype=float)))
-    far_edges = []
-    if p_max > 0.0:
-        total = n * (n - 1) // 2
-        for k0 in range(0, total, _PAIR_CHUNK):
-            bi, bj = _pair_block(n, k0, min(k0 + _PAIR_CHUNK, total))
-            ub = pair_uniform(seed, bi, bj, stream=STREAM_EDGE)
-            cand = ub < p_max
-            bi, bj, ub = bi[cand], bj[cand], ub[cand]
-            if bi.size == 0:
-                continue
-            db = _distances(pos, bi, bj, metric, side)
-            far = db > r_cut
-            bi, bj, db, ub = bi[far], bj[far], db[far], ub[far]
-            kb = ub < g._eval(db)
-            far_edges.append((bi[kb], bj[kb]))
-
-    chunks = near_edges + far_edges
-    ei = np.concatenate([c[0] for c in chunks])
-    ej = np.concatenate([c[1] for c in chunks])
-    return np.column_stack([ei, ej])
+    # With i < j < n, the key i*n + j orders pairs lexicographically.
+    i, j = np.divmod(np.sort(ii[keep] * pts.n + jj[keep]), pts.n)
+    return np.column_stack([i, j])
 
 
 def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
     """Realize the random connection graph on a sampled point set.
 
-    mode "exact" visits all pairs; mode "cells" takes the pairs within the
-    effective cutoff from a k-d tree and scans the long pairs by their
-    uniforms.  Both give the same edge set for the same seed.
+    mode "exact" scans all pairs in row tiles; mode "cells" takes the
+    pairs within the effective cutoff from a k-d tree when g is zero
+    beyond it, and scans all pairs otherwise.  Both give the same edge
+    set, sorted lexicographically, for the same seed.
     """
     if metric not in ("euclidean", "toroidal"):
         raise MetricMismatchError("metric must be 'euclidean' or 'toroidal'")
@@ -252,15 +206,9 @@ def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
     if points.n < 2:
         edges = np.empty((0, 2), dtype=np.int64)
     elif mode == "exact":
-        edges = _edges_exact(points, g, metric, points.seed)
+        edges = _scan_pairs(points, g, metric, points.seed)
     else:
         edges = _edges_cells(points, g, metric, points.seed, tail_mass)
-
-    if edges.shape[0] > 1:
-        # With i < j < n, the key i*n + j orders pairs lexicographically.
-        n = points.n
-        i, j = np.divmod(np.sort(edges[:, 0] * n + edges[:, 1]), n)
-        edges = np.column_stack([i, j])
     return RcmGraph(points=points, edges=edges, metric=metric, g=g)
 
 
@@ -323,8 +271,8 @@ def boundary_coupling(torus_graph):
                           | (np.round(dy / side) != 0))
     if wrap.size:
         ii, jj = edges[wrap, 0], edges[wrap, 1]
-        d_e = _distances(pos, ii, jj, "euclidean", side)
-        d_t = _distances(pos, ii, jj, "toroidal", side)
+        d_e = _distances(dx[wrap], dy[wrap], "euclidean", side)
+        d_t = _distances(dx[wrap], dy[wrap], "toroidal", side)
         v = pair_uniform(pts.seed, ii, jj, stream=STREAM_COUPLING)
         keep[wrap] = np.atleast_1d(v) < (np.atleast_1d(g._eval(d_e))
                                          / np.atleast_1d(g._eval(d_t)))

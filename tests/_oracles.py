@@ -142,15 +142,20 @@ def bfs_components(n, edges):
     return sorted(orders)
 
 
-def pairwise_edges_bruteforce(positions, g_values_fn, uniform_fn):
+def pairwise_edges_bruteforce(positions, g_values_fn, uniform_fn,
+                              distance_fn=None):
     """Edge list by the definition: for every unordered pair, compare the
-    pair uniform against g at the pair distance."""
+    pair uniform against g at the pair distance (Euclidean unless
+    distance_fn(p, q) is given)."""
     n = positions.shape[0]
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            d = math.hypot(positions[i, 0] - positions[j, 0],
-                           positions[i, 1] - positions[j, 1])
+            if distance_fn is None:
+                d = math.hypot(positions[i, 0] - positions[j, 0],
+                               positions[i, 1] - positions[j, 1])
+            else:
+                d = distance_fn(positions[i], positions[j])
             if uniform_fn(i, j) < g_values_fn(d):
                 edges.append((i, j))
     return edges

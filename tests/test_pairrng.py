@@ -27,6 +27,21 @@ def test_vectorized_matches_scalar():
         assert vec[k] == pair_uniform(5, int(ii[k]), int(jj[k]))
 
 
+def test_broadcast_tile_matches_elementwise():
+    # a (B, 1) column of rows against a (1, C) row of columns, as the
+    # all-pairs scan calls it, including pairs with i >= j
+    rows = np.arange(3, 8)[:, None]
+    cols = np.arange(2, 14)[None, :]
+    tile = pair_uniform(13, rows, cols)
+    assert tile.shape == (5, 12)
+    for a in range(5):
+        for b in range(12):
+            assert tile[a, b] == pair_uniform(13, int(rows[a, 0]),
+                                              int(cols[0, b]))
+    assert isinstance(pair_uniform(13, 3, 4), float)
+    assert pair_uniform(13, np.array([3]), 4).shape == (1,)
+
+
 def test_range_and_uniformity():
     n = 2000
     iu, ju = np.triu_indices(n, k=1)

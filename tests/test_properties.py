@@ -9,7 +9,7 @@ import math
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcm_lab.connfn import (ConnectionFunction, effective_cutoff, from_config,
@@ -87,8 +87,9 @@ def test_exact_equals_cells_disk(data, kind):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(["square", "torus"]))
 def test_exact_equals_cells_with_long_pairs(data, kind):
-    # A coarse tail mass puts the cutoff inside the pair distances, so the
-    # long-pair scan runs; pairs one step of r_cut apart sit on its edge.
+    # A coarse tail mass puts the cutoff inside the pair distances, and g
+    # is positive beyond it, so cells mode must link the long pairs too;
+    # pairs one step of r_cut apart sit on the cutoff.
     g = lognormal(sigma=1.5, eta=1.0)
     pts, _, _ = data.draw(point_sets(kind))
     r_cut = effective_cutoff(g, 0.3)
@@ -144,6 +145,8 @@ def test_toroidal_distance_matches_reference(side, u):
 @given(side=st.integers(8, 160), r=st.integers(1, 64),
        u=st.lists(st.integers(-GRID // 2, GRID // 2), min_size=4,
                   max_size=4))
+# both disks cover the whole square, so each area is exactly side^2
+@example(side=8, r=57, u=[0, 0, 0, 510])
 def test_two_disk_area_within_each_clipped_disk(side, r, u):
     # Grid coordinates put centres on walls and corners, and make tangent
     # or coincident disks exact, often enough to matter.

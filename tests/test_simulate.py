@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import lognormal, unit_disk
+from rcm_lab.connfn import lognormal, theta_tail, unit_disk
 from rcm_lab.geometry import Region, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
-from rcm_lab.simulate import (MetricMismatchError, PointSet, boundary_coupling,
-                              build_graph, census, isolated_count,
-                              sample_poisson, window_truncation_census)
+from rcm_lab.simulate import (_TILE, MetricMismatchError, PointSet,
+                              _scan_pairs, boundary_coupling, build_graph,
+                              census, isolated_count, sample_poisson,
+                              window_truncation_census)
 
 from _oracles import (bfs_components, pairwise_edges_bruteforce,
                       torus_distance_reference)
@@ -89,8 +90,8 @@ def test_exact_equals_cells_disk():
 
 
 def test_exact_equals_cells_with_long_pairs():
-    # coarse tail mass forces a small cutoff, so the thinned long-pair scan
-    # has real work to do and must still reproduce the exact edge set
+    # g is positive beyond the cutoff of the coarse tail mass, so cells
+    # mode must still link the long pairs exactly as the exact build does
     g = lognormal(sigma=1.5, eta=1.0)
     for seed in range(4):
         pts = _pts(seed, side=14.0, density=1.5)
@@ -101,6 +102,85 @@ def test_exact_equals_cells_with_long_pairs():
         d = np.hypot(*(pts.positions[ge.edges[:, 0]]
                        - pts.positions[ge.edges[:, 1]]).T)
         assert (d > 2.0).any()
+
+
+def _uniform_point_set(n, side, kind, seed):
+    pos = (np.random.default_rng(seed).random((n, 2)) - 0.5) * side
+    return PointSet(positions=pos, region=Region(kind, side), density=1.0,
+                    seed=seed)
+
+
+def _bruteforce_edges(pts, g):
+    # one vectorized draw per pair, looked up by the pair loop
+    n = pts.n
+    iu, ju = np.triu_indices(n, k=1)
+    u = np.zeros((n, n))
+    u[iu, ju] = pair_uniform(pts.seed, iu, ju)
+    side = pts.region.side
+    torus = pts.region.kind == "torus"
+    return np.array(pairwise_edges_bruteforce(
+        pts.positions, lambda d: float(g(d)), lambda i, j: u[i, j],
+        (lambda p, q: torus_distance_reference(p, q, side)) if torus
+        else None), dtype=np.int64).reshape(-1, 2)
+
+
+def _spans_three_tiles_with_partial_last(n):
+    rows = _TILE // n
+    return n - 1 > 2 * rows and (n - 1) % rows != 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "cells"])
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_tile_scan_matches_bruteforce(kind, mode):
+    # g is positive beyond its coarse tail_mass=0.3 cutoff (2.0), so cells
+    # mode scans all pairs as well, and many edges are longer than that
+    g = lognormal(sigma=1.5, eta=1.0)
+    pts = _uniform_point_set(403, 16.0, kind, seed=31)
+    assert _spans_three_tiles_with_partial_last(pts.n)
+    metric = "toroidal" if kind == "torus" else "euclidean"
+    graph = build_graph(pts, g, metric=metric, mode=mode, tail_mass=0.3)
+    want = _bruteforce_edges(pts, g)
+    assert graph.edges.dtype == np.int64
+    assert np.array_equal(graph.edges, want)
+    d = pts.region.distance(pts.positions[want[:, 0]],
+                            pts.positions[want[:, 1]])
+    assert (d > 2.0).sum() > 20
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tiny_point_sets(n):
+    g = theta_tail(0.5)
+    for kind in ("square", "torus"):
+        pts = _uniform_point_set(n, 1.0, kind, seed=5)
+        metric = "toroidal" if kind == "torus" else "euclidean"
+        want = _bruteforce_edges(pts, g)
+        scanned = _scan_pairs(pts, g, metric, pts.seed)
+        assert scanned.shape == want.shape and scanned.dtype == np.int64
+        assert np.array_equal(scanned, want)
+        for mode in ("exact", "cells"):
+            graph = build_graph(pts, g, metric=metric, mode=mode)
+            assert graph.edges.shape == want.shape
+            assert np.array_equal(graph.edges, want)
+    # two points closer than x0 = 3, where g = 1: the pair always links
+    assert want.tolist() == ([[0, 1]] if n == 2 else [])
+
+
+def test_exact_scan_memory_stays_bounded():
+    # the theta-tail torus of the benchmark at rho 2e3: about 2000 nodes
+    # and 2e6 pairs, scanned in small row tiles
+    import tracemalloc
+
+    d = derive(ModelSpec(model="torus", rho=2e3, b=0.0, g=theta_tail(0.5)))
+    pts = sample_poisson(Region("torus", d.side), d.density, 23,
+                         expected_count=d.expected_nodes)
+    assert 1800 < pts.n < 2200
+    tracemalloc.start()
+    try:
+        build_graph(pts, theta_tail(0.5), metric="toroidal", mode="exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_census_against_bfs():
