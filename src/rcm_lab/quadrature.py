@@ -135,17 +135,12 @@ def _radial_exposure(d, g, rel_tol):
     cand = np.concatenate([np.broadcast_to(radii, (rmax.size, radii.size)),
                            d, corners], axis=1)
     breaks = np.where((cand > 0.0) & (cand < rcol), cand, np.nan)
-    # Geometric padding keeps long smooth tails from starting as one panel:
-    # doublings of the largest break (at least rmax / 64) below rmax.
-    base = np.fmax(np.fmax.reduce(breaks, axis=1), rmax / 64.0)[:, None]
-    pads = base * 2.0 ** np.arange(1, 6)
     # A smooth g has no structural radii, so its fall-off could sit inside
     # one long panel whose 15 nodes miss it while the error estimate
     # passes: halvings of rmax down to rmax / 1024 put panel edges at every
     # scale.
     halvings = rcol * 2.0 ** -np.arange(1, 11)
-    breaks = np.concatenate([breaks, np.where(pads < rcol, pads, np.nan),
-                             halvings], axis=1)
+    breaks = np.concatenate([breaks, halvings], axis=1)
     edges = d.T
 
     def integrand(r, k):
@@ -362,39 +357,36 @@ def _cross_mass_generic(x1, x2, g, h, reach):
     return val
 
 
-def _boundary_strata(side, width, n):
-    """Partition of the square by wall distance, with sample allocation.
+# Equal cells across the wall band, per axis, of the x1 envelope.
+_ENVELOPE_CELLS = 16
 
-    Returns a list of (area, n_s, sampler) where sampler(rng, m) draws m
-    uniform points of the stratum.  The integrand weight spans orders of
-    magnitude between the deep interior (constant exposure) and the corner
-    blocks, so the boundary strata get most of the samples regardless of
-    their (possibly tiny) area share.
+
+def _envelope_draw(rng, n, side, lam, g, band):
+    """n points of the square drawn with density proportional to a
+    piecewise-constant envelope of exp(-I), and 1 / density at each.
+
+    The envelope is built on the quadrant [0, h]^2 and copied to the others
+    by random signs.  Per axis its cells are [0, h - band] and
+    _ENVELOPE_CELLS equal cells across the band; each cell holds exp(-I) at
+    its outer corner, from one _exposure call on those corners.  For a
+    non-increasing g, I falls toward each wall along each axis, so that
+    value bounds exp(-I) on the cell; for any other g the estimator that
+    divides by the density stays unbiased, only its weights are unbounded.
     """
     h = 0.5 * side
-    t = h - width  # half-side of the deep block
-
-    def deep(rng, m):
-        return rng.random((m, 2)) * (2.0 * t) - t
-
-    def sides(rng, m):
-        u = rng.random(m) * (2.0 * t) - t          # along the wall
-        v = rng.random(m) * width + t              # into the band
-        k = rng.integers(0, 4, m)
-        pts = np.empty((m, 2))
-        pts[:, 0] = np.where(k < 2, u, np.where(k == 2, v, -v))
-        pts[:, 1] = np.where(k >= 2, u, np.where(k == 0, v, -v))
-        return pts
-
-    def corners(rng, m):
-        pts = rng.random((m, 2)) * width + t
-        pts *= rng.choice([-1.0, 1.0], size=(m, 2))
-        return pts
-
-    fracs = (0.1, 0.5, 0.4)
-    areas = (4.0 * t * t, 8.0 * t * width, 4.0 * width * width)
-    return [(areas[i], max(2, int(round(fracs[i] * n))), fn)
-            for i, fn in enumerate((deep, sides, corners))]
+    edges = np.concatenate([[0.0],
+                            np.linspace(h - band, h, _ENVELOPE_CELLS + 1)])
+    width = np.diff(edges)
+    cx, cy = np.meshgrid(edges[1:], edges[1:], indexing="ij")
+    value = np.exp(-_exposure(cx, cy, side, lam, g, 1e-8)).ravel()
+    cell_mass = np.outer(width, width).ravel() * value
+    env_mass = float(cell_mass.sum())
+    cell = rng.choice(value.size, size=n, p=cell_mass / env_mass)
+    i, j = np.unravel_index(cell, cx.shape)
+    x1 = np.column_stack([edges[i] + rng.random(n) * width[i],
+                          edges[j] + rng.random(n) * width[j]])
+    x1 *= rng.choice([-1.0, 1.0], size=(n, 2))
+    return x1, 4.0 * env_mass / value[cell]
 
 
 def expected_components_order2(spec, samples=20000, seed=0,
@@ -403,16 +395,18 @@ def expected_components_order2(spec, samples=20000, seed=0,
 
     Integrates (lambda^2 / 2) g(|x1 - x2|) exp(-lambda * J(x1, x2)) over
     pairs in the square, where J is the exposure of the pair (union mass of
-    the two connection profiles over A).  In "importance" mode x2 is drawn
-    with density proportional to g(|x2 - x1|) clipped to the square (which
-    cancels the g factor), and x1 is sampled stratified by wall distance:
-    boundary points carry weights up to exp(lambda * 3 pi / 4)-fold larger
-    than interior ones, and stratifying keeps the standard error honest.
-    mode "uniform" is a plain cross-check sampler.
+    the two connection profiles over A).  In "importance" mode x1 is drawn
+    from a piecewise-constant envelope of exp(-I(x1)) (_envelope_draw), so
+    the wall and corner points that dominate the isolation weights get the
+    samples, and x2 is drawn with density proportional to g(|x2 - x1|)
+    clipped to the square, which cancels the g factor.  For a
+    non-increasing g every weight is then at most the envelope's mass times
+    the mass of g, so the standard error can be trusted.  mode "uniform"
+    draws both points uniformly: a plain cross-check sampler.
 
-    Returns (estimate, standard_error); samples is a lower bound on the
-    number of integrand evaluations.  The standard error is NaN when a
-    stratum holds a single sample, and exactly 0 only for a g of zero mass.
+    Returns (estimate, standard_error) from exactly `samples` weights.  The
+    standard error is NaN when samples is 1 (one sample has no spread), and
+    exactly 0 only for a g of zero mass.
     """
     if mode not in ("importance", "uniform"):
         raise ValueError("mode must be 'importance' or 'uniform'")
@@ -442,17 +436,9 @@ def expected_components_order2(spec, samples=20000, seed=0,
     cdf = np.cumsum(mass) / total_mass
 
     n = int(samples)
-    band = 2.0 * min(reach, r_t)
-    if mode == "importance" and side > 4.0 * band:
-        strata = _boundary_strata(side, band, n)
-    else:
-        strata = [(area, n,
-                   lambda rng, m: rng.random((m, 2)) * side - h)]
-    x1 = np.concatenate([fn(rng, m) for _, m, fn in strata])
-    counts = [m for _, m, _ in strata]
-    n = x1.shape[0]
-
     if mode == "importance":
+        x1, inv_density = _envelope_draw(rng, n, side, lam, g,
+                                         min(reach, h))
         x2 = np.empty_like(x1)
         pending = np.arange(n)
         guard = 0
@@ -474,6 +460,7 @@ def expected_components_order2(spec, samples=20000, seed=0,
             x2[pending[good]] = cand[good]
             pending = pending[~good]
     else:
+        x1 = rng.random((n, 2)) * side - h
         x2 = rng.random((n, 2)) * side - h
 
     # Uniform pairs with g = 0 weigh nothing: skip their exposures and
@@ -493,18 +480,10 @@ def expected_components_order2(spec, samples=20000, seed=0,
         cross = _cross_mass_generic(p1, p2, g, h, reach)
     decay = np.exp(-lam * (z1 + z2 - cross))
     w = np.zeros(n)
-    w[keep] = z1 * decay if mode == "importance" else area * gd[keep] * decay
+    w[keep] = (inv_density * z1 * decay if mode == "importance"
+               else area * area * gd[keep] * decay)
 
-    # stratified combination: sum of area_s * mean_s with independent errors
     scale = 0.5 * lam * lam
-    est = 0.0
-    var = 0.0
-    lo = 0
-    for (area_s, _, _), m in zip(strata, counts):
-        chunk = w[lo:lo + m]
-        lo += m
-        est += area_s * float(chunk.mean())
-        # one sample carries no spread: the error is unknown, not zero
-        var += ((area_s * float(chunk.std(ddof=1)) / math.sqrt(m)) ** 2
-                if m > 1 else math.nan)
-    return scale * est, scale * math.sqrt(var)
+    # one sample carries no spread: the error is unknown, not zero
+    se = float(w.std(ddof=1)) / math.sqrt(n) if n > 1 else math.nan
+    return scale * float(w.mean()), scale * se

@@ -111,11 +111,16 @@ def test_criterion_04_density_ladder_trend():
     # strict from 1e3 on, the gap |E(W) - 1| shrinks at each of those
     # steps, the last gap is below the first, and the first-vs-last
     # convergence check passes on the full ladder.
+    # The frozen values are checked against rel_tol 1e-10 solves: a change
+    # of refinement order alone can move a default-tolerance (1e-6) solve
+    # by more than 1e-8.
+    for rho, frozen in ((1e2, 2.2779393402), (1e3, 2.3071728654)):
+        assert expected_isolated_square(_disk_spec("square", rho),
+                                        rel_tol=1e-10) == pytest.approx(
+                                            frozen, rel=1e-8)
     rhos = (1e2, 1e3, 1e4, 1e5, 1e6)
     ladder = [expected_isolated_square(_disk_spec("square", r))
               for r in rhos]
-    assert ladder[0] == pytest.approx(2.2779393402, rel=1e-8)
-    assert ladder[1] == pytest.approx(2.3071728654, rel=1e-8)
     assert all(v > 1.0 for v in ladder)
     for a, b in zip(ladder[1:], ladder[2:]):
         assert b < a                          # strict decrease from 1e3 on
