@@ -93,9 +93,14 @@ def lens_difference_derivative(z, r):
 
 
 def _arc_antiderivative(t, r):
-    """Antiderivative of sqrt(r^2 - u^2) at u = t, for |t| <= r."""
-    return 0.5 * (r * r * np.arcsin(np.clip(t / r, -1.0, 1.0))
-                  + t * np.sqrt(np.maximum(r * r - t * t, 0.0)))
+    """Antiderivative of sqrt(r^2 - u^2) at u = t, for |t| <= r.
+
+    Both terms take the same q = sqrt(r^2 - t^2), so the rounding of q
+    cancels between them to first order; arcsin(t / r) would lose about
+    r^2 * eps / q to rounding as t nears r.
+    """
+    q = np.sqrt(np.maximum(r * r - t * t, 0.0))
+    return 0.5 * (r * r * np.arctan2(t, q) + t * q)
 
 
 def _disk_overlap_batch(pts, r, h):

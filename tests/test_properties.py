@@ -147,6 +147,10 @@ def test_toroidal_distance_matches_reference(side, u):
                   max_size=4))
 # both disks cover the whole square, so each area is exactly side^2
 @example(side=8, r=57, u=[0, 0, 0, 510])
+# a centre one half grid step from a wall puts an arc end at t ~ r, where
+# an arcsin form of the arc integral lost ~1e-12 to rounding
+@example(side=160, r=59, u=[0, 511, 0, 511])
+@example(side=77, r=56, u=[-275, -232, -511, -501])
 def test_two_disk_area_within_each_clipped_disk(side, r, u):
     # Grid coordinates put centres on walls and corners, and make tangent
     # or coincident disks exact, often enough to matter.
