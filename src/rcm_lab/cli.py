@@ -107,6 +107,8 @@ def _cmd_quad(args):
     print(f"EW (torus)   = {rep.EW_torus:.12g}")
     print(f"EW (plane)   = {rep.EW_infinite:.12g}")
     print(f"ratio        = {rep.ratio:.12g}")
+    print(f"table error  = {rep.tolerances['exposure_table_error']:.3g} "
+          f"(share of C; 0 for a closed-form disk)")
     print(f"decomposition @ margin {rep.margin:.6g} (eps={rep.eps:g}):")
     print(f"  central    = {rep.central:.12g}")
     print(f"  side       = {rep.side:.12g}")

@@ -4,23 +4,37 @@ The central object is the exposure I(y) = lambda * integral_A g(|x - y|) dx:
 the expected number of neighbours a node at y would see.  Expectations of
 isolated-node counts are integrals of lambda * exp(-I(y)).
 
-Exposures use a radial-angular decomposition: the circle of radius r around
-y meets the square in arcs whose total angle has a closed form, so I(y)
-reduces to a 1-D integral of g(r) * r * angle(r).  These radial integrals
-are never taken one point at a time: one array call of batched_quad
-integrates a whole block of points, each split at its own wall and corner
-distances and at halvings of its farthest radius.  A hard disk needs no
-quadrature at all: I(y) is lambda times the area of disk and square, and
-the xi_2 cross mass of a pair is the area of both disks and the square,
-both closed forms from geometry.  Integrals of exp(-I) over regions
-{x0 <= x <= x1, ylo(x) <= y <= yhi(x)} are one two-level array quadrature
-(_quadcore.nested_quad), split where a structural radius of g, or its
-cutoff at tail mass 1e-12, reaches a wall: the inner y-integrals of all
-outer nodes go to array calls together.  For any other g the xi_2 cross
+A hard disk needs no quadrature at all: I(y) is lambda times the area of
+disk and square, and the xi_2 cross mass of a pair is the area of both
+disks and the square, both closed forms from geometry.  For any other g,
+truncate g at a radius R that no point of the square can tell apart from
+infinity (g's tail mass beyond R is below 1e-16 of C, or R = side * sqrt(2),
+the square's diagonal).  Inclusion-exclusion over the four wall half-planes
+and the four corner quadrants (opposite half-planes never meet, no three
+meet) then gives the face/edge/corner split of Coon, Dettmann and Georgiou
+(2012) for the exposure itself:
+
+    I(y) / lambda = C_R - sum_walls H(d_w) + sum_corners Q(d_a, d_b),
+
+with d_w the distance from y to wall w and
+
+    C_R     = 2 pi int_0^R r g(r) dr                    (the plane mass),
+    H(t)    = int_t^R 2 r g(r) arccos(t / r) dr         (beyond one wall),
+    Q(a, b) = int_{sqrt(a^2+b^2)}^R r g(r) (arccos(a/r) - arcsin(b/r)) dr
+                                                        (beyond two walls).
+
+H depends on g and R alone, so each solve tabulates it once (_WallTable:
+piecewise Chebyshev series, Trefethen 2013) and every exposure reads four
+values from it; Q is integrated only for the corners within R of a point,
+by one array batched_quad call per block of corners.  Integrals of exp(-I)
+over regions {x0 <= x <= x1, ylo(x) <= y <= yhi(x)} are one two-level array
+quadrature (_quadcore.nested_quad), split where a structural radius of g,
+or its cutoff at tail mass 1e-12, reaches a wall: the inner y-integrals of
+all outer nodes go to array calls together.  For any other g the xi_2 cross
 masses of all sampled pairs are one such call too, split where each pair's
 structural circles cross.  EW is eight copies of the triangle
-{0 <= y <= x <= side/2}, and the central/side/corner split (Coon, Dettmann
-and Georgiou 2012) is one call over a triangle, a strip and a square.
+{0 <= y <= x <= side/2}, and the central/side/corner split is one call over
+a triangle, a strip and a square.
 """
 
 import math
@@ -29,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadcore import batched_quad, nested_quad
-from .connfn import _head_breakpoints, classify_tail, effective_cutoff, integral_constant
+from .connfn import (NonConvergentError, _head_breakpoints, classify_tail,
+                     effective_cutoff, integral_constant)
 from .geometry import _disk_cross_batch, _disk_overlap_batch
 from .models import derive, frame_connection
 
@@ -69,86 +84,270 @@ def _structural_radii(g, upto):
     return sorted(radii)
 
 
-def _inside_angle(r, d_edges):
-    """Angular measure of the circle of radius r (around an interior point
-    with the given edge distances) that stays inside the square."""
-    dr, dl, dt, db = d_edges
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta = 2.0 * math.pi * np.ones_like(r)
-        for de in (dr, dl, dt, db):
-            theta -= 2.0 * np.arccos(np.clip(de / r, 0.0, 1.0))
-        for dx, dy in ((dr, dt), (dt, dl), (dl, db), (db, dr)):
-            over = (0.5 * math.pi
-                    - np.arcsin(np.clip(dx / r, 0.0, 1.0))
-                    - np.arcsin(np.clip(dy / r, 0.0, 1.0)))
-            theta += np.maximum(over, 0.0)
-    return np.clip(theta, 0.0, 2.0 * math.pi)
+def _level_radii(g, R):
+    """Radii in (0, R) where g falls to 1/2 and to 1e-1, 1e-2, 1e-4, 1e-8
+    and 1e-16, all found by one vectorised bisection (a crossing, for a g
+    that is not monotone)."""
+    levels = np.concatenate([[0.5], 10.0 ** -(2.0 ** np.arange(5))])
+    lo, hi = np.zeros(levels.size), np.full(levels.size, R)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = np.asarray(g._eval(mid), dtype=float) > levels
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.unique(hi[(lo > 0.0) & (hi < R)])
 
 
-# Points per _exposure pass.  A pass integrates its points' exposures in one
-# array batched_quad call, which keeps every panel of every point alive (40
-# to 90 panels per point, several float64 arrays each) until the pass ends.
-# With 512-point passes, 20 000 lognormal points peak at about 3 MB traced;
-# in a single pass they take 46 MB, and theta_tail points 87 MB.
-_EXPOSURE_BLOCK = 512
+def _cut_radius(g, side):
+    """(R, level radii of g below R) for a square of this side.
+
+    R is the first level radius past which g holds under 1e-16 of its mass
+    (else effective_cutoff's doubling radius at that tail mass), capped at
+    the diagonal side * sqrt(2): past R no point of the square can tell g
+    from zero.
+    """
+    R = side * math.sqrt(2.0)
+    try:
+        R = min(R, effective_cutoff(g, 1e-16))
+    except ArithmeticError:
+        pass  # a tail too slow to bound: the diagonal is exact anyway
+    levels = _level_radii(g, R)
+    # g's mass beyond 0 and beyond each level radius, up to R
+    starts = np.concatenate([[0.0], levels])
+    mass, _ = batched_quad(lambda r, k: r * g._eval(r), starts, R,
+                           rel_tol=1e-3, breakpoints=np.broadcast_to(
+                               levels, (starts.size, levels.size)))
+    light = mass[1:] <= 1e-16 * mass[0]
+    if light.any():
+        R = float(levels[np.argmax(light)])
+    return R, levels[levels < R]
 
 
-def _exposure(ax, ay, side, lam, g, rel_tol=1e-8):
+def _table_radii(g, R, levels):
+    """Radii in (0, R) that split the wall table and every H and Q integral.
+
+    g's structural radii; its level radii, so a smooth fall-off never hides
+    inside one long panel; and doublings wherever two neighbours lie more
+    than a factor 2 apart, so a long tail is cut at every scale.
+    """
+    radii = np.unique(np.concatenate([_structural_radii(g, R), levels]))
+    radii = radii[radii > 0.0]
+    radii = radii[np.diff(radii, prepend=0.0) > 1e-9 * radii]
+    out = []
+    for r0, r1 in zip(radii, np.append(radii[1:], R)):
+        out.extend(r0 * 2.0 ** np.arange(math.ceil(math.log2(r1 / r0))))
+    return np.array(out)
+
+
+# Chebyshev degree of one piece of the wall table.  A piece interpolates H
+# at the degree + 1 Chebyshev points of the second kind (both ends
+# included), a discrete cosine transform whose matrix is _CHEB_FIT, and is
+# checked at eight points symmetric about its centre, each halfway (in
+# angle) between two of them.
+_TABLE_DEGREE = 24
+_CHEB_NODES = np.cos(math.pi * np.arange(_TABLE_DEGREE + 1) / _TABLE_DEGREE)
+_CHEB_HALF = np.where(np.arange(_TABLE_DEGREE + 1) % _TABLE_DEGREE, 1.0, 0.5)
+_CHEB_FIT = (2.0 / _TABLE_DEGREE * np.outer(_CHEB_HALF, _CHEB_HALF)
+             * np.cos(math.pi / _TABLE_DEGREE
+                      * np.outer(np.arange(_TABLE_DEGREE + 1),
+                                 np.arange(_TABLE_DEGREE + 1))))
+_CHEB_CHECKS = np.cos(math.pi * (np.array([0, 3, 6, 9, 14, 17, 20, 23]) + 0.5)
+                      / _TABLE_DEGREE)
+_CHEB_AT_CHECKS = np.polynomial.chebyshev.chebvander(_CHEB_CHECKS,
+                                                     _TABLE_DEGREE)
+# Largest wall-table error allowed at the check points, as a share of C_R,
+# and the rounds of piece bisection allowed to reach it.  A singular point
+# of H keeps about two pieces failing per round, so at most 4 per initial
+# piece, plus 64, may await a check; more means the direct integrals
+# themselves are off (a jump of g at no declared radius fails everywhere).
+_TABLE_BUDGET = 1e-12
+_TABLE_ROUNDS = 40
+
+# Points per pass of wall-table lookups, and corner integrals per
+# batched_quad call.  A corner call keeps every panel of every corner alive
+# (about 9 per lognormal corner, several float64 arrays each) until it
+# returns.  With 2048 per call, 20 000 random points of the rho = 1e2
+# square peak at 3.5 MB traced for lognormal and 5.3 MB for theta_tail,
+# whose R reaches all four corners of every point.  Disk exposures, closed
+# forms, are taken in passes of the same size.
+_EXPOSURE_BLOCK = 2048
+
+
+class _WallTable:
+    """Exposures of one g (not a hard disk) on one square, by the identity
+    I(y) / lambda = C_R - sum_walls H(d_w) + sum_corners Q(d_a, d_b).
+
+    R comes from _cut_radius.  H is tabulated on [0, min(R, side)], every
+    wall distance of the square, as piecewise Chebyshev series: pieces start
+    between the _table_radii and are bisected until each matches direct
+    integrals at its check points to _TABLE_BUDGET * C_R.  `error` is the
+    largest miss reached, as a share of C_R; NonConvergentError says when
+    the budget cannot be met.  The table depends on (g, side) alone.
+
+    Both H and Q are integrated in u with r = r0 + u^2, where r0 is the
+    lower limit: that removes the square-root edge of the angle at r0.
+    """
+
+    def __init__(self, g, side):
+        self.g = g
+        self.R, levels = _cut_radius(g, side)
+        self.radii = _table_radii(g, self.R, levels)
+        self.C = 2.0 * float(self._wall_direct(np.zeros(1), 0.0)[0])
+        top = min(self.R, side)
+        budget = _TABLE_BUDGET * self.C
+        edges = np.concatenate([[0.0], self.radii[self.radii < top], [top]])
+        lo, hi = edges[:-1][edges[1:] > 0.0], edges[1:][edges[1:] > 0.0]
+        most = 4 * lo.size + 64
+        los, coefs = [np.empty(0)], [np.empty((0, _TABLE_DEGREE + 1))]
+        self.error = 0.0
+        nodes = np.concatenate([_CHEB_NODES, _CHEB_CHECKS])
+        for _ in range(_TABLE_ROUNDS):
+            if not lo.size:
+                break
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = (mid[:, None] + half[:, None] * nodes).ravel()
+            vals = self._wall_direct(t, 1e-3 * budget).reshape(lo.size, -1)
+            coef = vals[:, :_TABLE_DEGREE + 1] @ _CHEB_FIT.T
+            miss = np.abs(coef @ _CHEB_AT_CHECKS.T
+                          - vals[:, _TABLE_DEGREE + 1:]).max(axis=1)
+            ok = miss <= budget
+            los.append(lo[ok])
+            coefs.append(coef[ok])
+            self.error = max(self.error, float(miss[ok].max(initial=0.0)))
+            lo, hi = (np.concatenate([lo[~ok], mid[~ok]]),
+                      np.concatenate([mid[~ok], hi[~ok]]))
+            if lo.size > most:
+                break
+        if lo.size:
+            raise NonConvergentError(
+                "wall table of %s reached error %.3g of C, wanted %.3g (does g "
+                "jump at a radius it does not declare?)"
+                % (g.name, float(miss.max()) / self.C, _TABLE_BUDGET))
+        if self.C > 0.0:
+            self.error /= self.C
+        order = np.argsort(np.concatenate(los))
+        self._lo = np.concatenate(los)[order]
+        self._hi = np.append(self._lo[1:], top)
+        self._coef_t = np.concatenate(coefs)[order].T.copy()
+        self._top = top
+
+    def _wall_direct(self, t, abs_tol):
+        """H at every distance of the array t, by one array batched_quad."""
+        g = self.g
+
+        def f(u, k):
+            tk = t[k]
+            r = tk + u * u
+            angle = np.arctan2(u * np.sqrt(r + tk), tk)     # arccos(t / r)
+            return 4.0 * u * r * g._eval(r) * angle
+
+        with np.errstate(invalid="ignore"):
+            brk = np.sqrt(self.radii[None, :] - t[:, None])
+        val, _ = batched_quad(f, np.zeros(t.size),
+                              np.sqrt(np.maximum(self.R - t, 0.0)),
+                              rel_tol=1e-13, abs_tol=abs_tol,
+                              breakpoints=brk)
+        return val
+
+    def walls(self, t):
+        """H at every distance of the array t, from the table (Clenshaw)."""
+        if not self._lo.size:
+            return np.zeros_like(t)
+        tc = np.clip(t, 0.0, self._top)
+        i = np.maximum(np.searchsorted(self._lo, tc, side="right") - 1, 0)
+        lo, hi = self._lo[i], self._hi[i]
+        x = (2.0 * tc - lo - hi) / (hi - lo)
+        b1 = b2 = np.zeros_like(x)
+        for c in self._coef_t[:0:-1]:
+            b1, b2 = 2.0 * x * b1 - b2 + c[i], b1
+        val = x * b1 - b2 + self._coef_t[0][i]
+        return np.where(t >= self.R, 0.0, val)
+
+    def corners(self, a, b, rel_tol):
+        """Q(a, b) for every pair of the arrays a, b, by one array
+        batched_quad, each to within max(rel_tol * Q, rel_tol * C_R / 16):
+        four corners stay within rel_tol * C_R / 4."""
+        g = self.g
+        rc = np.hypot(a, b)
+        # r - a and r - b at r = rc, free of cancellation
+        ra = b * b / np.maximum(rc + a, 1e-300)
+        rb = a * a / np.maximum(rc + b, 1e-300)
+
+        def f(u, k):
+            ak, bk, ck = a[k], b[k], rc[k]
+            u2 = u * u
+            r = ck + u2
+            sa = np.sqrt((ra[k] + u2) * (r + ak))   # sqrt(r^2 - a^2)
+            sb = np.sqrt((rb[k] + u2) * (r + bk))   # sqrt(r^2 - b^2)
+            # arccos(a/r) - arcsin(b/r) from its sine and cosine times r^2,
+            # the sine with r^2 - rc^2 = u^2 (r + rc) factored out
+            angle = np.arctan2(r * r * u2 * (r + ck) / (sa * sb + ak * bk),
+                               ak * sb + bk * sa)
+            return 2.0 * u * r * g._eval(r) * angle
+
+        with np.errstate(invalid="ignore"):
+            brk = np.sqrt(self.radii[None, :] - rc[:, None])
+        val, _ = batched_quad(f, np.zeros(a.size),
+                              np.sqrt(np.maximum(self.R - rc, 0.0)),
+                              rel_tol=rel_tol, abs_tol=rel_tol * self.C / 16.0,
+                              breakpoints=brk)
+        return val
+
+    def exposure(self, d, rel_tol):
+        """I / lambda at each column of d, the (4, m) wall distances
+        (right, left, top, bottom)."""
+        m = d.shape[1]
+        val = np.full(m, self.C)
+        for lo in range(0, m, _EXPOSURE_BLOCK):
+            val[lo:lo + _EXPOSURE_BLOCK] -= self.walls(
+                d[:, lo:lo + _EXPOSURE_BLOCK]).sum(axis=0)
+        # corners (right, top), (top, left), (left, bottom), (bottom, right)
+        a, b = np.maximum(d[[0, 2, 1, 3]], 0.0), np.maximum(d[[2, 1, 3, 0]], 0.0)
+        near = np.hypot(a, b) < self.R
+        a, b = a[near], b[near]
+        q = np.empty(a.size)
+        for lo in range(0, a.size, _EXPOSURE_BLOCK):
+            q[lo:lo + _EXPOSURE_BLOCK] = self.corners(
+                a[lo:lo + _EXPOSURE_BLOCK], b[lo:lo + _EXPOSURE_BLOCK], rel_tol)
+        return val + np.bincount(np.nonzero(near)[1], q, minlength=m)
+
+
+def _exposure_table(g, side):
+    """The _WallTable of g on a square of this side; None for a hard disk,
+    whose exposures are closed forms."""
+    return None if _disk_radius(g) is not None else _WallTable(g, side)
+
+
+def _exposure(ax, ay, side, lam, g, rel_tol=1e-8, table=None):
     """lambda * integral over the side-length square of g(|x - y|) dx.
 
     Evaluated at every point of the broadcast coordinate arrays ax, ay; a
     float for scalar coordinates.  A hard disk has the closed form
-    lambda * |disk(y, r) & A|; any other g is integrated radially, r from 0
-    to the farthest corner, split at its structural radii and at the wall
-    and corner distances of each point.
+    lambda * |disk(y, r) & A|.  Any other g reads C_R - sum H(d_w) from the
+    wall table (built here unless given) and adds Q(d_a, d_b) for every
+    corner within R of the point, each to within rel_tol * C_R / 16.
     """
     ax, ay = np.broadcast_arrays(np.asarray(ax, dtype=float),
                                  np.asarray(ay, dtype=float))
     shape = ax.shape
     ax, ay = ax.ravel(), ay.ravel()
     h = 0.5 * side
+    if (np.any(np.abs(ax) - h > 1e-12 * side)
+            or np.any(np.abs(ay) - h > 1e-12 * side)):
+        raise ValueError("exposure point lies outside the square")
     disk_r = _disk_radius(g)
-    val = np.empty(ax.size)
-    for lo in range(0, ax.size, _EXPOSURE_BLOCK):
-        bx, by = ax[lo:lo + _EXPOSURE_BLOCK], ay[lo:lo + _EXPOSURE_BLOCK]
-        # Wall distances (right, left, top, bottom), one row per point.
-        d = np.stack([h - bx, h + bx, h - by, h + by], axis=1)
-        if np.any(d < -1e-12 * side):
-            raise ValueError("exposure point lies outside the square")
-        if disk_r is None:
-            val[lo:lo + _EXPOSURE_BLOCK] = _radial_exposure(d, g, rel_tol)
-        else:
-            val[lo:lo + _EXPOSURE_BLOCK] = _disk_overlap_batch(
-                np.stack([bx, by], axis=1), disk_r, h)
+    if disk_r is not None:
+        val = np.empty(ax.size)
+        for lo in range(0, ax.size, _EXPOSURE_BLOCK):
+            blk = slice(lo, lo + _EXPOSURE_BLOCK)
+            val[blk] = _disk_overlap_batch(np.stack([ax[blk], ay[blk]], axis=1),
+                                           disk_r, h)
+    else:
+        table = table if table is not None else _WallTable(g, side)
+        # wall distances (right, left, top, bottom), one column per point
+        val = table.exposure(np.stack([h - ax, h + ax, h - ay, h + ay]),
+                             rel_tol)
     out = lam * val.reshape(shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _radial_exposure(d, g, rel_tol):
-    """integral_0^rmax g(r) r angle(r) dr for each row of wall distances d."""
-    corners = np.hypot(d[:, [0, 2, 1, 3]], d[:, [2, 1, 3, 0]])
-    rmax = corners.max(axis=1)
-    if math.isfinite(g.support_radius):
-        rmax = np.minimum(rmax, g.support_radius)
-    radii = np.array(_structural_radii(g, rmax.max(initial=0.0)))
-    rcol = rmax[:, None]
-    cand = np.concatenate([np.broadcast_to(radii, (rmax.size, radii.size)),
-                           d, corners], axis=1)
-    breaks = np.where((cand > 0.0) & (cand < rcol), cand, np.nan)
-    # A smooth g has no structural radii, so its fall-off could sit inside
-    # one long panel whose 15 nodes miss it while the error estimate
-    # passes: halvings of rmax down to rmax / 1024 put panel edges at every
-    # scale.
-    halvings = rcol * 2.0 ** -np.arange(1, 11)
-    breaks = np.concatenate([breaks, halvings], axis=1)
-    edges = d.T
-
-    def integrand(r, k):
-        return g._eval(r) * r * _inside_angle(r, edges[:, k])
-
-    val, _ = batched_quad(integrand, np.zeros_like(rmax), rmax,
-                          rel_tol=rel_tol, breakpoints=breaks)
-    return val
 
 
 def inner_exposure(y, spec, rel_tol=1e-8):
@@ -159,19 +358,16 @@ def inner_exposure(y, spec, rel_tol=1e-8):
                      rel_tol=rel_tol)
 
 
-def _survival(xs, ys, side, lam, g, inner_tol):
-    """exp(-I) at every point of the broadcast coordinate arrays xs, ys."""
-    return np.exp(-_exposure(xs, ys, side, lam, g, inner_tol))
-
-
-def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol):
+def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol,
+                     table=None):
     """lambda * integral of exp(-I) over each region k of
     {x0_k <= x <= x1_k, ylo(x, k) <= y <= yhi(x, k)}; a length-n array.
 
     One nested_quad for all n regions; both levels split where a
     structural radius of g reaches a wall, at +-(h - rad).  The radii
     include g's cutoff at tail mass 1e-12: farther than that from every
-    wall, exp(-I) is constant to 1e-12 of g's mass.
+    wall, exp(-I) is constant to 1e-12 of g's mass.  Exposures read the
+    wall table from _exposure_table (None for a hard disk).
     """
     h = 0.5 * side
     upto = side * math.sqrt(2.0)
@@ -187,7 +383,7 @@ def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol):
         return ylo(xs, k), yhi(xs, k), kinks
 
     def f(ys, xs, k):
-        return _survival(xs, ys, side, lam, g, inner_tol)
+        return np.exp(-_exposure(xs, ys, side, lam, g, inner_tol, table))
 
     n = np.broadcast(x0, x1).size
     val, _ = nested_quad(f, x0, x1, inner, rel_tol=rel_tol / 2.0,
@@ -196,7 +392,7 @@ def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol):
     return lam * val
 
 
-def _decomposed_pieces(lam, side, g, margin, rel_tol, inner_tol):
+def _decomposed_pieces(lam, side, g, margin, rel_tol, inner_tol, table):
     """(central, side, corner) contributions with the given split margin.
 
     One _region_integral over three regions of the fundamental triangle:
@@ -213,8 +409,26 @@ def _decomposed_pieces(lam, side, g, margin, rel_tol, inner_tol):
         return np.where(k == 0, x, np.where(k == 1, hp, h))
 
     val = _region_integral(lam, side, g, [0.0, hp, hp], [hp, h, h], ylo, yhi,
-                           rel_tol, inner_tol)
+                           rel_tol, inner_tol, table)
     return tuple((np.array([8.0, 8.0, 4.0]) * val).tolist())
+
+
+def _inner_tol(rel_tol):
+    """Exposure tolerance inside an E(W) solve of tolerance rel_tol."""
+    return min(1e-8, rel_tol * 1e-2)
+
+
+def _square_ew(d, g, rel_tol, table):
+    side = d.core_side
+    val = _region_integral(d.density, side, g, 0.0, 0.5 * side,
+                           lambda x, k: 0.0, lambda x, k: x, rel_tol,
+                           _inner_tol(rel_tol), table)
+    return 8.0 * float(val[0])
+
+
+def _torus_ew(d, g, rel_tol, table):
+    i0 = _exposure(0.0, 0.0, d.core_side, d.density, g, rel_tol, table)
+    return d.lam * d.core_side ** 2 * math.exp(-i0)
 
 
 def expected_isolated_square(spec, rel_tol=1e-6):
@@ -222,24 +436,18 @@ def expected_isolated_square(spec, rel_tol=1e-6):
     eight copies of the fundamental triangle {0 <= y <= x <= side/2}."""
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    side, lam = d.core_side, d.density
-    inner_tol = min(1e-8, rel_tol * 1e-2)
-    val = _region_integral(lam, side, g, 0.0, 0.5 * side,
-                           lambda x, k: 0.0, lambda x, k: x, rel_tol,
-                           inner_tol)
-    return 8.0 * float(val[0])
+    return _square_ew(d, g, rel_tol, _exposure_table(g, d.core_side))
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
     """E(W) for the torus frame: rho * exp(-lambda * integral_A g(|x|) dx).
 
-    On the torus every point sees the same exposure, so one radial integral
-    anchored at the center settles it.
+    On the torus every point sees the same exposure, so the exposure of
+    the square's center settles it.
     """
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    i0 = _exposure(0.0, 0.0, d.core_side, d.density, g, rel_tol=rel_tol)
-    return d.lam * d.core_side ** 2 * math.exp(-i0)
+    return _torus_ew(d, g, rel_tol, _exposure_table(g, d.core_side))
 
 
 def expected_isolated_infinite(b):
@@ -282,13 +490,14 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
         raise ValueError("decomposition margin exceeds the half-side; "
                          "increase rho or decrease eps")
 
-    inner_tol = min(1e-8, rel_tol * 1e-2)
-    ew = expected_isolated_square(spec, rel_tol=rel_tol)
-    ew_t = expected_isolated_torus(spec, rel_tol=min(rel_tol, 1e-9))
+    inner_tol = _inner_tol(rel_tol)
+    table = _exposure_table(g, side)
+    ew = _square_ew(d, g, rel_tol, table)
+    ew_t = _torus_ew(d, g, min(rel_tol, 1e-9), table)
     ew_inf = expected_isolated_infinite(spec.b)
 
     central, side_term, corner = _decomposed_pieces(
-        lam, side, g, margin, rel_tol, inner_tol)
+        lam, side, g, margin, rel_tol, inner_tol, table)
 
     total = central + side_term + corner
     resid = abs(total - ew) / max(abs(ew), 1e-300)
@@ -297,7 +506,9 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
         central=central, side=side_term, corner=corner,
         margin=margin, eps=eps,
         tolerances={"rel_tol": rel_tol, "inner_tol": inner_tol,
-                    "decomposition_residual": resid})
+                    "decomposition_residual": resid,
+                    "exposure_table_error":
+                        0.0 if table is None else table.error})
 
 
 def _disk_radius(g):
@@ -361,7 +572,7 @@ def _cross_mass_generic(x1, x2, g, h, reach):
 _ENVELOPE_CELLS = 16
 
 
-def _envelope_draw(rng, n, side, lam, g, band):
+def _envelope_draw(rng, n, side, lam, g, band, table):
     """n points of the square drawn with density proportional to a
     piecewise-constant envelope of exp(-I), and 1 / density at each.
 
@@ -378,7 +589,7 @@ def _envelope_draw(rng, n, side, lam, g, band):
                             np.linspace(h - band, h, _ENVELOPE_CELLS + 1)])
     width = np.diff(edges)
     cx, cy = np.meshgrid(edges[1:], edges[1:], indexing="ij")
-    value = np.exp(-_exposure(cx, cy, side, lam, g, 1e-8)).ravel()
+    value = np.exp(-_exposure(cx, cy, side, lam, g, 1e-8, table)).ravel()
     cell_mass = np.outer(width, width).ravel() * value
     env_mass = float(cell_mass.sum())
     cell = rng.choice(value.size, size=n, p=cell_mass / env_mass)
@@ -434,11 +645,12 @@ def expected_components_order2(spec, samples=20000, seed=0,
     if total_mass <= 0.0:
         return 0.0, 0.0
     cdf = np.cumsum(mass) / total_mass
+    table = _exposure_table(g, side)
 
     n = int(samples)
     if mode == "importance":
         x1, inv_density = _envelope_draw(rng, n, side, lam, g,
-                                         min(reach, h))
+                                         min(reach, h), table)
         x2 = np.empty_like(x1)
         pending = np.arange(n)
         guard = 0
@@ -473,7 +685,8 @@ def expected_components_order2(spec, samples=20000, seed=0,
         keep = gd > 0.0
     p1, p2 = x1[keep], x2[keep]
     both = np.stack([p1, p2])
-    z1, z2 = _exposure(both[..., 0], both[..., 1], side, lam, g, 1e-8) / lam
+    z1, z2 = _exposure(both[..., 0], both[..., 1], side, lam, g, 1e-8,
+                       table) / lam
     if disk_r is not None:
         cross = _disk_cross_batch(p1, p2, disk_r, h)
     else:

@@ -168,3 +168,43 @@ def torus_distance_reference(p, q, side):
         for oy in (-side, 0.0, side):
             best = min(best, math.hypot(p[0] - q[0] + ox, p[1] - q[1] + oy))
     return best
+
+
+def polar_exposure(g, jumps, x, y, half):
+    """integral of g(|p - (x, y)|) over the square [-half, half]^2, by scipy
+    quad in polar coordinates about (x, y).
+
+    g is a scalar function and jumps the radii where it jumps.  The ray at
+    angle th leaves the square at reach(th); the inner integral
+    int_0^reach r g(r) dr is smooth in th except where the ray turns a
+    corner or reach crosses a jump, and the outer rule splits there.
+    """
+    from scipy.integrate import quad
+
+    def radial(s):
+        pts = [j for j in jumps if 0.0 < j < s]
+        v, _ = quad(lambda r: r * g(r), 0.0, s, points=pts or None,
+                    epsabs=1e-14, epsrel=1e-13, limit=400)
+        return v
+
+    walls = ((0.0, half - x), (math.pi, half + x),
+             (0.5 * math.pi, half - y), (1.5 * math.pi, half + y))
+
+    def reach(th):
+        out = math.inf
+        for normal, dist in walls:
+            c = math.cos(th - normal)
+            if c > 0.0:
+                out = min(out, dist / c)
+        return out
+
+    kinks = [math.atan2(cy - y, cx - x) for cx in (half, -half)
+             for cy in (half, -half)]
+    for normal, dist in walls:
+        for j in jumps:
+            if dist < j:
+                kinks += [normal + s * math.acos(dist / j) for s in (-1, 1)]
+    kinks = sorted(k % (2.0 * math.pi) for k in kinks)
+    v, _ = quad(lambda th: radial(reach(th)), 0.0, 2.0 * math.pi,
+                points=kinks, epsabs=1e-13, epsrel=1e-12, limit=400)
+    return v

@@ -46,6 +46,22 @@ def test_quad_command(tmp_path, capsys):
     assert abs(float(line.split("=")[1]) - 1.0) < 1e-9
 
 
+def _table_error_line(out):
+    lines = [l for l in out.splitlines() if l.startswith("table error")]
+    assert len(lines) == 1
+    return float(lines[0].split("=")[1].split()[0])
+
+
+def test_quad_prints_exposure_table_error(capsys):
+    logn = '{"family": "lognormal", "params": {"sigma": 0.25, "eta": 4.0}}'
+    assert main(["quad", "--g", logn, "--rho", "100", "--rel-tol",
+                 "1e-3"]) == 0
+    assert 0.0 < _table_error_line(capsys.readouterr().out) <= 1e-12
+    # the disk's exposures are closed forms: no table, no table error
+    assert main(["quad", "--g", DISK, "--rho", "100"]) == 0
+    assert _table_error_line(capsys.readouterr().out) == 0.0
+
+
 def test_quad_g_from_file(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text(DISK)

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import (InconclusiveTailError, integral_constant,
-                            lognormal, omega_tail, theta_tail, unit_disk)
+from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
+                            from_callable, integral_constant, lognormal,
+                            omega_tail, theta_tail, unit_disk)
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_infinite,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_cross_mass_generic, _exposure, _frame,
-                                _region_integral)
+from rcm_lab.quadrature import (_WallTable, _cross_mass_generic, _exposure,
+                                _frame, _region_integral)
 from rcm_lab.simulate import census
 
-from _oracles import disk_square_overlap, riemann_expected_isolated_disk
+from _oracles import (disk_square_overlap, polar_exposure,
+                      riemann_expected_isolated_disk)
 
 PI = math.pi
 
@@ -49,9 +51,17 @@ def test_inner_exposure_matches_overlap_formula():
         assert inner_exposure(p, spec) == pytest.approx(want, rel=1e-8)
 
 
+def _jump(x):
+    # g jumps from 0.9 to 0.6 at r = 1: the jump crosses none of the levels
+    # (1/2, 1e-1, ...) whose radii the wall table finds by bisection
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 1.0, 0.9, 0.6 * np.exp(-2.0 * (x - 1.0) ** 2))
+
+
 @pytest.mark.parametrize("g", [
     pytest.param(lognormal(sigma=0.25, eta=4.0), id="lognormal"),
     pytest.param(theta_tail(a=0.5), id="theta_tail"),
+    pytest.param(from_callable(_jump, discontinuities=(1.0,)), id="jump"),
 ])
 def test_array_exposure_matches_pointwise(g):
     _, d, gf = _frame(ModelSpec(model="square", rho=100.0, b=0.0, g=g))
@@ -73,6 +83,61 @@ def test_array_exposure_matches_pointwise(g):
     assert grid.shape == (5, 3)
     with pytest.raises(ValueError):
         _exposure(np.array([0.0, 1.01 * h]), 0.0, d.core_side, d.density, gf)
+
+
+def _theta_ref(r):
+    return 1.0 if r <= 3.0 else min(1.0, 0.5 / (r * r * math.log(r) ** 2))
+
+
+@pytest.mark.parametrize("g, gref, jumps", [
+    pytest.param(lognormal(sigma=0.25, eta=4.0),
+                 lambda r: _lognormal_ref()(r), [], id="lognormal"),
+    pytest.param(theta_tail(a=0.5), _theta_ref, [3.0], id="theta_tail"),
+    pytest.param(theta_tail(a=0.5).scaled(0.3).scaled(2.0),
+                 lambda r: _theta_ref(r / 0.6), [1.8], id="theta_scaled"),
+    pytest.param(from_callable(_jump, discontinuities=(1.0,)),
+                 lambda r: float(_jump(r)), [1.0], id="jump"),
+])
+def test_exposure_matches_polar_reference(g, gref, jumps):
+    # C_R - sum H + sum Q against scipy quad in polar coordinates about
+    # the point: interior, on a wall, a corner, near a corner, near a wall
+    side = 8.0
+    h = 0.5 * side
+    table = _WallTable(g, side)
+    for x, y in ((0.3, -0.2), (h, 0.7), (h, h), (h - 0.4, h - 0.9),
+                 (-h + 0.05, 1.0), (-h, -h)):
+        got = _exposure(x, y, side, 1.0, g, 1e-10, table)
+        assert got == pytest.approx(polar_exposure(gref, jumps, x, y, h),
+                                    rel=1e-9)
+
+
+@pytest.mark.parametrize("side", [1e6, 1e8])
+def test_exposure_on_huge_squares(side):
+    # lognormal's g underflows past r ~ 1.7: centre, mid-wall and corner of
+    # a huge square see the whole, half and a quarter of its mass
+    g = lognormal(sigma=0.25, eta=4.0)
+    C = integral_constant(g)
+    h = 0.5 * side
+    got = _exposure(np.array([0.0, h, h]), np.array([0.0, 0.0, h]), side,
+                    1.0, g)
+    assert got == pytest.approx([C, C / 2.0, C / 4.0], rel=1e-8)
+
+
+@pytest.mark.parametrize("rho", [1e12, 1e16])
+def test_lognormal_square_ew_matches_disk_at_huge_rho(rho):
+    # lognormal(0.25, 4) is nearly a unit disk; at these densities only the
+    # boundary layers of width ~1 matter, and they see the same shape
+    logn = ModelSpec(model="square", rho=rho, b=0.0,
+                     g=lognormal(sigma=0.25, eta=4.0))
+    disk = expected_isolated_square(_disk_spec("square", rho))
+    assert expected_isolated_square(logn) == pytest.approx(disk, rel=1e-3)
+
+
+def test_wall_table_says_when_it_misses_its_budget():
+    # an undeclared jump that no level radius finds spoils the direct
+    # integrals the table is checked against: the build must say so
+    with pytest.raises(NonConvergentError, match="reached error .* wanted"):
+        _WallTable(from_callable(_jump), 8.0)
 
 
 def test_exposure_memory_stays_bounded():
@@ -270,11 +335,13 @@ def test_isolation_report_consistency():
     rep = isolation_report(logn, rel_tol=1e-3)
     assert rep.EW == pytest.approx(rep.central + rep.side + rep.corner,
                                    rel=1e-3)
+    assert 0.0 < rep.tolerances["exposure_table_error"] <= 1e-12
 
     rep = isolation_report(_disk_spec("square", 1000.0), rel_tol=1e-6)
     assert rep.EW == pytest.approx(rep.central + rep.side + rep.corner,
                                    rel=1e-6)
     assert rep.EW_torus == pytest.approx(1.0, rel=1e-9)
+    assert rep.tolerances["exposure_table_error"] == 0.0  # closed form
     assert rep.EW_infinite == 1.0
     assert rep.ratio == pytest.approx(rep.EW, rel=1e-12)
     assert rep.ratio > 1.0  # boundary excess
@@ -430,8 +497,9 @@ def test_xi2_small_sample_error_bar_is_honest(seed):
     assert abs(est - 1.06465) <= 3.0 * math.hypot(se, 0.00528)
 
 
-@pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0)],
-                         ids=["unit_disk", "lognormal"])
+@pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0),
+                               theta_tail(0.5)],
+                         ids=["unit_disk", "lognormal", "theta_tail"])
 def test_exposure_falls_toward_each_wall(g):
     # The xi_2 envelope bounds exp(-I) on a cell by its value at the cell's
     # outer corner, which needs I(x, y) >= I(x', y) for 0 <= x < x' <= h
