@@ -26,7 +26,9 @@ with d_w the distance from y to wall w and
 H depends on g and R alone, so each solve tabulates it once (_WallTable:
 piecewise Chebyshev series, Trefethen 2013) and every exposure reads four
 values from it; Q is integrated only for the corners within R of a point,
-by one array batched_quad call per block of corners.  Integrals of exp(-I)
+by one array batched_quad call per block of corners.  A torus E(W) on its
+own needs one point, the centre, so it integrates H and Q there directly
+(_WallIntegrals) and fits no table.  Integrals of exp(-I)
 over regions {x0 <= x <= x1, ylo(x) <= y <= yhi(x)} are one two-level array
 quadrature (_quadcore.nested_quad), split where a structural radius of g,
 or its cutoff at tail mass 1e-12, reaches a wall: the inner y-integrals of
@@ -172,16 +174,11 @@ _TABLE_ROUNDS = 40
 _EXPOSURE_BLOCK = 2048
 
 
-class _WallTable:
-    """Exposures of one g (not a hard disk) on one square, by the identity
-    I(y) / lambda = C_R - sum_walls H(d_w) + sum_corners Q(d_a, d_b).
-
-    R comes from _cut_radius.  H is tabulated on [0, min(R, side)], every
-    wall distance of the square, as piecewise Chebyshev series: pieces start
-    between the _table_radii and are bisected until each matches direct
-    integrals at its check points to _TABLE_BUDGET * C_R.  `error` is the
-    largest miss reached, as a share of C_R; NonConvergentError says when
-    the budget cannot be met.  The table depends on (g, side) alone.
+class _WallIntegrals:
+    """The pieces of I(y) / lambda = C_R - sum_walls H(d_w) + sum_corners
+    Q(d_a, d_b) for one g (not a hard disk) on one square, by direct
+    integrals: R from _cut_radius, the _table_radii that split every
+    integral, the plane mass C_R, and H and Q at given distances.
 
     Both H and Q are integrated in u with r = r0 + u^2, where r0 is the
     lower limit: that removes the square-root edge of the angle at r0.
@@ -192,6 +189,67 @@ class _WallTable:
         self.R, levels = _cut_radius(g, side)
         self.radii = _table_radii(g, self.R, levels)
         self.C = 2.0 * float(self._wall_direct(np.zeros(1), 0.0)[0])
+
+    def _wall_direct(self, t, abs_tol):
+        """H at every distance of the array t, by one array batched_quad."""
+        g = self.g
+
+        def f(u, k):
+            tk = t[k]
+            r = tk + u * u
+            angle = np.arctan2(u * np.sqrt(r + tk), tk)     # arccos(t / r)
+            return 4.0 * u * r * g._eval(r) * angle
+
+        with np.errstate(invalid="ignore"):
+            brk = np.sqrt(self.radii[None, :] - t[:, None])
+        val, _ = batched_quad(f, np.zeros(t.size),
+                              np.sqrt(np.maximum(self.R - t, 0.0)),
+                              rel_tol=1e-13, abs_tol=abs_tol,
+                              breakpoints=brk)
+        return val
+
+    def corners(self, a, b, rel_tol):
+        """Q(a, b) for every pair of the arrays a, b, by one array
+        batched_quad, each to within max(rel_tol * Q, rel_tol * C_R / 16):
+        four corners stay within rel_tol * C_R / 4."""
+        g = self.g
+        rc = np.hypot(a, b)
+        # r - a and r - b at r = rc, free of cancellation
+        ra = b * b / np.maximum(rc + a, 1e-300)
+        rb = a * a / np.maximum(rc + b, 1e-300)
+
+        def f(u, k):
+            ak, bk, ck = a[k], b[k], rc[k]
+            u2 = u * u
+            r = ck + u2
+            sa = np.sqrt((ra[k] + u2) * (r + ak))   # sqrt(r^2 - a^2)
+            sb = np.sqrt((rb[k] + u2) * (r + bk))   # sqrt(r^2 - b^2)
+            # arccos(a/r) - arcsin(b/r) from its sine and cosine times r^2,
+            # the sine with r^2 - rc^2 = u^2 (r + rc) factored out
+            angle = np.arctan2(r * r * u2 * (r + ck) / (sa * sb + ak * bk),
+                               ak * sb + bk * sa)
+            return 2.0 * u * r * g._eval(r) * angle
+
+        with np.errstate(invalid="ignore"):
+            brk = np.sqrt(self.radii[None, :] - rc[:, None])
+        val, _ = batched_quad(f, np.zeros(a.size),
+                              np.sqrt(np.maximum(self.R - rc, 0.0)),
+                              rel_tol=rel_tol, abs_tol=rel_tol * self.C / 16.0,
+                              breakpoints=brk)
+        return val
+
+
+class _WallTable(_WallIntegrals):
+    """_WallIntegrals with H tabulated on [0, min(R, side)], every wall
+    distance of the square, as piecewise Chebyshev series: pieces start
+    between the _table_radii and are bisected until each matches direct
+    integrals at its check points to _TABLE_BUDGET * C_R.  `error` is the
+    largest miss reached, as a share of C_R; NonConvergentError says when
+    the budget cannot be met.  The table depends on (g, side) alone.
+    """
+
+    def __init__(self, g, side):
+        super().__init__(g, side)
         top = min(self.R, side)
         budget = _TABLE_BUDGET * self.C
         edges = np.concatenate([[0.0], self.radii[self.radii < top], [top]])
@@ -230,24 +288,6 @@ class _WallTable:
         self._coef_t = np.concatenate(coefs)[order].T.copy()
         self._top = top
 
-    def _wall_direct(self, t, abs_tol):
-        """H at every distance of the array t, by one array batched_quad."""
-        g = self.g
-
-        def f(u, k):
-            tk = t[k]
-            r = tk + u * u
-            angle = np.arctan2(u * np.sqrt(r + tk), tk)     # arccos(t / r)
-            return 4.0 * u * r * g._eval(r) * angle
-
-        with np.errstate(invalid="ignore"):
-            brk = np.sqrt(self.radii[None, :] - t[:, None])
-        val, _ = batched_quad(f, np.zeros(t.size),
-                              np.sqrt(np.maximum(self.R - t, 0.0)),
-                              rel_tol=1e-13, abs_tol=abs_tol,
-                              breakpoints=brk)
-        return val
-
     def walls(self, t):
         """H at every distance of the array t, from the table (Clenshaw)."""
         if not self._lo.size:
@@ -261,36 +301,6 @@ class _WallTable:
             b1, b2 = 2.0 * x * b1 - b2 + c[i], b1
         val = x * b1 - b2 + self._coef_t[0][i]
         return np.where(t >= self.R, 0.0, val)
-
-    def corners(self, a, b, rel_tol):
-        """Q(a, b) for every pair of the arrays a, b, by one array
-        batched_quad, each to within max(rel_tol * Q, rel_tol * C_R / 16):
-        four corners stay within rel_tol * C_R / 4."""
-        g = self.g
-        rc = np.hypot(a, b)
-        # r - a and r - b at r = rc, free of cancellation
-        ra = b * b / np.maximum(rc + a, 1e-300)
-        rb = a * a / np.maximum(rc + b, 1e-300)
-
-        def f(u, k):
-            ak, bk, ck = a[k], b[k], rc[k]
-            u2 = u * u
-            r = ck + u2
-            sa = np.sqrt((ra[k] + u2) * (r + ak))   # sqrt(r^2 - a^2)
-            sb = np.sqrt((rb[k] + u2) * (r + bk))   # sqrt(r^2 - b^2)
-            # arccos(a/r) - arcsin(b/r) from its sine and cosine times r^2,
-            # the sine with r^2 - rc^2 = u^2 (r + rc) factored out
-            angle = np.arctan2(r * r * u2 * (r + ck) / (sa * sb + ak * bk),
-                               ak * sb + bk * sa)
-            return 2.0 * u * r * g._eval(r) * angle
-
-        with np.errstate(invalid="ignore"):
-            brk = np.sqrt(self.radii[None, :] - rc[:, None])
-        val, _ = batched_quad(f, np.zeros(a.size),
-                              np.sqrt(np.maximum(self.R - rc, 0.0)),
-                              rel_tol=rel_tol, abs_tol=rel_tol * self.C / 16.0,
-                              breakpoints=brk)
-        return val
 
     def exposure(self, d, rel_tol):
         """I / lambda at each column of d, the (4, m) wall distances
@@ -426,9 +436,23 @@ def _square_ew(d, g, rel_tol, table):
     return 8.0 * float(val[0])
 
 
-def _torus_ew(d, g, rel_tol, table):
-    i0 = _exposure(0.0, 0.0, d.core_side, d.density, g, rel_tol, table)
-    return d.lam * d.core_side ** 2 * math.exp(-i0)
+def _torus_ew(d, g, rel_tol, table=None):
+    """rho * exp(-I) at the square's centre.  Without a shared table, a
+    g other than a hard disk takes I / lambda = C_R - 4 H(h) + 4 Q(h, h),
+    h = side / 2, from direct integrals: a table would cost far more than
+    its four lookups save."""
+    side = d.core_side
+    if table is None and _disk_radius(g) is None:
+        pieces = _WallIntegrals(g, side)
+        h = np.full(1, 0.5 * side)
+        i0 = pieces.C - 4.0 * pieces._wall_direct(
+            h, 1e-3 * _TABLE_BUDGET * pieces.C)[0]
+        if np.hypot(h, h)[0] < pieces.R:
+            i0 += 4.0 * pieces.corners(h, h, rel_tol)[0]
+        i0 *= d.density
+    else:
+        i0 = _exposure(0.0, 0.0, side, d.density, g, rel_tol, table)
+    return d.lam * side ** 2 * math.exp(-i0)
 
 
 def expected_isolated_square(spec, rel_tol=1e-6):
@@ -447,7 +471,7 @@ def expected_isolated_torus(spec, rel_tol=1e-9):
     """
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _torus_ew(d, g, rel_tol, _exposure_table(g, d.core_side))
+    return _torus_ew(d, g, rel_tol)
 
 
 def expected_isolated_infinite(b):

@@ -3,9 +3,12 @@
 Edge decisions are pure functions of (trial seed, node pair, distance):
 a pair (i, j) is linked iff pair_uniform(seed, i, j) < g(d(i, j)).  Both
 build modes evaluate that same predicate, so their outputs are identical
-bit for bit.  Mode "exact" scans every pair in row tiles; mode "cells"
-takes the pairs within the cutoff from a k-d tree when g is zero beyond
-it, and runs the same scan otherwise.
+bit for bit.  Mode "exact" scans every pair in row tiles, the unpruned
+reference.  Mode "cells" (g non-increasing) takes the pairs within the
+cutoff from a k-d tree when g is zero beyond it.  Otherwise it runs the
+same scan pruned: a pair whose random bits already exceed an upper bound
+on g at its squared distance cannot link, so only the remaining
+candidates are decided by the predicate.
 
 scipy.spatial and scipy.sparse are imported inside the functions that use
 them: at module level they would add about 0.2 s to ``import rcm_lab`` for
@@ -18,7 +21,8 @@ import numpy as np
 
 from .connfn import ConnectionFunction, check_monotonicity, effective_cutoff
 from .geometry import Region, minimum_image
-from .pairrng import STREAM_COUPLING, STREAM_EDGE, pair_uniform
+from .pairrng import (STREAM_COUPLING, STREAM_EDGE, pair_bits, pair_uniform,
+                      row_key)
 
 # Pairs per row tile of the all-pairs scan.  A tile's temporaries take
 # about 64 bytes per pair, so 2^16-pair tiles peak near 4 MB traced.
@@ -87,30 +91,110 @@ def _distances(dx, dy, metric, side):
     return np.hypot(dx, dy)
 
 
-def _scan_pairs(pts, g, metric, seed):
+# Bins of squared distance in the bound table of the pruned scan.  The
+# table (one uint64 per bin) stays in the L1 cache, and bins this narrow
+# keep the candidates within 1.0-1.3 times the edges (under 0.5% of the
+# pairs) for theta_tail, omega_tail and lognormal at rho 2e3.
+_BINS = 1 << 12
+
+
+def _bound_table(g, metric, side):
+    """(bins per unit of d^2, thresholds) that screen pairs for a
+    non-increasing g.
+
+    Bin k covers d^2 in [k, k + 1) * step, uniform over [0, the largest d^2
+    of the metric].  Its threshold is ceil(bound * 2^53), with bound at
+    least g(d) for every d in the bin: g at the bin's inner radius, shrunk
+    by 1e-9 against the rounding of squared distances, plus 1e-9 relative
+    and 1e-12 absolute slack (check_monotonicity tolerates rises of 1e-12).
+    A pair whose 53 bits reach the threshold has u >= bound >= g(d), so it
+    cannot link.
+    """
+    step = (2.0 if metric == "euclidean" else 0.5) * side * side / _BINS
+    inner = np.sqrt(np.arange(_BINS) * step) * (1.0 - 1e-9)
+    bound = g._eval(inner) * (1.0 + 1e-9) + 1e-12
+    # NaN screens nothing; no threshold exceeds 2^53, the bits' range
+    bound = np.fmin(np.maximum(bound, 0.0), 1.0)
+    return 1.0 / step, np.ceil(bound * 2.0 ** 53).astype(np.uint64)
+
+
+def _scan_pairs(pts, g, metric, seed, prune=False):
     """Edges (i < j) over all pairs, in lexicographic order.
 
     Each tile is rows [r0, r0 + _TILE // n) against columns [r0, n), at
     most max(_TILE, n) pairs.  Coordinate differences come from contiguous
     slices, so no pair index is decoded and no coordinate gathered; the
     triangle j <= i at the start of each tile is computed and masked out.
+
+    With prune (g non-increasing), a tile first keeps its candidates: the
+    pairs whose pair_bits fall below the _bound_table threshold of their
+    squared distance, one mix per pair from per-row keys, in three buffers
+    reused by every tile.  Only the candidates of all tiles, together, get
+    a distance, a g value and a pair_uniform, so they are decided by the
+    same predicate as the unpruned scan.
     """
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
     side = pts.region.side
     idx = np.arange(n, dtype=np.int64)
     out_i, out_j = [idx[:0]], [idx[:0]]
-    rows = max(1, _TILE // max(n, 1))
+    rows = max(1, min(n, _TILE // max(n, 1)))
+    if prune:
+        per_d2, thresholds = _bound_table(g, metric, side)
+        keys = row_key(seed, idx, stream=STREAM_EDGE)[:, None]
+        cols = idx.astype(np.uint64)[None, :]
+        upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
+        bufs = [np.empty(rows * n), np.empty(rows * n),
+                np.empty(rows * n, dtype=np.intp)]
     for r0 in range(0, n - 1, rows):
         r1 = min(n - 1, r0 + rows)
-        i, j = idx[r0:r1, None], idx[None, r0:]
-        d = _distances(x[r0:r1, None] - x[None, r0:],
-                       y[r0:r1, None] - y[None, r0:], metric, side)
-        u = pair_uniform(seed, i, j, stream=STREAM_EDGE)
-        ti, tj = np.nonzero((j > i) & (u < g._eval(d)))
+        if not prune:
+            i, j = idx[r0:r1, None], idx[None, r0:]
+            d = _distances(x[r0:r1, None] - x[None, r0:],
+                           y[r0:r1, None] - y[None, r0:], metric, side)
+            u = pair_uniform(seed, i, j, stream=STREAM_EDGE)
+            ti, tj = np.nonzero((j > i) & (u < g._eval(d)))
+            out_i.append(ti + r0)
+            out_j.append(tj + r0)
+            continue
+        shape = (r1 - r0, n - r0)
+        # a holds d^2, then the bits; b dy^2, then the thresholds; k the
+        # bins, then the mixing scratch
+        a, b, k = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        d2 = _squared_gaps(x, r0, r1, metric, side, a)
+        d2 += _squared_gaps(y, r0, r1, metric, side, b)
+        d2 *= per_d2
+        np.copyto(k, d2, casting="unsafe")
+        thr = np.take(thresholds, k, mode="clip", out=b.view(np.uint64))
+        bits = pair_bits(keys[r0:r1], cols[:, r0:], out=a.view(np.uint64),
+                         tmp=k.view(np.uint64))
+        cand = bits < thr
+        cand[:, :shape[0]] &= upper[:shape[0], :shape[0]]
+        ti, tj = np.divmod(np.flatnonzero(cand), shape[1])
         out_i.append(ti + r0)
         out_j.append(tj + r0)
-    return np.column_stack([np.concatenate(out_i), np.concatenate(out_j)])
+    i, j = np.concatenate(out_i), np.concatenate(out_j)
+    if prune:
+        d = _distances(x[i] - x[j], y[i] - y[j], metric, side)
+        keep = pair_uniform(seed, i, j, stream=STREAM_EDGE) < g._eval(d)
+        i, j = i[keep], j[keep]
+    return np.column_stack([i, j])
+
+
+def _squared_gaps(c, r0, r1, metric, side, out):
+    """Squared differences of coordinate c, rows [r0, r1) against columns
+    [r0, n), written to out.  On the torus the gap is side/2 - ||dc| -
+    side/2|, the minimum image up to a few ulps of the side: far inside the
+    bound table's 1e-9 shrink at its first bin edge, side / 90."""
+    dc = np.subtract(c[r0:r1, None], c[None, r0:], out=out)
+    if metric == "toroidal":
+        h = 0.5 * side
+        np.abs(dc, out=dc)
+        dc -= h
+        np.abs(dc, out=dc)
+        np.subtract(h, dc, out=dc)
+    dc *= dc
+    return dc
 
 
 # Slack on the k-d tree query radius, per unit of side.  The tree's own
@@ -174,7 +258,7 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     if (side < 3.0 * r_cut or pts.n < 16 or (
             g.support_radius > r_cut
             and g._eval(np.asarray(r_cut, dtype=float)) > 0.0)):
-        return _scan_pairs(pts, g, metric, seed)
+        return _scan_pairs(pts, g, metric, seed, prune=True)
 
     ii, jj = _near_candidates(pos, side, r_cut, wrap)
     d = _distances(pos[ii, 0] - pos[jj, 0], pos[ii, 1] - pos[jj, 1],
@@ -193,7 +277,8 @@ def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
 
     mode "exact" scans all pairs in row tiles; mode "cells" takes the
     pairs within the effective cutoff from a k-d tree when g is zero
-    beyond it, and scans all pairs otherwise.  Both give the same edge
+    beyond it, and otherwise scans all pairs, deciding only those that
+    pass a bound-table screen (see _scan_pairs).  Both give the same edge
     set, sorted lexicographically, for the same seed.
     """
     if metric not in ("euclidean", "toroidal"):

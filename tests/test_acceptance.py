@@ -228,9 +228,9 @@ def test_criterion_10_shared_seed_model_equivalence():
 
 def test_criterion_11_exact_vs_cells():
     # theta tails keep 1e-9 of their mass out to an astronomically large
-    # radius, so the cell grid cannot beat one cell per side and the cell
-    # path must hand back the exact scan: the identity holds by
-    # construction here.  The non-degenerate cell grid is exercised with
+    # radius, so cells mode cannot use its k-d tree and scans all pairs,
+    # pruned by its bound table; exact mode's scan is unpruned, so the
+    # identity checks the pruning.  The k-d tree path is exercised with
     # compact and lognormal g in the simulation unit tests.
     spec = ModelSpec(model="torus", rho=500.0, b=0.0,
                      g=theta_tail(a=0.5)).with_constant()

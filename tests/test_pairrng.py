@@ -61,3 +61,62 @@ def test_independent_of_unrelated_index():
     a = pair_uniform(11, 2, 3)
     b = pair_uniform(11, np.array([2, 500]), np.array([3, 501]))[0]
     assert a == b
+
+
+def _splitmix(z):
+    with np.errstate(over="ignore"):
+        z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def _chained_uniform(seed, i, j, stream=STREAM_EDGE):
+    # the generator written out in one piece: splitmix64 over the key words
+    # seed ^ mix(stream), min(i, j) and max(i, j), chained
+    _mix = _splitmix
+    i = np.asarray(i, dtype=np.uint64)
+    j = np.asarray(j, dtype=np.uint64)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    s = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    t = np.uint64(int(stream) & 0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        h = _mix(np.broadcast_to(s ^ _mix(np.atleast_1d(t))[0],
+                                 lo.shape).copy())
+        h = _mix(h ^ lo)
+        h = _mix(h ^ hi)
+    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def test_row_key_and_pair_bits_compose_the_chained_hash():
+    from rcm_lab.pairrng import pair_bits, row_key
+
+    for seed, stream in ((0, STREAM_EDGE), (2 ** 63 + 5, STREAM_COUPLING),
+                         (-3, STREAM_EDGE)):
+        # scalars with i < j, i > j and i == j
+        for i, j in ((3, 8), (8, 3), (6, 6), (0, 2 ** 40)):
+            want = _chained_uniform(seed, i, j, stream)
+            got = pair_uniform(seed, i, j, stream=stream)
+            assert isinstance(got, float) and got == float(want)
+        # broadcast tiles covering all three orders
+        rows = np.arange(0, 40)[:, None]
+        cols = np.arange(10, 70)[None, :]
+        want = _chained_uniform(seed, rows, cols, stream)
+        assert np.array_equal(pair_uniform(seed, rows, cols, stream=stream),
+                              want)
+        # the bits themselves: one key per row, one mix per pair
+        keys = row_key(seed, rows, stream)
+        bits = pair_bits(keys, cols)
+        assert bits.dtype == np.uint64 and bits.max() < 2 ** 53
+        upper = cols >= rows
+        assert np.array_equal((bits * 2.0 ** -53)[upper],
+                              np.broadcast_to(want, bits.shape)[upper])
+        # the same bits through caller-owned buffers
+        out, tmp = np.empty((2,) + bits.shape, dtype=np.uint64)
+        assert pair_bits(keys, cols, out=out, tmp=tmp) is out
+        assert np.array_equal(out, bits)
+        assert pair_bits(row_key(seed, 4, stream), 9) == int(
+            _chained_uniform(seed, 4, 9, stream) * 2.0 ** 53)

@@ -12,8 +12,9 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_WallTable, _cross_mass_generic, _exposure,
-                                _frame, _region_integral)
+from rcm_lab.quadrature import (_WallIntegrals, _WallTable,
+                                _cross_mass_generic, _exposure, _frame,
+                                _region_integral, _torus_ew)
 from rcm_lab.simulate import census
 
 from _oracles import (disk_square_overlap, polar_exposure,
@@ -253,6 +254,32 @@ def test_torus_closed_form_disk():
     for rho, b in ((100.0, 0.0), (1000.0, 1.0), (1e6, 0.0)):
         got = expected_isolated_torus(_disk_spec("torus", rho, b))
         assert got == pytest.approx(math.exp(-b), rel=1e-11)
+
+
+@pytest.mark.parametrize("g, rho", [
+    pytest.param(theta_tail(0.5), 2e3, id="theta_tail"),
+    pytest.param(theta_tail(0.5), 1e8, id="theta_tail_1e8"),
+    pytest.param(omega_tail(1.5), 1e4, id="omega_tail"),
+    pytest.param(lognormal(sigma=1.5, eta=1.0), 1e2, id="lognormal_wide"),
+])
+def test_torus_ew_fits_no_wall_table(g, rho, monkeypatch):
+    # alone, the torus E(W) takes its four H and Q values from direct
+    # integrals; with a table (as isolation_report shares one) it reads
+    # them from the table, and the two agree
+    import rcm_lab.quadrature as quadrature
+
+    spec = ModelSpec(model="torus", rho=rho, b=0.0, g=g)
+    _, d, gf = _frame(spec)
+    with_table = _torus_ew(d, gf, 1e-9, _WallTable(gf, d.core_side))
+
+    def no_table(*args):
+        raise AssertionError("the torus E(W) fitted a wall table")
+
+    monkeypatch.setattr(quadrature, "_WallTable", no_table)
+    alone = expected_isolated_torus(spec)
+    assert alone == pytest.approx(with_table, rel=1e-12, abs=0.0)
+    # g reaches the walls from the centre, so H(side / 2) is not zero
+    assert _WallIntegrals(gf, d.core_side).R > 0.5 * d.core_side
 
 
 def test_square_ew_against_riemann_oracle():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import lognormal, theta_tail, unit_disk
+from rcm_lab.connfn import (check_monotonicity, from_callable, lognormal,
+                            omega_tail, tabulated, theta_tail, unit_disk)
 from rcm_lab.geometry import Region, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
-from rcm_lab.simulate import (_TILE, MetricMismatchError, PointSet,
-                              _scan_pairs, boundary_coupling, build_graph,
+from rcm_lab.simulate import (_BINS, _TILE, MetricMismatchError, PointSet,
+                              _bound_table, _distances, _scan_pairs,
+                              _squared_gaps, boundary_coupling, build_graph,
                               census, isolated_count, sample_poisson,
                               window_truncation_census)
 
@@ -145,6 +147,89 @@ def test_tile_scan_matches_bruteforce(kind, mode):
     d = pts.region.distance(pts.positions[want[:, 0]],
                             pts.positions[want[:, 1]])
     assert (d > 2.0).sum() > 20
+    if mode == "cells":
+        # infinite cutoffs: the pruned scan against the pair-by-pair loop
+        for g in (theta_tail(0.5), omega_tail(1.5)):
+            graph = build_graph(pts, g, metric=metric, mode="cells")
+            assert np.array_equal(graph.edges, _bruteforce_edges(pts, g))
+
+
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_pruned_scan_at_bin_edges(kind):
+    # integer points on a side-32 square, whose bins are 1/2 (square) or
+    # 1/8 (torus) of a unit of d^2 wide: every squared distance is an
+    # integer, so it lies exactly on the inner edge of its bin, and so do
+    # the jumps of theta_tail at x0 = 3 and x0 = 2
+    side = 32
+    metric = "toroidal" if kind == "torus" else "euclidean"
+    per_d2, _ = _bound_table(theta_tail(0.5), metric, float(side))
+    assert per_d2 == (2.0 if kind == "square" else 8.0)
+    cells = np.random.default_rng(17).choice(side * side, 300, replace=False)
+    pos = np.column_stack(np.divmod(cells, side)) - 0.5 * side
+    pts = PointSet(positions=pos.astype(float),
+                   region=Region(kind, float(side)), density=1.0, seed=29)
+    d = pts.region.distance(pos[:, None, :], pos[None, :, :])
+    assert (d == 3.0).sum() > 100 and (d == 2.0).sum() > 100
+    for g in (theta_tail(0.5), theta_tail(0.2, x0=2.0, g0=0.7),
+              tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
+                        tail_rule=("power_log", 0.1, 2.0))):
+        graph = build_graph(pts, g, metric=metric, mode="cells")
+        assert np.array_equal(graph.edges, _bruteforce_edges(pts, g))
+
+
+_MONOTONE = [
+    pytest.param(unit_disk(1.0), id="unit_disk"),
+    pytest.param(lognormal(sigma=0.25, eta=4.0), id="lognormal"),
+    pytest.param(lognormal(sigma=1.5, eta=1.0), id="lognormal_wide"),
+    pytest.param(theta_tail(0.5), id="theta_tail"),
+    pytest.param(omega_tail(1.5), id="omega_tail"),
+    pytest.param(tabulated([0.5, 1.0, 2.0], [0.8, 0.5, 0.1]),
+                 id="tabulated_zero"),
+    pytest.param(tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
+                           tail_rule=("power_log", 0.1, 2.0)),
+                 id="tabulated_power_log"),
+    pytest.param(theta_tail(0.5).scaled(0.37), id="theta_frame_scaled"),
+    # once exp(-x) has decayed, g rises by up to 2e-13 here and there:
+    # check_monotonicity allows that (up to 1e-12), so the table's absolute
+    # slack must cover it
+    pytest.param(from_callable(lambda x: np.exp(-x)
+                               + 1e-13 * (1.0 + np.sin(40.0 * x))),
+                 id="rises_within_tolerance"),
+]
+
+
+@pytest.mark.parametrize("g", _MONOTONE)
+@pytest.mark.parametrize("metric, side", [("euclidean", 9.0),
+                                          ("toroidal", 40.0)])
+def test_bound_table_bounds_g_in_every_bin(g, metric, side):
+    # no pair the table screens out may link: thresholds * 2^-53 >= g(d)
+    # at the inner edge of every bin and at random d^2 inside it (or 1,
+    # which passes every pair: uniforms lie below 1)
+    assert check_monotonicity(g)
+    per_d2, thresholds = _bound_table(g, metric, side)
+    assert thresholds.shape == (_BINS,) and thresholds.dtype == np.uint64
+    assert thresholds.max() <= 2 ** 53
+    rng = np.random.default_rng(3)
+    k = np.repeat(np.arange(_BINS), 9)
+    offset = rng.random(k.size)
+    offset[::9] = 0.0
+    d = np.sqrt((k + offset) / per_d2)
+    assert np.all(thresholds[k] * 2.0 ** -53 >= np.fmin(g._eval(d), 1.0))
+    # the same for the pairs of a point set, binned as the scan bins them
+    pts = _uniform_point_set(300, side, "torus" if metric == "toroidal"
+                             else "square", seed=8)
+    x, y = pts.positions[:, 0], pts.positions[:, 1]
+    n = pts.n
+    d2 = (_squared_gaps(x, 0, n, metric, side, np.empty((n, n)))
+          + _squared_gaps(y, 0, n, metric, side, np.empty((n, n))))
+    bins = np.minimum((d2 * per_d2).astype(np.intp), _BINS - 1)
+    d = _distances(x[:, None] - x[None, :], y[:, None] - y[None, :], metric,
+                   side)
+    assert np.all(thresholds[bins] * 2.0 ** -53
+                  >= np.fmin(g._eval(d), 1.0))
+    # and the screen prunes: beyond g's head, few pairs stay candidates
+    assert thresholds[-1] * 2.0 ** -53 <= 1.001 * g._eval(
+        np.sqrt((_BINS - 1) / per_d2)) + 2e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -167,20 +252,21 @@ def test_tiny_point_sets(n):
 
 def test_exact_scan_memory_stays_bounded():
     # the theta-tail torus of the benchmark at rho 2e3: about 2000 nodes
-    # and 2e6 pairs, scanned in small row tiles
+    # and 2e6 pairs, scanned in small row tiles, pruned in cells mode
     import tracemalloc
 
     d = derive(ModelSpec(model="torus", rho=2e3, b=0.0, g=theta_tail(0.5)))
     pts = sample_poisson(Region("torus", d.side), d.density, 23,
                          expected_count=d.expected_nodes)
     assert 1800 < pts.n < 2200
-    tracemalloc.start()
-    try:
-        build_graph(pts, theta_tail(0.5), metric="toroidal", mode="exact")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    for mode in ("exact", "cells"):
+        tracemalloc.start()
+        try:
+            build_graph(pts, theta_tail(0.5), metric="toroidal", mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, mode
 
 
 def test_census_against_bfs():
