@@ -16,6 +16,9 @@ Built-in families:
 
 Custom functions come from tabulated (x, g) samples with an explicit tail
 rule, or from a user callable.
+
+scipy.special is imported only where lognormal is evaluated: at module
+level it would make up more than half of ``import rcm_lab``.
 """
 
 import csv
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from ._quadcore import adaptive_quad, doubling_tail_quad
 
@@ -68,6 +70,8 @@ class ConnectionFunction:
         if k == "unit_disk":
             return np.where(x <= p["r0"], 1.0, 0.0)
         if k == "lognormal":
+            from scipy.special import erfc
+
             kslope = 10.0 * p["eta"] / (p["sigma"] * math.sqrt(2.0))
             with np.errstate(divide="ignore"):
                 t = np.log10(np.where(x > 0.0, x, np.nan) / p["r0"])

@@ -2,12 +2,14 @@
 
 Coordinates live in axis-aligned squares centered at the origin.  Torus
 regions identify opposite sides; all points are expected to lie in the
-fundamental domain [-side/2, side/2]^2.
+fundamental domain [-side/2, side/2]^2.  Every pair distance comes from
+gap_distance over coordinate gaps.
 
 Every area here is closed form: the free lens, one disk and the square
-(four quadrant pieces), and two equal disks and the square, whose
-slice width is integrated exactly piece by piece between the heights where
-an arc or a wall takes over as its left or right end.
+(four quadrant pieces, from the centre's wall distances), and two equal
+disks and the square, whose slice width is integrated exactly piece by
+piece between the heights where an arc or a wall takes over as its left or
+right end.
 """
 
 import math
@@ -44,25 +46,26 @@ class Region:
         return euclidean_distance(p, q)
 
 
+def gap_distance(dx, dy, side=None):
+    """Distance from coordinate gaps dx, dy.  With a side (the torus) each
+    gap is first shifted by the multiple of side that brings it into
+    [-side/2, side/2], its minimum image."""
+    if side is not None:
+        dx = dx - side * np.round(dx / side)
+        dy = dy - side * np.round(dy / side)
+    return np.hypot(dx, dy)
+
+
 def euclidean_distance(p, q):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = p - q
-    return np.hypot(d[..., 0], d[..., 1])
-
-
-def minimum_image(d, side):
-    """Coordinate difference d shifted by the multiple of side that brings
-    it into [-side/2, side/2]: its shortest representative on the torus."""
-    return d - side * np.round(d / side)
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    return gap_distance(d[..., 0], d[..., 1])
 
 
 def toroidal_distance(p, q, side):
     """Shortest distance on the side-length torus; exact for points
     confined to the fundamental domain."""
-    d = minimum_image(np.asarray(p, dtype=float) - np.asarray(q, dtype=float),
-                      side)
-    return np.hypot(d[..., 0], d[..., 1])
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    return gap_distance(d[..., 0], d[..., 1], side)
 
 
 def lens_difference_area(z, r):
@@ -103,8 +106,9 @@ def _arc_antiderivative(t, r):
     return 0.5 * (r * r * np.arctan2(t, q) + t * q)
 
 
-def _disk_overlap_batch(pts, r, h):
-    """Area of [-h, h]^2 and disk(p, r) for every row p of pts (inside A).
+def _disk_overlap_batch(d, r):
+    """Area of a square and disk(p, r) for every column of d: the
+    distances from p to the walls (right, left, top, bottom).
 
     Sum of the four quadrants around p, each |[0, a] x [0, b] & D(0, r)|
     for wall distances a, b clipped to [0, r]: the rectangle b * u0 up to
@@ -112,11 +116,9 @@ def _disk_overlap_batch(pts, r, h):
     the arc beyond it.  Every piece is nonnegative, so a disk that covers
     the square gives its area without cancellation.
     """
-    pts = np.asarray(pts, dtype=float)
-    x, y = pts[..., 0], pts[..., 1]
+    d = np.asarray(d, dtype=float)
     area = 0.0
-    for a, b in ((h - x, h - y), (h + x, h - y), (h + x, h + y),
-                 (h - x, h + y)):
+    for a, b in ((d[0], d[2]), (d[1], d[2]), (d[1], d[3]), (d[0], d[3])):
         a, b = np.clip(a, 0.0, r), np.clip(b, 0.0, r)
         u0 = np.minimum(a, np.sqrt(r * r - b * b))
         area = area + (u0 * b + _arc_antiderivative(a, r)

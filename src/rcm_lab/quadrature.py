@@ -4,15 +4,17 @@ The central object is the exposure I(y) = lambda * integral_A g(|x - y|) dx:
 the expected number of neighbours a node at y would see.  Expectations of
 isolated-node counts are integrals of lambda * exp(-I(y)).
 
-A hard disk needs no quadrature at all: I(y) is lambda times the area of
-disk and square, and the xi_2 cross mass of a pair is the area of both
-disks and the square, both closed forms from geometry.  For any other g,
-truncate g at a radius R that no point of the square can tell apart from
-infinity (g's tail mass beyond R is below 1e-16 of C, or R = side * sqrt(2),
-the square's diagonal).  Inclusion-exclusion over the four wall half-planes
-and the four corner quadrants (opposite half-planes never meet, no three
-meet) then gives the face/edge/corner split of Coon, Dettmann and Georgiou
-(2012) for the exposure itself:
+Every exposure is a function of y's distances to the four walls of the
+square, and _exposure_model builds one model of it per (g, square), each
+taking a (4, m) array of wall distances.  A hard disk needs no quadrature
+at all: I(y) is lambda times the area of disk and square, and the xi_2
+cross mass of a pair is the area of both disks and the square, closed
+forms from geometry.  For any other g, truncate g at a radius R that no
+point of the square can tell apart from infinity (g's tail mass beyond R
+is below 1e-16 of C, or R = side * sqrt(2), the square's diagonal).
+Inclusion-exclusion over the four wall half-planes and the four corner
+quadrants (opposite half-planes never meet, no three meet) then gives the
+face/edge/corner split of Coon, Dettmann and Georgiou (2012):
 
     I(y) / lambda = C_R - sum_walls H(d_w) + sum_corners Q(d_a, d_b),
 
@@ -23,20 +25,21 @@ with d_w the distance from y to wall w and
     Q(a, b) = int_{sqrt(a^2+b^2)}^R r g(r) (arccos(a/r) - arcsin(b/r)) dr
                                                         (beyond two walls).
 
-H depends on g and R alone, so each solve tabulates it once (_WallTable:
+H depends on g and R alone, so a solve tabulates it once (_WallTable:
 piecewise Chebyshev series, Trefethen 2013) and every exposure reads four
-values from it; Q is integrated only for the corners within R of a point,
-by one array batched_quad call per block of corners.  A torus E(W) on its
-own needs one point, the centre, so it integrates H and Q there directly
-(_WallIntegrals) and fits no table.  Integrals of exp(-I)
-over regions {x0 <= x <= x1, ylo(x) <= y <= yhi(x)} are one two-level array
-quadrature (_quadcore.nested_quad), split where a structural radius of g,
-or its cutoff at tail mass 1e-12, reaches a wall: the inner y-integrals of
-all outer nodes go to array calls together.  For any other g the xi_2 cross
-masses of all sampled pairs are one such call too, split where each pair's
-structural circles cross.  EW is eight copies of the triangle
-{0 <= y <= x <= side/2}, and the central/side/corner split is one call over
-a triangle, a strip and a square.
+values from it; Q is integrated only for the corners within R of a point.
+A torus E(W) on its own needs one point, the centre, so it integrates H
+and Q there directly (_WallIntegrals) and fits no table.
+
+E(W) and its central/side/corner split integrate exp(-I) in wall
+coordinates u = h - x, v = h - y over regions of the triangle
+{0 <= u <= v <= h}, eight copies of which make the square: one two-level
+array quadrature (_quadcore.nested_quad), split where a structural radius
+of g, or its cutoff at tail mass 1e-12, reaches a wall.  A near wall's
+distance is then a quadrature node itself, exact on squares of any size.
+xi_2 samples centred pairs, and their exposures take the wall distances
+h -+ x, h -+ y; for a g other than a disk its cross masses are one more
+nested quadrature, split where each pair's structural circles cross.
 """
 
 import math
@@ -175,8 +178,8 @@ _EXPOSURE_BLOCK = 2048
 
 
 class _WallIntegrals:
-    """The pieces of I(y) / lambda = C_R - sum_walls H(d_w) + sum_corners
-    Q(d_a, d_b) for one g (not a hard disk) on one square, by direct
+    """The exposure model I / lambda = C_R - sum_walls H(d_w) + sum_corners
+    Q(d_a, d_b) of one g (not a hard disk) on one square, by direct
     integrals: R from _cut_radius, the _table_radii that split every
     integral, the plane mass C_R, and H and Q at given distances.
 
@@ -185,7 +188,7 @@ class _WallIntegrals:
     """
 
     def __init__(self, g, side):
-        self.g = g
+        self.g, self.side = g, side
         self.R, levels = _cut_radius(g, side)
         self.radii = _table_radii(g, self.R, levels)
         self.C = 2.0 * float(self._wall_direct(np.zeros(1), 0.0)[0])
@@ -207,6 +210,11 @@ class _WallIntegrals:
                               rel_tol=1e-13, abs_tol=abs_tol,
                               breakpoints=brk)
         return val
+
+    def walls(self, t):
+        """H at every distance of the array t, by direct integrals."""
+        return self._wall_direct(t.ravel(), 1e-3 * _TABLE_BUDGET
+                                 * self.C).reshape(t.shape)
 
     def corners(self, a, b, rel_tol):
         """Q(a, b) for every pair of the arrays a, b, by one array
@@ -237,6 +245,28 @@ class _WallIntegrals:
                               rel_tol=rel_tol, abs_tol=rel_tol * self.C / 16.0,
                               breakpoints=brk)
         return val
+
+    def exposure(self, d, rel_tol):
+        """I / lambda at each column of d, the (4, m) wall distances
+        (right, left, top, bottom); corners to within rel_tol * C_R / 16."""
+        m = d.shape[1]
+        val = np.full(m, self.C)
+        for lo in range(0, m, _EXPOSURE_BLOCK):
+            val[lo:lo + _EXPOSURE_BLOCK] -= self.walls(
+                d[:, lo:lo + _EXPOSURE_BLOCK]).sum(axis=0)
+        # corners (right, top), (top, left), (left, bottom), (bottom, right)
+        a, b = np.maximum(d[[0, 2, 1, 3]], 0.0), np.maximum(d[[2, 1, 3, 0]], 0.0)
+        near = np.hypot(a, b) < self.R
+        a, b = a[near], b[near]
+        q = np.empty(a.size)
+        for lo in range(0, a.size, _EXPOSURE_BLOCK):
+            q[lo:lo + _EXPOSURE_BLOCK] = self.corners(
+                a[lo:lo + _EXPOSURE_BLOCK], b[lo:lo + _EXPOSURE_BLOCK], rel_tol)
+        return val + np.bincount(np.nonzero(near)[1], q, minlength=m)
+
+    def cross(self, x1, x2, reach):
+        """xi_2 cross masses of the centred row pairs x1, x2."""
+        return _cross_mass_generic(x1, x2, self.g, 0.5 * self.side, reach)
 
 
 class _WallTable(_WallIntegrals):
@@ -302,60 +332,57 @@ class _WallTable(_WallIntegrals):
         val = x * b1 - b2 + self._coef_t[0][i]
         return np.where(t >= self.R, 0.0, val)
 
+
+class _DiskExposure:
+    """The exposure model of a hard disk of radius r on one square:
+    |disk(y, r) & A| and the xi_2 cross masses, closed forms from
+    geometry."""
+
+    error = 0.0     # no table
+
+    def __init__(self, g, side, r):
+        self.g, self.side, self.r = g, side, r
+
     def exposure(self, d, rel_tol):
-        """I / lambda at each column of d, the (4, m) wall distances
-        (right, left, top, bottom)."""
-        m = d.shape[1]
-        val = np.full(m, self.C)
-        for lo in range(0, m, _EXPOSURE_BLOCK):
-            val[lo:lo + _EXPOSURE_BLOCK] -= self.walls(
-                d[:, lo:lo + _EXPOSURE_BLOCK]).sum(axis=0)
-        # corners (right, top), (top, left), (left, bottom), (bottom, right)
-        a, b = np.maximum(d[[0, 2, 1, 3]], 0.0), np.maximum(d[[2, 1, 3, 0]], 0.0)
-        near = np.hypot(a, b) < self.R
-        a, b = a[near], b[near]
-        q = np.empty(a.size)
-        for lo in range(0, a.size, _EXPOSURE_BLOCK):
-            q[lo:lo + _EXPOSURE_BLOCK] = self.corners(
-                a[lo:lo + _EXPOSURE_BLOCK], b[lo:lo + _EXPOSURE_BLOCK], rel_tol)
-        return val + np.bincount(np.nonzero(near)[1], q, minlength=m)
+        """I / lambda at each column of d, the (4, m) wall distances."""
+        val = np.empty(d.shape[1])
+        for lo in range(0, val.size, _EXPOSURE_BLOCK):
+            val[lo:lo + _EXPOSURE_BLOCK] = _disk_overlap_batch(
+                d[:, lo:lo + _EXPOSURE_BLOCK], self.r)
+        return val
+
+    def cross(self, x1, x2, reach):
+        return _disk_cross_batch(x1, x2, self.r, 0.5 * self.side)
 
 
-def _exposure_table(g, side):
-    """The _WallTable of g on a square of this side; None for a hard disk,
-    whose exposures are closed forms."""
-    return None if _disk_radius(g) is not None else _WallTable(g, side)
+def _exposure_model(g, side, direct=False):
+    """The one exposure model of g on a square of this side.
 
-
-def _exposure(ax, ay, side, lam, g, rel_tol=1e-8, table=None):
-    """lambda * integral over the side-length square of g(|x - y|) dx.
-
-    Evaluated at every point of the broadcast coordinate arrays ax, ay; a
-    float for scalar coordinates.  A hard disk has the closed form
-    lambda * |disk(y, r) & A|.  Any other g reads C_R - sum H(d_w) from the
-    wall table (built here unless given) and adds Q(d_a, d_b) for every
-    corner within R of the point, each to within rel_tol * C_R / 16.
+    A hard disk (possibly rescaled) gets its closed form.  Any other g gets
+    the wall table, or with direct the plain H and Q integrals: a solve
+    that reads one point (a torus E(W) on its own) would spend far more on
+    a table than its lookups save.
     """
+    r = _disk_radius(g)
+    if r is not None:
+        return _DiskExposure(g, side, r)
+    return _WallIntegrals(g, side) if direct else _WallTable(g, side)
+
+
+def _exposure(model, ax, ay, lam, rel_tol=1e-8):
+    """lambda * integral over the model's square of g(|x - y|) dx at every
+    point of the broadcast centred coordinate arrays ax, ay, from its wall
+    distances; a float for scalar coordinates."""
     ax, ay = np.broadcast_arrays(np.asarray(ax, dtype=float),
                                  np.asarray(ay, dtype=float))
     shape = ax.shape
     ax, ay = ax.ravel(), ay.ravel()
+    side = model.side
     h = 0.5 * side
     if (np.any(np.abs(ax) - h > 1e-12 * side)
             or np.any(np.abs(ay) - h > 1e-12 * side)):
         raise ValueError("exposure point lies outside the square")
-    disk_r = _disk_radius(g)
-    if disk_r is not None:
-        val = np.empty(ax.size)
-        for lo in range(0, ax.size, _EXPOSURE_BLOCK):
-            blk = slice(lo, lo + _EXPOSURE_BLOCK)
-            val[blk] = _disk_overlap_batch(np.stack([ax[blk], ay[blk]], axis=1),
-                                           disk_r, h)
-    else:
-        table = table if table is not None else _WallTable(g, side)
-        # wall distances (right, left, top, bottom), one column per point
-        val = table.exposure(np.stack([h - ax, h + ax, h - ay, h + ay]),
-                             rel_tol)
+    val = model.exposure(np.stack([h - ax, h + ax, h - ay, h + ay]), rel_tol)
     out = lam * val.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -364,63 +391,42 @@ def inner_exposure(y, spec, rel_tol=1e-8):
     """Exposure I(y) for a point of the model's square (core for window)."""
     spec, d, g = _frame(spec)
     y = np.asarray(y, dtype=float)
-    return _exposure(float(y[0]), float(y[1]), d.core_side, d.density, g,
-                     rel_tol=rel_tol)
+    return _exposure(_exposure_model(g, d.core_side), float(y[0]),
+                     float(y[1]), d.density, rel_tol)
 
 
-def _region_integral(lam, side, g, x0, x1, ylo, yhi, rel_tol, inner_tol,
-                     table=None):
+def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
     """lambda * integral of exp(-I) over each region k of
-    {x0_k <= x <= x1_k, ylo(x, k) <= y <= yhi(x, k)}; a length-n array.
+    {u0_k <= u <= u1_k, vlo(u, k) <= v <= vhi(u, k)}; a length-n array.
 
-    One nested_quad for all n regions; both levels split where a
-    structural radius of g reaches a wall, at +-(h - rad).  The radii
-    include g's cutoff at tail mass 1e-12: farther than that from every
-    wall, exp(-I) is constant to 1e-12 of g's mass.  Exposures read the
-    wall table from _exposure_table (None for a hard disk).
+    u and v are the distances to the right and top walls, so the point's
+    wall distances are (u, side - u, v, side - v) and the near walls carry
+    no rounding of the side.  One nested_quad for all n regions; both
+    levels split where a structural radius of g reaches a wall, at rad and
+    side - rad.  The radii include g's cutoff at tail mass 1e-12: farther
+    than that from every wall, exp(-I) is constant to 1e-12 of g's mass.
     """
-    h = 0.5 * side
+    g, side = model.g, model.side
     upto = side * math.sqrt(2.0)
     radii = set(_structural_radii(g, upto))
     cut = effective_cutoff(g, 1e-12)
     if cut < upto:
         radii.add(cut)
-    kinks = []
-    for rad in sorted(radii):
-        kinks.extend((h - rad, rad - h))
+    kinks = [k for rad in sorted(radii) for k in (rad, side - rad)]
 
-    def inner(xs, k):
-        return ylo(xs, k), yhi(xs, k), kinks
+    def inner(us, k):
+        return vlo(us, k), vhi(us, k), kinks
 
-    def f(ys, xs, k):
-        return np.exp(-_exposure(xs, ys, side, lam, g, inner_tol, table))
+    def f(vs, us, k):
+        us = np.broadcast_to(us, vs.shape)
+        d = np.stack([us, side - us, vs, side - vs]).reshape(4, -1)
+        return np.exp(-lam * model.exposure(d, inner_tol)).reshape(vs.shape)
 
-    n = np.broadcast(x0, x1).size
-    val, _ = nested_quad(f, x0, x1, inner, rel_tol=rel_tol / 2.0,
+    n = np.broadcast(u0, u1).size
+    val, _ = nested_quad(f, u0, u1, inner, rel_tol=rel_tol / 2.0,
                          breakpoints=np.broadcast_to(kinks, (n, len(kinks))),
                          inner_rel_tol=rel_tol / 4.0, limit=400)
     return lam * val
-
-
-def _decomposed_pieces(lam, side, g, margin, rel_tol, inner_tol, table):
-    """(central, side, corner) contributions with the given split margin.
-
-    One _region_integral over three regions of the fundamental triangle:
-    the central triangle (8 copies), a side strip (8) and a corner square
-    (4), split at h - margin.
-    """
-    h = 0.5 * side
-    hp = h - margin
-
-    def ylo(x, k):
-        return np.where(k == 2, hp, 0.0)
-
-    def yhi(x, k):
-        return np.where(k == 0, x, np.where(k == 1, hp, h))
-
-    val = _region_integral(lam, side, g, [0.0, hp, hp], [hp, h, h], ylo, yhi,
-                           rel_tol, inner_tol, table)
-    return tuple((np.array([8.0, 8.0, 4.0]) * val).tolist())
 
 
 def _inner_tol(rel_tol):
@@ -428,31 +434,17 @@ def _inner_tol(rel_tol):
     return min(1e-8, rel_tol * 1e-2)
 
 
-def _square_ew(d, g, rel_tol, table):
-    side = d.core_side
-    val = _region_integral(d.density, side, g, 0.0, 0.5 * side,
-                           lambda x, k: 0.0, lambda x, k: x, rel_tol,
-                           _inner_tol(rel_tol), table)
+def _square_ew(d, model, rel_tol):
+    h = 0.5 * model.side
+    val = _region_integral(d.density, model, 0.0, h, lambda u, k: u,
+                           lambda u, k: h, rel_tol, _inner_tol(rel_tol))
     return 8.0 * float(val[0])
 
 
-def _torus_ew(d, g, rel_tol, table=None):
-    """rho * exp(-I) at the square's centre.  Without a shared table, a
-    g other than a hard disk takes I / lambda = C_R - 4 H(h) + 4 Q(h, h),
-    h = side / 2, from direct integrals: a table would cost far more than
-    its four lookups save."""
-    side = d.core_side
-    if table is None and _disk_radius(g) is None:
-        pieces = _WallIntegrals(g, side)
-        h = np.full(1, 0.5 * side)
-        i0 = pieces.C - 4.0 * pieces._wall_direct(
-            h, 1e-3 * _TABLE_BUDGET * pieces.C)[0]
-        if np.hypot(h, h)[0] < pieces.R:
-            i0 += 4.0 * pieces.corners(h, h, rel_tol)[0]
-        i0 *= d.density
-    else:
-        i0 = _exposure(0.0, 0.0, side, d.density, g, rel_tol, table)
-    return d.lam * side ** 2 * math.exp(-i0)
+def _torus_ew(d, model, rel_tol):
+    """rho * exp(-I) at the square's centre."""
+    i0 = _exposure(model, 0.0, 0.0, d.density, rel_tol)
+    return d.lam * model.side ** 2 * math.exp(-i0)
 
 
 def expected_isolated_square(spec, rel_tol=1e-6):
@@ -460,7 +452,7 @@ def expected_isolated_square(spec, rel_tol=1e-6):
     eight copies of the fundamental triangle {0 <= y <= x <= side/2}."""
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _square_ew(d, g, rel_tol, _exposure_table(g, d.core_side))
+    return _square_ew(d, _exposure_model(g, d.core_side), rel_tol)
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
@@ -471,7 +463,8 @@ def expected_isolated_torus(spec, rel_tol=1e-9):
     """
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _torus_ew(d, g, rel_tol)
+    return _torus_ew(d, _exposure_model(g, d.core_side, direct=True),
+                     rel_tol)
 
 
 def expected_isolated_infinite(b):
@@ -515,13 +508,20 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
                          "increase rho or decrease eps")
 
     inner_tol = _inner_tol(rel_tol)
-    table = _exposure_table(g, side)
-    ew = _square_ew(d, g, rel_tol, table)
-    ew_t = _torus_ew(d, g, min(rel_tol, 1e-9), table)
+    model = _exposure_model(g, side)
+    ew = _square_ew(d, model, rel_tol)
+    ew_t = _torus_ew(d, model, min(rel_tol, 1e-9))
     ew_inf = expected_isolated_infinite(spec.b)
 
-    central, side_term, corner = _decomposed_pieces(
-        lam, side, g, margin, rel_tol, inner_tol, table)
+    # one _region_integral over three regions of the fundamental triangle
+    # {0 <= u <= v <= h}, split at wall distance margin: the central
+    # triangle (8 copies), a side strip (8) and a corner square (4)
+    h = 0.5 * side
+    val = _region_integral(
+        lam, model, [margin, 0.0, 0.0], [h, margin, margin],
+        lambda u, k: np.where(k == 0, u, np.where(k == 1, margin, 0.0)),
+        lambda u, k: np.where(k == 2, margin, h), rel_tol, inner_tol)
+    central, side_term, corner = (np.array([8.0, 8.0, 4.0]) * val).tolist()
 
     total = central + side_term + corner
     resid = abs(total - ew) / max(abs(ew), 1e-300)
@@ -531,8 +531,7 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
         margin=margin, eps=eps,
         tolerances={"rel_tol": rel_tol, "inner_tol": inner_tol,
                     "decomposition_residual": resid,
-                    "exposure_table_error":
-                        0.0 if table is None else table.error})
+                    "exposure_table_error": model.error})
 
 
 def _disk_radius(g):
@@ -596,7 +595,7 @@ def _cross_mass_generic(x1, x2, g, h, reach):
 _ENVELOPE_CELLS = 16
 
 
-def _envelope_draw(rng, n, side, lam, g, band, table):
+def _envelope_draw(rng, n, model, lam, band):
     """n points of the square drawn with density proportional to a
     piecewise-constant envelope of exp(-I), and 1 / density at each.
 
@@ -608,12 +607,12 @@ def _envelope_draw(rng, n, side, lam, g, band, table):
     value bounds exp(-I) on the cell; for any other g the estimator that
     divides by the density stays unbiased, only its weights are unbounded.
     """
-    h = 0.5 * side
+    h = 0.5 * model.side
     edges = np.concatenate([[0.0],
                             np.linspace(h - band, h, _ENVELOPE_CELLS + 1)])
     width = np.diff(edges)
     cx, cy = np.meshgrid(edges[1:], edges[1:], indexing="ij")
-    value = np.exp(-_exposure(cx, cy, side, lam, g, 1e-8, table)).ravel()
+    value = np.exp(-_exposure(model, cx, cy, lam, 1e-8)).ravel()
     cell_mass = np.outer(width, width).ravel() * value
     env_mass = float(cell_mass.sum())
     cell = rng.choice(value.size, size=n, p=cell_mass / env_mass)
@@ -654,7 +653,6 @@ def expected_components_order2(spec, samples=20000, seed=0,
     rng = np.random.default_rng(int(seed))
 
     r_t = min(g.support_radius, side * math.sqrt(2.0))
-    disk_r = _disk_radius(g)
     reach = g.support_radius
     if not math.isfinite(reach):
         cut = effective_cutoff(g, 1e-12)
@@ -669,12 +667,11 @@ def expected_components_order2(spec, samples=20000, seed=0,
     if total_mass <= 0.0:
         return 0.0, 0.0
     cdf = np.cumsum(mass) / total_mass
-    table = _exposure_table(g, side)
+    model = _exposure_model(g, side)
 
     n = int(samples)
     if mode == "importance":
-        x1, inv_density = _envelope_draw(rng, n, side, lam, g,
-                                         min(reach, h), table)
+        x1, inv_density = _envelope_draw(rng, n, model, lam, min(reach, h))
         x2 = np.empty_like(x1)
         pending = np.arange(n)
         guard = 0
@@ -709,12 +706,8 @@ def expected_components_order2(spec, samples=20000, seed=0,
         keep = gd > 0.0
     p1, p2 = x1[keep], x2[keep]
     both = np.stack([p1, p2])
-    z1, z2 = _exposure(both[..., 0], both[..., 1], side, lam, g, 1e-8,
-                       table) / lam
-    if disk_r is not None:
-        cross = _disk_cross_batch(p1, p2, disk_r, h)
-    else:
-        cross = _cross_mass_generic(p1, p2, g, h, reach)
+    z1, z2 = _exposure(model, both[..., 0], both[..., 1], lam, 1e-8) / lam
+    cross = model.cross(p1, p2, reach)
     decay = np.exp(-lam * (z1 + z2 - cross))
     w = np.zeros(n)
     w[keep] = (inv_density * z1 * decay if mode == "importance"

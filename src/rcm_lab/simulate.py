@@ -4,11 +4,12 @@ Edge decisions are pure functions of (trial seed, node pair, distance):
 a pair (i, j) is linked iff pair_uniform(seed, i, j) < g(d(i, j)).  Both
 build modes evaluate that same predicate, so their outputs are identical
 bit for bit.  Mode "exact" scans every pair in row tiles, the unpruned
-reference.  Mode "cells" (g non-increasing) takes the pairs within the
-cutoff from a k-d tree when g is zero beyond it.  Otherwise it runs the
-same scan pruned: a pair whose random bits already exceed an upper bound
-on g at its squared distance cannot link, so only the remaining
-candidates are decided by the predicate.
+reference.  Mode "cells" (a g whose kind makes it non-increasing, so not
+a user callable) takes the pairs within the cutoff from a k-d tree when g
+is zero beyond it.  Otherwise it runs the same scan pruned: a pair whose
+random bits already exceed an upper bound on g at its squared distance
+cannot link, so only the remaining candidates are decided by the
+predicate.
 
 scipy.spatial and scipy.sparse are imported inside the functions that use
 them: at module level they would add about 0.2 s to ``import rcm_lab`` for
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connfn import ConnectionFunction, check_monotonicity, effective_cutoff
-from .geometry import Region, minimum_image
+from .connfn import ConnectionFunction, effective_cutoff
+from .geometry import Region, gap_distance
 from .pairrng import (STREAM_COUPLING, STREAM_EDGE, pair_bits, pair_uniform,
                       row_key)
 
@@ -82,15 +83,6 @@ def sample_poisson(region, density, seed, expected_count=None):
                     density=density, seed=int(seed))
 
 
-def _distances(dx, dy, metric, side):
-    """Pair distances from coordinate differences, minimum image on the
-    torus."""
-    if metric == "toroidal":
-        dx = minimum_image(dx, side)
-        dy = minimum_image(dy, side)
-    return np.hypot(dx, dy)
-
-
 # Bins of squared distance in the bound table of the pruned scan.  The
 # table (one uint64 per bin) stays in the L1 cache, and bins this narrow
 # keep the candidates within 1.0-1.3 times the edges (under 0.5% of the
@@ -106,7 +98,8 @@ def _bound_table(g, metric, side):
     of the metric].  Its threshold is ceil(bound * 2^53), with bound at
     least g(d) for every d in the bin: g at the bin's inner radius, shrunk
     by 1e-9 against the rounding of squared distances, plus 1e-9 relative
-    and 1e-12 absolute slack (check_monotonicity tolerates rises of 1e-12).
+    and 1e-12 absolute slack (a tabulated power_log tail may start up to
+    1e-12 above the last sample).
     A pair whose 53 bits reach the threshold has u >= bound >= g(d), so it
     cannot link.
     """
@@ -136,6 +129,7 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
     side = pts.region.side
+    period = side if metric == "toroidal" else None
     idx = np.arange(n, dtype=np.int64)
     out_i, out_j = [idx[:0]], [idx[:0]]
     rows = max(1, min(n, _TILE // max(n, 1)))
@@ -150,8 +144,8 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
         r1 = min(n - 1, r0 + rows)
         if not prune:
             i, j = idx[r0:r1, None], idx[None, r0:]
-            d = _distances(x[r0:r1, None] - x[None, r0:],
-                           y[r0:r1, None] - y[None, r0:], metric, side)
+            d = gap_distance(x[r0:r1, None] - x[None, r0:],
+                             y[r0:r1, None] - y[None, r0:], period)
             u = pair_uniform(seed, i, j, stream=STREAM_EDGE)
             ti, tj = np.nonzero((j > i) & (u < g._eval(d)))
             out_i.append(ti + r0)
@@ -175,7 +169,7 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
         out_j.append(tj + r0)
     i, j = np.concatenate(out_i), np.concatenate(out_j)
     if prune:
-        d = _distances(x[i] - x[j], y[i] - y[j], metric, side)
+        d = gap_distance(x[i] - x[j], y[i] - y[j], period)
         keep = pair_uniform(seed, i, j, stream=STREAM_EDGE) < g._eval(d)
         i, j = i[keep], j[keep]
     return np.column_stack([i, j])
@@ -199,7 +193,7 @@ def _squared_gaps(c, r0, r1, metric, side, out):
 
 # Slack on the k-d tree query radius, per unit of side.  The tree's own
 # arithmetic (wrapped coordinates, squared distances) differs from
-# _distances by a few ulps of the side, so the tree is asked for slightly
+# gap_distance by a few ulps of the side, so the tree is asked for slightly
 # more than r_cut and the d <= r_cut filter on the program's own distance
 # decides every pair.
 _QUERY_SLACK = 1e-9
@@ -225,19 +219,25 @@ def _near_candidates(pos, side, r_cut, wrap):
 # Effective cutoffs by (g.signature(), tail_mass), oldest first.  A custom
 # g's signature holds id(fn), which CPython reuses once fn is collected, so
 # each entry also holds its g: while an entry is cached no other callable
-# can take its id.  Bounded, so long runs over many g stay small.  Cells
-# mode is exact only for a g that is non-increasing beyond its cutoff, so
-# filling an entry first checks that g is non-increasing.
+# can take its id.  Bounded, so long runs over many g stay small.
 _CUTOFF_CACHE = {}
 _CUTOFF_CACHE_SIZE = 64
+
+# Kinds that are non-increasing by construction (tabulated samples are
+# checked when the table is built); so is any rescaling of them.
+_NON_INCREASING = ("unit_disk", "lognormal", "theta_tail", "omega_tail",
+                   "zero", "tabulated")
+
+
+def _non_increasing(g):
+    while g.kind == "scaled":
+        g = g.params["base"]
+    return g.kind in _NON_INCREASING
 
 
 def _cutoff_cached(g, tail_mass):
     key = (g.signature(), float(tail_mass))
     if key not in _CUTOFF_CACHE:
-        if not check_monotonicity(g):
-            raise ValueError("cells mode needs a non-increasing g; "
-                             "use mode 'exact'")
         if len(_CUTOFF_CACHE) >= _CUTOFF_CACHE_SIZE:
             del _CUTOFF_CACHE[next(iter(_CUTOFF_CACHE))]
         _CUTOFF_CACHE[key] = (g, effective_cutoff(g, tail_mass))
@@ -253,7 +253,12 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     # when g is zero at the cutoff (g is non-increasing).  Otherwise the
     # far pairs need a distance and a uniform each, so the tree's near
     # pairs would be scanned twice; and a cutoff beyond a third of the side
-    # leaves the tree little to prune.  Either way: scan all pairs.
+    # leaves the tree little to prune.  Either way: scan all pairs.  Both
+    # paths are exact only for a non-increasing g, which a sampled check
+    # cannot confirm for a callable: only g's kind can.
+    if not _non_increasing(g):
+        raise ValueError("cells mode needs a non-increasing g; "
+                         "use mode 'exact'")
     r_cut = _cutoff_cached(g, tail_mass)
     if (side < 3.0 * r_cut or pts.n < 16 or (
             g.support_radius > r_cut
@@ -261,8 +266,8 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
         return _scan_pairs(pts, g, metric, seed, prune=True)
 
     ii, jj = _near_candidates(pos, side, r_cut, wrap)
-    d = _distances(pos[ii, 0] - pos[jj, 0], pos[ii, 1] - pos[jj, 1],
-                   metric, side)
+    d = gap_distance(pos[ii, 0] - pos[jj, 0], pos[ii, 1] - pos[jj, 1],
+                     side if wrap else None)
     near = d <= r_cut
     ii, jj, d = ii[near], jj[near], d[near]
     u = pair_uniform(seed, ii, jj, stream=STREAM_EDGE)
@@ -356,8 +361,8 @@ def boundary_coupling(torus_graph):
                           | (np.round(dy / side) != 0))
     if wrap.size:
         ii, jj = edges[wrap, 0], edges[wrap, 1]
-        d_e = _distances(dx[wrap], dy[wrap], "euclidean", side)
-        d_t = _distances(dx[wrap], dy[wrap], "toroidal", side)
+        d_e = gap_distance(dx[wrap], dy[wrap])
+        d_t = gap_distance(dx[wrap], dy[wrap], side)
         v = pair_uniform(pts.seed, ii, jj, stream=STREAM_COUPLING)
         keep[wrap] = np.atleast_1d(v) < (np.atleast_1d(g._eval(d_e))
                                          / np.atleast_1d(g._eval(d_t)))

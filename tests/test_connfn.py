@@ -256,3 +256,24 @@ def test_check_monotonicity_flags_bumps():
     bad = from_callable(lambda x: np.where((np.asarray(x) > 2.0)
                                            & (np.asarray(x) < 3.0), 0.9, 0.5))
     assert not check_monotonicity(bad)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only lognormal's evaluation needs erfc; a fresh import must not pay
+    # for scipy.special
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rcm_lab
+
+    src = str(Path(rcm_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rcm_lab; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

@@ -242,7 +242,9 @@ def test_disk_cross_batch_coincident_is_one_disk():
                      * rng.choice([-1.0, 1.0], (200, 2)),
                      [(h, h), (-h, 0.0), (0.0, h), (h - 0.5, -h + 0.5)]])
     got = _disk_cross_batch(pts, pts, r, h)
-    np.testing.assert_allclose(got, _disk_overlap_batch(pts, r, h),
+    walls = np.stack([h - pts[:, 0], h + pts[:, 0], h - pts[:, 1],
+                      h + pts[:, 1]])
+    np.testing.assert_allclose(got, _disk_overlap_batch(walls, r),
                                rtol=0.0, atol=1e-12)
 
 

@@ -158,7 +158,8 @@ def test_two_disk_area_within_each_clipped_disk(side, r, u):
     h = 0.5 * side
     pts = np.array(u, dtype=float).reshape(2, 2) / GRID * side
     area = _disk_cross_batch(pts[:1], pts[1:], r, h)[0]
-    one = _disk_overlap_batch(pts, r, h)
+    one = _disk_overlap_batch(np.stack([h - pts[:, 0], h + pts[:, 0],
+                                        h - pts[:, 1], h + pts[:, 1]]), r)
     assert 0.0 <= area <= one.min() + 1e-12
     if np.hypot(*(pts[1] - pts[0])) >= 2.0 * r:
         assert area == 0.0

@@ -13,8 +13,9 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
 from rcm_lab.quadrature import (_WallIntegrals, _WallTable,
-                                _cross_mass_generic, _exposure, _frame,
-                                _region_integral, _torus_ew)
+                                _cross_mass_generic, _exposure,
+                                _exposure_model, _frame, _region_integral,
+                                _torus_ew)
 from rcm_lab.simulate import census
 
 from _oracles import (disk_square_overlap, polar_exposure,
@@ -73,17 +74,16 @@ def test_array_exposure_matches_pointwise(g):
     pts = np.vstack([rng.random((40, 2)) * 2 * h - h,
                      h - rng.random((20, 2)) * 2.5,
                      [[0.0, 0.0], [h, h], [-h, 0.0]]])
-    got = _exposure(pts[:, 0], pts[:, 1], d.core_side, d.density, gf)
+    model = _exposure_model(gf, d.core_side)
+    got = _exposure(model, pts[:, 0], pts[:, 1], d.density)
     assert got.shape == (pts.shape[0],)
-    want = [_exposure(float(x), float(y), d.core_side, d.density, gf)
-            for x, y in pts]
+    want = [_exposure(model, float(x), float(y), d.density) for x, y in pts]
     assert got == pytest.approx(want, rel=1e-13)
     # broadcast coordinate arrays keep their shape
-    grid = _exposure(pts[:5, 0, None], pts[None, :3, 1], d.core_side,
-                     d.density, gf)
+    grid = _exposure(model, pts[:5, 0, None], pts[None, :3, 1], d.density)
     assert grid.shape == (5, 3)
     with pytest.raises(ValueError):
-        _exposure(np.array([0.0, 1.01 * h]), 0.0, d.core_side, d.density, gf)
+        _exposure(model, np.array([0.0, 1.01 * h]), 0.0, d.density)
 
 
 def _theta_ref(r):
@@ -107,7 +107,7 @@ def test_exposure_matches_polar_reference(g, gref, jumps):
     table = _WallTable(g, side)
     for x, y in ((0.3, -0.2), (h, 0.7), (h, h), (h - 0.4, h - 0.9),
                  (-h + 0.05, 1.0), (-h, -h)):
-        got = _exposure(x, y, side, 1.0, g, 1e-10, table)
+        got = _exposure(table, x, y, 1.0, 1e-10)
         assert got == pytest.approx(polar_exposure(gref, jumps, x, y, h),
                                     rel=1e-9)
 
@@ -119,8 +119,8 @@ def test_exposure_on_huge_squares(side):
     g = lognormal(sigma=0.25, eta=4.0)
     C = integral_constant(g)
     h = 0.5 * side
-    got = _exposure(np.array([0.0, h, h]), np.array([0.0, 0.0, h]), side,
-                    1.0, g)
+    got = _exposure(_exposure_model(g, side), np.array([0.0, h, h]),
+                    np.array([0.0, 0.0, h]), 1.0)
     assert got == pytest.approx([C, C / 2.0, C / 4.0], rel=1e-8)
 
 
@@ -132,6 +132,54 @@ def test_lognormal_square_ew_matches_disk_at_huge_rho(rho):
                      g=lognormal(sigma=0.25, eta=4.0))
     disk = expected_isolated_square(_disk_spec("square", rho))
     assert expected_isolated_square(logn) == pytest.approx(disk, rel=1e-3)
+
+
+def _square_ew_and_points(spec, monkeypatch):
+    # E(W) and the number of exposure points its quadrature evaluated,
+    # counted by wrapping the exposure of the model the solve builds
+    import rcm_lab.quadrature as quadrature
+
+    build = quadrature._exposure_model
+    points = []
+
+    def counting_model(*args, **kwargs):
+        model = build(*args, **kwargs)
+        exposure = model.exposure
+
+        def counted(d, rel_tol):
+            points.append(d.shape[1])
+            return exposure(d, rel_tol)
+
+        model.exposure = counted
+        return model
+
+    monkeypatch.setattr(quadrature, "_exposure_model", counting_model)
+    return expected_isolated_square(spec), sum(points)
+
+
+@pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0)],
+                         ids=["unit_disk", "lognormal"])
+def test_square_ew_cost_does_not_grow_with_rho(g, monkeypatch):
+    # the region integrals run in wall distances, so a node near a wall is
+    # as exact on a side-1e11 square as on a small one: the adaptive rules
+    # find no rounding noise to refine into.  lognormal(0.25, 4) is nearly
+    # a unit disk, and only boundary layers of width ~1 matter here.
+    _, n16 = _square_ew_and_points(ModelSpec("square", 1e16, 0.0, g),
+                                   monkeypatch)
+    ew24, n24 = _square_ew_and_points(ModelSpec("square", 1e24, 0.0, g),
+                                      monkeypatch)
+    assert 0 < n24 <= n16
+    disk = expected_isolated_square(_disk_spec("square", 1e24))
+    assert ew24 == pytest.approx(disk, rel=1e-4)
+
+
+@pytest.mark.parametrize("rho", [1e22, 1e24])
+@pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0)],
+                         ids=["unit_disk", "lognormal"])
+def test_isolation_report_decomposes_at_huge_rho(g, rho):
+    rep = isolation_report(ModelSpec(model="square", rho=rho, b=0.0, g=g))
+    assert rep.tolerances["decomposition_residual"] <= 1e-9
+    assert rep.side > 0.4 and 0.0 < rep.corner < 1e-6
 
 
 def test_wall_table_says_when_it_misses_its_budget():
@@ -152,7 +200,8 @@ def test_exposure_memory_stays_bounded():
     pts = np.random.default_rng(32).random((20_000, 2)) * 2 * h - h
     tracemalloc.start()
     try:
-        _exposure(pts[:, 0], pts[:, 1], d.core_side, d.density, g)
+        _exposure(_exposure_model(g, d.core_side), pts[:, 0], pts[:, 1],
+                  d.density)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -228,10 +277,11 @@ def test_exposure_matches_dblquad_near_walls(side):
     g = lognormal(sigma=0.25, eta=4.0)
     gref = _lognormal_ref()
     h, reach = 0.5 * side, 2.0
+    model = _exposure_model(g, side)
     for dx, dy in ((1.0097, 0.0195), (0.15, 1.0), (0.0, 0.85), (0.0, 0.0),
                    (0.05, 0.6), (0.4, h)):
         x, y = h - dx, h - dy
-        got = _exposure(x, y, side, 1.0, g)
+        got = _exposure(model, x, y, 1.0)
         want, _ = dblquad(lambda v, u: gref(math.hypot(u - x, v - y)),
                           max(-h, x - reach), min(h, x + reach),
                           max(-h, y - reach), min(h, y + reach),
@@ -270,7 +320,7 @@ def test_torus_ew_fits_no_wall_table(g, rho, monkeypatch):
 
     spec = ModelSpec(model="torus", rho=rho, b=0.0, g=g)
     _, d, gf = _frame(spec)
-    with_table = _torus_ew(d, gf, 1e-9, _WallTable(gf, d.core_side))
+    with_table = _torus_ew(d, _WallTable(gf, d.core_side), 1e-9)
 
     def no_table(*args):
         raise AssertionError("the torus E(W) fitted a wall table")
@@ -313,9 +363,10 @@ def test_region_integral_triangle_matches_frozen_ew():
     # criterion 4, with a second region in the same call
     _, d, g = _frame(_disk_spec("square", 100.0))
     h = 0.5 * d.core_side
-    val = _region_integral(d.density, d.core_side, g, [0.0, 0.0], [h, h],
-                           lambda x, k: 0.0,
-                           lambda x, k: np.where(k == 0, x, h), 1e-6, 1e-8)
+    val = _region_integral(d.density, _exposure_model(g, d.core_side),
+                           [0.0, 0.0], [h, h],
+                           lambda u, k: np.where(k == 0, u, 0.0),
+                           lambda u, k: h, 1e-6, 1e-8)
     assert val.shape == (2,)
     assert 8.0 * val[0] == pytest.approx(2.2779393402, rel=1e-6)
     # the second region, {0 <= x, y <= h}, is 2 triangles
@@ -477,7 +528,9 @@ def test_disk_overlap_batch_matches_oracle():
     corner = h - rng.random((300, 2)) * 1.2
     corner *= rng.choice([-1.0, 1.0], size=(300, 2))
     pts = np.vstack([inner, corner])
-    got = _disk_overlap_batch(pts, r, h)
+    walls = np.stack([h - pts[:, 0], h + pts[:, 0], h - pts[:, 1],
+                      h + pts[:, 1]])
+    got = _disk_overlap_batch(walls, r)
     for p, v in zip(pts, got):
         assert v == pytest.approx(
             disk_square_overlap(p[0], p[1], r, h), abs=1e-12)
@@ -535,7 +588,8 @@ def test_exposure_falls_toward_each_wall(g):
     h = 0.5 * d.core_side
     rng = np.random.default_rng(31)
     t = np.sort(np.concatenate([[0.0, h], rng.random(38) * h]))
-    grid = _exposure(t[:, None], t[None, :], d.core_side, d.density, gf)
+    grid = _exposure(_exposure_model(gf, d.core_side), t[:, None],
+                     t[None, :], d.density)
     slack = 4e-8 * grid.max()
     assert np.all(np.diff(grid, axis=0) <= slack)
     assert np.all(np.diff(grid, axis=1) <= slack)

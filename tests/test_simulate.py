@@ -5,11 +5,11 @@ import pytest
 
 from rcm_lab.connfn import (check_monotonicity, from_callable, lognormal,
                             omega_tail, tabulated, theta_tail, unit_disk)
-from rcm_lab.geometry import Region, toroidal_distance
+from rcm_lab.geometry import Region, gap_distance, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (_BINS, _TILE, MetricMismatchError, PointSet,
-                              _bound_table, _distances, _scan_pairs,
+                              _bound_table, _scan_pairs,
                               _squared_gaps, boundary_coupling, build_graph,
                               census, isolated_count, sample_poisson,
                               window_truncation_census)
@@ -223,8 +223,8 @@ def test_bound_table_bounds_g_in_every_bin(g, metric, side):
     d2 = (_squared_gaps(x, 0, n, metric, side, np.empty((n, n)))
           + _squared_gaps(y, 0, n, metric, side, np.empty((n, n))))
     bins = np.minimum((d2 * per_d2).astype(np.intp), _BINS - 1)
-    d = _distances(x[:, None] - x[None, :], y[:, None] - y[None, :], metric,
-                   side)
+    d = gap_distance(x[:, None] - x[None, :], y[:, None] - y[None, :],
+                     side if metric == "toroidal" else None)
     assert np.all(thresholds[bins] * 2.0 ** -53
                   >= np.fmin(g._eval(d), 1.0))
     # and the screen prunes: beyond g's head, few pairs stay candidates
@@ -371,6 +371,24 @@ def test_cells_mode_rejects_increasing_g():
     with pytest.raises(ValueError, match="non-increasing"):
         build_graph(pts, bump, mode="cells")
     assert build_graph(pts, bump, mode="exact").edges.shape[1] == 2
+
+
+def test_cells_mode_rejects_callable_that_passes_the_sampled_check():
+    # exp(-x) but 0.9 on (5, 5.004): the rise falls between two points of
+    # check_monotonicity's grid, and a pruned scan that trusted the check
+    # kept 12 369 of these 12 564 edges.  Only g's kind vouches for cells
+    # mode.
+    def rise(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 5.0) & (x < 5.004), 0.9, np.exp(-x))
+
+    g = from_callable(rise)
+    assert check_monotonicity(g)
+    pts = _pts(4, side=30.0, density=2.0, kind="torus")
+    with pytest.raises(ValueError, match="non-increasing"):
+        build_graph(pts, g, metric="toroidal", mode="cells")
+    exact = build_graph(pts, g, metric="toroidal", mode="exact")
+    assert exact.edges.shape == (12564, 2)
 
 
 def test_boundary_coupling_needs_torus():
