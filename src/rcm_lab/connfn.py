@@ -73,10 +73,9 @@ class ConnectionFunction:
             from scipy.special import erfc
 
             kslope = 10.0 * p["eta"] / (p["sigma"] * math.sqrt(2.0))
+            # log10(0) = -inf gives g(0) = 1
             with np.errstate(divide="ignore"):
-                t = np.log10(np.where(x > 0.0, x, np.nan) / p["r0"])
-            t = np.where(x > 0.0, t, -np.inf)
-            return 0.5 * erfc(kslope * t)
+                return 0.5 * erfc(kslope * np.log10(x / p["r0"]))
         if k == "theta_tail":
             a, x0, g0 = p["a"], p["x0"], p["g0"]
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -28,8 +28,9 @@ with d_w the distance from y to wall w and
 H depends on g and R alone, so a solve tabulates it once (_WallTable:
 piecewise Chebyshev series, Trefethen 2013) and every exposure reads four
 values from it; Q is integrated only for the corners within R of a point.
-A torus E(W) on its own needs one point, the centre, so it integrates H
-and Q there directly (_WallIntegrals) and fits no table.
+A torus E(W) on its own needs one point, the centre, and inner_exposure
+one given point, so they integrate H and Q there directly (_WallIntegrals)
+and fit no table.
 
 E(W) and its central/side/corner split integrate exp(-I) in wall
 coordinates u = h - x, v = h - y over regions of the triangle
@@ -39,7 +40,8 @@ of g, or its cutoff at tail mass 1e-12, reaches a wall.  A near wall's
 distance is then a quadrature node itself, exact on squares of any size.
 xi_2 samples centred pairs, and their exposures take the wall distances
 h -+ x, h -+ y; for a g other than a disk its cross masses are one more
-nested quadrature, split where each pair's structural circles cross.
+nested quadrature, over the lens of each pair's two R-disks clipped to the
+square and split where the pair's structural circles cross.
 """
 
 import math
@@ -212,15 +214,21 @@ class _WallIntegrals:
         return val
 
     def walls(self, t):
-        """H at every distance of the array t, by direct integrals."""
-        return self._wall_direct(t.ravel(), 1e-3 * _TABLE_BUDGET
-                                 * self.C).reshape(t.shape)
+        """H at every distance of the array t, by one direct integral per
+        distinct distance (the torus centre has four equal ones)."""
+        u, inv = np.unique(t, return_inverse=True)
+        val = self._wall_direct(u, 1e-3 * _TABLE_BUDGET * self.C)
+        return val[inv.reshape(-1)].reshape(t.shape)
 
     def corners(self, a, b, rel_tol):
         """Q(a, b) for every pair of the arrays a, b, by one array
-        batched_quad, each to within max(rel_tol * Q, rel_tol * C_R / 16):
-        four corners stay within rel_tol * C_R / 4."""
+        batched_quad over the distinct pairs, each to within
+        max(rel_tol * Q, rel_tol * C_R / 16): four corners stay within
+        rel_tol * C_R / 4."""
         g = self.g
+        ab, inv = np.unique(np.stack([a, b], axis=1), axis=0,
+                            return_inverse=True)
+        a, b = ab.T
         rc = np.hypot(a, b)
         # r - a and r - b at r = rc, free of cancellation
         ra = b * b / np.maximum(rc + a, 1e-300)
@@ -244,7 +252,7 @@ class _WallIntegrals:
                               np.sqrt(np.maximum(self.R - rc, 0.0)),
                               rel_tol=rel_tol, abs_tol=rel_tol * self.C / 16.0,
                               breakpoints=brk)
-        return val
+        return val[inv.reshape(-1)]
 
     def exposure(self, d, rel_tol):
         """I / lambda at each column of d, the (4, m) wall distances
@@ -264,9 +272,55 @@ class _WallIntegrals:
                 a[lo:lo + _EXPOSURE_BLOCK], b[lo:lo + _EXPOSURE_BLOCK], rel_tol)
         return val + np.bincount(np.nonzero(near)[1], q, minlength=m)
 
-    def cross(self, x1, x2, reach):
-        """xi_2 cross masses of the centred row pairs x1, x2."""
-        return _cross_mass_generic(x1, x2, self.g, 0.5 * self.side, reach)
+    def cross(self, x1, x2):
+        """xi_2 cross masses: integral over A of g(|y - p|) g(|y - q|) dy
+        for every row pair p, q of the centred (n, 2) arrays x1, x2, by one
+        two-level array quadrature.
+
+        g is zero past R to every point of the square, so each pair
+        integrates over the lens of its two R-disks clipped to A (0 where
+        the disks do not meet): y between the disks' common heights, split
+        at both centres and at each centre -+ R and -+ every structural
+        radius; x along the chord both disks share at height y, split at
+        both centres and where a structural circle crosses the line.
+        """
+        g, h, R = self.g, 0.5 * self.side, self.R
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        n = x1.shape[0]
+        radii = np.array(_structural_radii(g, R))
+        cx = np.stack([x1[:, 0], x2[:, 0]], axis=1)
+        cy = np.stack([x1[:, 1], x2[:, 1]], axis=1)
+        around = np.append(radii, R)
+        ybreaks = np.concatenate(
+            [cy[:, :, None], cy[:, :, None] - around, cy[:, :, None] + around],
+            axis=2).reshape(n, 2 * (1 + 2 * around.size))
+        ylo = np.maximum(cy.max(axis=1) - R, -h)
+        yhi = np.minimum(cy.min(axis=1) + R, h)
+
+        def inner(ys, k):
+            dy2 = (ys[:, None] - cy[k]) ** 2
+            w = np.sqrt(np.maximum(R * R - dy2, 0.0))    # R-disk half-chords
+            lo = np.maximum((cx[k] - w).max(axis=1), -h)
+            hi = np.minimum((cx[k] + w).min(axis=1), h)
+            # each centre, and where each structural circle around it
+            # crosses the line at height y (NaN if it misses)
+            off = radii ** 2 - dy2[:, :, None]
+            ws = np.sqrt(np.where(off > 0.0, off, np.nan))
+            c = cx[k][:, :, None]
+            brk = np.concatenate([c, c - ws, c + ws], axis=2)
+            return lo, hi, brk.reshape(ys.size, -1)
+
+        def f(xs, ys, k):
+            ax, ay = xs - x1[k, 0], ys - x1[k, 1]
+            bx, by = xs - x2[k, 0], ys - x2[k, 1]
+            return (g._eval(np.sqrt(ax * ax + ay * ay))
+                    * g._eval(np.sqrt(bx * bx + by * by)))
+
+        val, _ = nested_quad(f, ylo, yhi, inner, rel_tol=1e-7, abs_tol=1e-12,
+                             breakpoints=ybreaks, inner_rel_tol=1e-8,
+                             inner_abs_tol=1e-13)
+        return val
 
 
 class _WallTable(_WallIntegrals):
@@ -351,7 +405,7 @@ class _DiskExposure:
                 d[:, lo:lo + _EXPOSURE_BLOCK], self.r)
         return val
 
-    def cross(self, x1, x2, reach):
+    def cross(self, x1, x2):
         return _disk_cross_batch(x1, x2, self.r, 0.5 * self.side)
 
 
@@ -360,8 +414,8 @@ def _exposure_model(g, side, direct=False):
 
     A hard disk (possibly rescaled) gets its closed form.  Any other g gets
     the wall table, or with direct the plain H and Q integrals: a solve
-    that reads one point (a torus E(W) on its own) would spend far more on
-    a table than its lookups save.
+    that reads one point (a torus E(W) on its own, inner_exposure) would
+    spend far more on a table than its lookups save.
     """
     r = _disk_radius(g)
     if r is not None:
@@ -391,8 +445,8 @@ def inner_exposure(y, spec, rel_tol=1e-8):
     """Exposure I(y) for a point of the model's square (core for window)."""
     spec, d, g = _frame(spec)
     y = np.asarray(y, dtype=float)
-    return _exposure(_exposure_model(g, d.core_side), float(y[0]),
-                     float(y[1]), d.density, rel_tol)
+    return _exposure(_exposure_model(g, d.core_side, direct=True),
+                     float(y[0]), float(y[1]), d.density, rel_tol)
 
 
 def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
@@ -544,53 +598,6 @@ def _disk_radius(g):
     return None
 
 
-def _cross_mass_generic(x1, x2, g, h, reach):
-    """integral over A of g(|y - p|) g(|y - q|) dy for every row pair p, q
-    of the (n, 2) arrays x1, x2, by one two-level array quadrature.
-
-    Each pair integrates over the part of A where both points are within
-    reach (0 where those boxes do not meet): y splits at both centres and
-    where a structural circle around one reaches height y, x at both
-    centres and where such a circle crosses the line at height y.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    radii = _structural_radii(g, 2.0 * reach) + ([g.support_radius]
-        if math.isfinite(g.support_radius) else [])
-    radii = np.array(sorted(set(r for r in radii if r > 0.0)))
-    lo, hi = np.full(x1.shape, -h), np.full(x1.shape, h)
-    if math.isfinite(reach):
-        lo = np.maximum(lo, np.maximum(x1, x2) - reach)
-        hi = np.minimum(hi, np.minimum(x1, x2) + reach)
-
-    # per pair: each centre's height, and that height +- every radius
-    nbrk = 2 * (1 + 2 * radii.size)
-    cy = np.stack([x1[:, 1], x2[:, 1]], axis=1)[:, :, None]
-    ybreaks = np.concatenate([cy, cy - radii, cy + radii],
-                             axis=2).reshape(x1.shape[0], nbrk)
-    cx = np.stack([x1[:, 0], x2[:, 0]], axis=1)
-
-    def inner(ys, k):
-        # x-breaks of every node: each centre, and where each structural
-        # circle around it crosses the line at height y (NaN if it misses).
-        off = radii ** 2 - (ys[:, None, None] - cy[k]) ** 2
-        w = np.sqrt(np.where(off > 0.0, off, np.nan))
-        c = cx[k][:, :, None]
-        brk = np.concatenate([c, c - w, c + w], axis=2)
-        return lo[k, 0], hi[k, 0], brk.reshape(ys.size, nbrk)
-
-    def f(xs, ys, k):
-        d1 = np.hypot(xs - x1[k, 0], ys - x1[k, 1])
-        d2 = np.hypot(xs - x2[k, 0], ys - x2[k, 1])
-        return g._eval(d1) * g._eval(d2)
-
-    val, _ = nested_quad(f, lo[:, 1], hi[:, 1], inner, rel_tol=1e-7,
-                         abs_tol=1e-12,
-                         breakpoints=ybreaks,
-                         inner_rel_tol=1e-8, inner_abs_tol=1e-13)
-    return val
-
-
 # Equal cells across the wall band, per axis, of the x1 envelope.
 _ENVELOPE_CELLS = 16
 
@@ -653,10 +660,6 @@ def expected_components_order2(spec, samples=20000, seed=0,
     rng = np.random.default_rng(int(seed))
 
     r_t = min(g.support_radius, side * math.sqrt(2.0))
-    reach = g.support_radius
-    if not math.isfinite(reach):
-        cut = effective_cutoff(g, 1e-12)
-        reach = cut if math.isfinite(cut) else math.inf
 
     # Monotone piecewise-constant envelope for the radial density ~ r g(r).
     K = 512
@@ -671,7 +674,9 @@ def expected_components_order2(spec, samples=20000, seed=0,
 
     n = int(samples)
     if mode == "importance":
-        x1, inv_density = _envelope_draw(rng, n, model, lam, min(reach, h))
+        # the envelope's wall band: g's reach at tail mass 1e-12
+        band = min(effective_cutoff(g, 1e-12), h)
+        x1, inv_density = _envelope_draw(rng, n, model, lam, band)
         x2 = np.empty_like(x1)
         pending = np.arange(n)
         guard = 0
@@ -707,7 +712,7 @@ def expected_components_order2(spec, samples=20000, seed=0,
     p1, p2 = x1[keep], x2[keep]
     both = np.stack([p1, p2])
     z1, z2 = _exposure(model, both[..., 0], both[..., 1], lam, 1e-8) / lam
-    cross = model.cross(p1, p2, reach)
+    cross = model.cross(p1, p2)
     decay = np.exp(-lam * (z1 + z2 - cross))
     w = np.zeros(n)
     w[keep] = (inv_density * z1 * decay if mode == "importance"

@@ -39,6 +39,29 @@ def test_lognormal_shape():
     assert check_monotonicity(g)
 
 
+@pytest.mark.parametrize("sigma, eta, r0", [(0.25, 4.0, 1.0),
+                                             (1.5, 1.0, 1.0),
+                                             (2.0, 2.0, 1.5)])
+def test_lognormal_eval_matches_guarded_formula(sigma, eta, r0):
+    # lognormal evaluates 1/2 erfc(k log10(x / r0)) straight, letting
+    # log10(0) = -inf give g(0) = 1; the same values, element for element,
+    # as the formula that masks x = 0 out of the logarithm
+    from scipy.special import erfc
+
+    rng = np.random.default_rng(41)
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e300, np.inf],
+                        rng.random(20000) * 5.0 * r0,
+                        10.0 ** rng.uniform(-300.0, 300.0, 20000)])
+    kslope = 10.0 * eta / (sigma * math.sqrt(2.0))
+    with np.errstate(divide="ignore"):
+        t = np.log10(np.where(x > 0.0, x, np.nan) / r0)
+    t = np.where(x > 0.0, t, -np.inf)
+    want = 0.5 * erfc(kslope * t)
+    got = lognormal(sigma=sigma, eta=eta, r0=r0)(x)
+    assert np.array_equal(got, want)
+    assert got[0] == 1.0
+
+
 def test_scaled_rescales_distance():
     g = lognormal(sigma=1.0, eta=2.0)
     s = g.scaled(2.5)

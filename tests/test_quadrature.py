@@ -12,8 +12,7 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_WallIntegrals, _WallTable,
-                                _cross_mass_generic, _exposure,
+from rcm_lab.quadrature import (_WallIntegrals, _WallTable, _exposure,
                                 _exposure_model, _frame, _region_integral,
                                 _torus_ew)
 from rcm_lab.simulate import census
@@ -223,28 +222,39 @@ def test_cross_mass_generic_matches_dblquad():
 
     g = lognormal(sigma=0.25, eta=4.0)
     gref = _lognormal_ref()
-    # reach 2.0 is this g's cutoff at tail mass 1e-12; the reference
-    # integrates over the whole square.  Interior, corner and wall pairs,
-    # then one whose reach boxes do not meet:
-    h = 4.0
-    x1 = np.array([(0.3, -0.2), (3.6, 3.7), (-3.9, 0.5), (-3.5, 0.0)])
-    x2 = np.array([(1.1, 0.4), (2.9, 3.1), (-3.2, -0.6), (1.0, 0.2)])
-    got = _cross_mass_generic(x1, x2, g, h, 2.0)
-    assert got.shape == (4,)
-    for p, q, v in zip(x1[:3], x2[:3], got):
-        want, _ = dblquad(
+
+    def want(p, q, h):
+        val, _ = dblquad(
             lambda y, x: (gref(math.hypot(x - p[0], y - p[1]))
                           * gref(math.hypot(x - q[0], y - q[1]))),
             -h, h, -h, h, epsabs=1e-11, epsrel=1e-9)
-        assert v == pytest.approx(want, rel=1e-7)
+        return val
+
+    # the model integrates over the lens of the pair's R-disks (R = 1.126,
+    # past which this g holds under 1e-16 of its mass); the reference over
+    # the whole square.  Interior, corner and wall pairs, then one whose
+    # disks do not meet:
+    h = 4.0
+    model = _WallIntegrals(g, 2.0 * h)
+    x1 = np.array([(0.3, -0.2), (3.6, 3.7), (-3.9, 0.5), (-3.5, 0.0)])
+    x2 = np.array([(1.1, 0.4), (2.9, 3.1), (-3.2, -0.6), (1.0, 0.2)])
+    got = model.cross(x1, x2)
+    assert got.shape == (4,)
+    for p, q, v in zip(x1[:3], x2[:3], got):
+        assert v == pytest.approx(want(p, q, h), rel=1e-7)
     assert got[3] == 0.0
     # one array call gives what single-pair calls give
     for i in range(4):
-        one = _cross_mass_generic(x1[i:i + 1], x2[i:i + 1], g, h, 2.0)
+        one = model.cross(x1[i:i + 1], x2[i:i + 1])
         assert one.shape == (1,)
         assert got[i] == pytest.approx(one[0], rel=1e-10, abs=0.0)
-    assert _cross_mass_generic(np.empty((0, 2)), np.empty((0, 2)), g, h,
-                               2.0).shape == (0,)
+    assert model.cross(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+    # a wall pair of a xi_2 run (rho 1e2, seed 1) on which GK15 converged
+    # falsely, 2.2e-4 off, at tolerances 1e-5 outer and 1e-6 inner
+    h = 4.13058956189767
+    p, q = (1.85724003, 3.9932344), (1.89442304, 3.79686609)
+    v = _WallIntegrals(g, 2.0 * h).cross(np.array([p]), np.array([q]))[0]
+    assert v == pytest.approx(want(p, q, h), rel=1e-7)
 
 
 def test_cross_mass_memory_stays_bounded():
@@ -258,9 +268,10 @@ def test_cross_mass_memory_stays_bounded():
     rng = np.random.default_rng(33)
     x1 = rng.random((600, 2)) * 2 * h - h
     x2 = np.clip(x1 + rng.normal(scale=0.6, size=(600, 2)), -h, h)
+    model = _WallIntegrals(g, d.core_side)
     tracemalloc.start()
     try:
-        _cross_mass_generic(x1, x2, g, h, 2.0)
+        model.cross(x1, x2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,6 +341,28 @@ def test_torus_ew_fits_no_wall_table(g, rho, monkeypatch):
     assert alone == pytest.approx(with_table, rel=1e-12, abs=0.0)
     # g reaches the walls from the centre, so H(side / 2) is not zero
     assert _WallIntegrals(gf, d.core_side).R > 0.5 * d.core_side
+
+
+def test_inner_exposure_fits_no_wall_table(monkeypatch):
+    # one point takes its H and Q values from direct integrals, and they
+    # agree with the table's near a wall and at a corner
+    import rcm_lab.quadrature as quadrature
+
+    spec = ModelSpec(model="square", rho=1e3, b=0.0,
+                     g=lognormal(sigma=0.25, eta=4.0))
+    _, d, gf = _frame(spec)
+    h = 0.5 * d.core_side
+    table = _WallTable(gf, d.core_side)
+    points = [(h - 0.3, 0.7), (-h, h)]
+    with_table = [_exposure(table, x, y, d.density) for x, y in points]
+
+    def no_table(*args):
+        raise AssertionError("inner_exposure fitted a wall table")
+
+    monkeypatch.setattr(quadrature, "_WallTable", no_table)
+    for p, want in zip(points, with_table):
+        assert inner_exposure(p, spec) == pytest.approx(want, rel=1e-12,
+                                                        abs=0.0)
 
 
 def test_square_ew_against_riemann_oracle():
@@ -537,7 +570,7 @@ def test_disk_overlap_batch_matches_oracle():
 
 
 def test_disk_cross_batch_matches_generic():
-    from rcm_lab.quadrature import _cross_mass_generic, _disk_cross_batch
+    from rcm_lab.quadrature import _disk_cross_batch
 
     h, r = 4.43, 1.0
     g = unit_disk(r)
@@ -546,7 +579,7 @@ def test_disk_cross_batch_matches_generic():
     x2 = x1 + rng.normal(scale=0.7, size=(6, 2))  # keep most pairs close
     x2 = np.clip(x2, -h, h)
     got = _disk_cross_batch(x1, x2, r, h)
-    want = _cross_mass_generic(x1, x2, g, h, 2.0 * r)
+    want = _WallIntegrals(g, 2.0 * h).cross(x1, x2)
     for v, w in zip(got, want):
         assert v == pytest.approx(w, rel=1e-6, abs=1e-6)
     # disjoint disks share no mass
@@ -575,6 +608,37 @@ def test_xi2_small_sample_error_bar_is_honest(seed):
     spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
     est, se = expected_components_order2(spec, samples=48, seed=seed)
     assert abs(est - 1.06465) <= 3.0 * math.hypot(se, 0.00528)
+
+
+def test_xi2_cross_masses_stay_cheap(monkeypatch):
+    # the 48 cross masses of the benchmark's lognormal xi_2 (seed 15000)
+    # integrate over the lens of each pair's R-disks: about 3.4 M GK15
+    # nodes, where a box of half-width effective_cutoff(g, 1e-12) took 5.1 M
+    import rcm_lab._quadcore as quadcore
+
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+    calls = []
+    cross = _WallIntegrals.cross
+
+    def keep_pairs(model, x1, x2):
+        calls.append((model, x1, x2))
+        return cross(model, x1, x2)
+
+    monkeypatch.setattr(_WallIntegrals, "cross", keep_pairs)
+    expected_components_order2(spec, samples=48, seed=15000)
+    (model, x1, x2), = calls
+    assert x1.shape == (48, 2)
+
+    nodes = []
+    panels_eval = quadcore._panels_eval
+
+    def count_nodes(f, los, his, owner):
+        nodes.append(15 * los.size)
+        return panels_eval(f, los, his, owner)
+
+    monkeypatch.setattr(quadcore, "_panels_eval", count_nodes)
+    cross(model, x1, x2)
+    assert sum(nodes) <= 3.6e6
 
 
 @pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0),
