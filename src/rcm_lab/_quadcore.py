@@ -2,20 +2,18 @@
 
 Gauss-Kronrod 7/15 on each panel (the QUADPACK rule and error estimate),
 explicit breakpoint splitting so discontinuities and kinks always land on
-panel edges.  Integrands must accept numpy arrays: adaptive_quad bisects
-the worst panel and calls them once per panel on its 15 nodes;
-batched_quad bisects every panel carrying a fair share of the error and
-calls them once per block of panels on all their nodes, and its array form
-integrates many independent integrals in the same calls.  nested_quad is
-that array form at two levels: n integrals of inner integrals, whose outer
-integrand gathers every node of every outer panel of every integral and
-integrates their inner integrals in array calls of bounded size.
-fixed_tensor_quad, a doubling tensor Gauss-Legendre rule for smooth 2-D
-patches, has no caller left in the package.
+panel edges.  batched_quad is the one refinement loop: it integrates many
+independent integrals at once, bisects every panel carrying a fair share
+of its integral's error, and calls the integrand once per block of panels
+on all their nodes.  adaptive_quad is its face for one integral of f(x).
+nested_quad is batched_quad at two levels: n integrals of inner integrals,
+whose outer integrand gathers every node of every outer panel of every
+integral and integrates their inner integrals in array calls of bounded
+size.  fixed_tensor_quad, a doubling tensor Gauss-Legendre rule for smooth
+2-D patches, has no caller left in the package.
 """
 
 import functools
-import heapq
 import math
 
 import numpy as np
@@ -46,69 +44,6 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _panel(f, a, b):
-    """One GK15 panel: returns (integral, error_estimate)."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fx = np.asarray(f(c + h * _XK), dtype=float)
-    ik = h * float(np.dot(_WK, fx))
-    ig = h * float(np.dot(_WG, fx[_GAUSS_IDX]))
-    # QUADPACK-style scaled error estimate.
-    mean = ik / (b - a) if b != a else 0.0
-    resasc = abs(h) * float(np.dot(_WK, np.abs(fx - mean)))
-    diff = abs(ik - ig)
-    if resasc > 0.0 and diff > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    return ik, err
-
-
-def adaptive_quad(f, a, b, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
-                  limit=4000):
-    """Integrate f over [a, b], splitting at the given breakpoints.
-
-    Returns (value, error_estimate).  Bisects the panel with the largest
-    error until sum(err) <= max(abs_tol, rel_tol * |sum(value)|).
-    """
-    if b <= a:
-        return 0.0, 0.0
-    pts = [a]
-    for p in sorted(set(float(x) for x in breakpoints)):
-        if a < p < b:
-            pts.append(p)
-    pts.append(b)
-
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err = _panel(f, lo, hi)
-        total += val
-        total_err += err
-        # heapq is a min-heap: negate the error to pop the worst panel first.
-        heapq.heappush(heap, (-err, lo, hi, val))
-
-    n_panels = len(heap)
-    while heap and n_panels < limit:
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            break
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        err = -neg_err
-        if err <= 0.0 or hi - lo <= 16 * np.spacing(max(abs(lo), abs(hi), 1.0)):
-            # Panel can no longer be improved; keep its contribution as-is.
-            continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _panel(f, lo, mid)
-        v2, e2 = _panel(f, mid, hi)
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        n_panels += 1
-    return total, total_err
-
-
 # Panels per integrand call.  A call holds the (panels x 15) nodes, values
 # and the integrand's own temporaries, about ten float64 arrays of 120 bytes
 # per panel: 1024 panels keep a call near 1 MB however many panels a round
@@ -135,9 +70,8 @@ def _panels_eval(f, los, his, owner):
         fx = np.asarray(f(xs, owner[blk, None]), dtype=float).reshape(xs.shape)
         ik = h * (fx @ _WK)
         ig = h * (fx[:, _GAUSS_IDX] @ _WG)
-        safe = np.where(width > 0.0, width, 1.0)
-        mean = np.where(width > 0.0, ik / safe, 0.0)
-        resasc = np.abs(h) * (np.abs(fx - mean[:, None]) @ _WK)
+        # batched_quad's panels all have positive width
+        resasc = np.abs(h) * (np.abs(fx - (ik / width)[:, None]) @ _WK)
         diff = np.abs(ik - ig)
         safe_asc = np.where(resasc > 0.0, resasc, 1.0)
         vals[blk] = ik
@@ -149,34 +83,23 @@ def _panels_eval(f, los, his, owner):
 
 def batched_quad(f, a, b, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
                  limit=4000):
-    """Integrate f over [a, b] in vectorized rounds; returns (value, error).
+    """Integrate n independent integrals in vectorized rounds.
 
-    With scalar a and b this has the contract of adaptive_quad: f(x) takes
-    an array of nodes and breakpoints is a sequence.  With arrays a and b
-    (broadcast to length n) it integrates n independent integrals at once:
-    f(x, k) gets the nodes x, shape (m, 15), and the index k, shape (m, 1),
-    of the integral each row belongs to; breakpoints is an (n, K) table
-    padded with NaN; value and error are length-n arrays.
+    a and b broadcast to length n.  f(x, k) gets the nodes x, shape (m, 15),
+    and the index k, shape (m, 1), of the integral each row belongs to;
+    breakpoints is an (n, K) table padded with NaN.  Returns (value, error),
+    length-n arrays.
 
     Each round bisects, integral by integral, every panel holding a
     meaningful share of that integral's error, and evaluates all children
     of all integrals together.  An integral stops refining once
     sum(err) <= max(abs_tol, rel_tol * |sum(value)|) or it has limit panels.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    if scalar:
-        scalar_f = f
-
-        def f(x, k):
-            return scalar_f(x.ravel())
-
-        brk = np.array([float(p) for p in breakpoints]).reshape(1, -1)
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
     n = a.size
-    if not scalar:
-        brk = np.asarray(breakpoints, dtype=float)
-        brk = brk.reshape(n, -1) if brk.size else np.empty((n, 0))
+    brk = np.asarray(breakpoints, dtype=float)
+    brk = brk.reshape(n, -1) if brk.size else np.empty((n, 0))
 
     # Panel edges of each integral: a, its distinct breakpoints strictly
     # inside (a, b), then b; NaN marks unused slots.
@@ -221,9 +144,19 @@ def batched_quad(f, a, b, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
         owner = np.concatenate([owner[keep], child_own])
         vals = np.concatenate([vals[keep], cv])
         errs = np.concatenate([errs[keep], ce])
-    if scalar:
-        return float(total[0]), float(total_err[0])
     return total, total_err
+
+
+def adaptive_quad(f, a, b, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
+                  limit=4000):
+    """Integrate f over [a, b], splitting at the given breakpoints.
+
+    batched_quad with one integral: f(x) takes a 1-D array of nodes and
+    breakpoints is a sequence.  Returns (value, error_estimate), floats.
+    """
+    val, err = batched_quad(lambda x, k: f(x.ravel()), a, b, rel_tol, abs_tol,
+                            [float(p) for p in breakpoints], limit)
+    return float(val[0]), float(err[0])
 
 
 # Outer nodes per inner array call of nested_quad.  An inner call keeps
@@ -274,41 +207,8 @@ def nested_quad(f, a, b, inner, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
                 breakpoints=np.broadcast_to(brk, (sb.size, brk.shape[1])))
         return out.reshape(s.shape)
 
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
     return batched_quad(outer, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
                         breakpoints=breakpoints, limit=limit)
-
-
-def doubling_tail_quad(f, start, rel_tol=1e-10, max_doublings=60,
-                       panel_rel_tol=1e-12):
-    """Integrate f over [start, inf) by geometric [R, 2R] panels.
-
-    Stops once a panel contributes less than rel_tol times the running
-    total.  Raises ArithmeticError if the panel sequence fails to decay
-    within max_doublings intervals (non-integrable tail).
-
-    Returns (value, error_estimate, panel_values) where panel_values lets
-    callers reconstruct how much tail lies beyond each doubling point.
-    """
-    total = 0.0
-    err = 0.0
-    panels = []
-    lo = float(start)
-    first = None
-    for _ in range(max_doublings):
-        hi = 2.0 * lo
-        val, e = adaptive_quad(f, lo, hi, rel_tol=panel_rel_tol, limit=200)
-        total += val
-        err += e
-        panels.append((lo, val))
-        if first is None:
-            first = abs(val)
-        if abs(val) <= rel_tol * max(abs(total), 1e-300):
-            return total, err, panels
-        lo = hi
-    raise ArithmeticError(
-        "tail contributions failed to decay over %d doubling intervals"
-        % max_doublings)
 
 
 @functools.lru_cache(maxsize=16)

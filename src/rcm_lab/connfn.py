@@ -17,6 +17,10 @@ Built-in families:
 Custom functions come from tabulated (x, g) samples with an explicit tail
 rule, or from a user callable.
 
+integral_constant and effective_cutoff share one quadrature of g's mass: a
+head integral and a closed-form tail, or, for a tail known only
+numerically, one batched_quad call over the head and 60 doubling panels.
+
 scipy.special is imported only where lognormal is evaluated: at module
 level it would make up more than half of ``import rcm_lab``.
 """
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadcore import adaptive_quad, doubling_tail_quad
+from ._quadcore import adaptive_quad, batched_quad
 
 
 class NonConvergentError(ArithmeticError):
@@ -120,7 +124,7 @@ class ConnectionFunction:
             if self.tail[0] == "zero":
                 tail = ("zero", self.tail[1] * factor)
             # power_log tails do not stay power_log under scaling (the log
-            # shifts); analytic_tail_integral delegates to the base instead.
+            # shifts); _power_log_tail reads the base's instead.
         return ConnectionFunction(
             name="%s*%g" % (self.name, factor),
             kind="scaled",
@@ -134,20 +138,13 @@ class ConnectionFunction:
         """2 pi * integral_R^inf x g(x) dx when known in closed form, else None."""
         if self.support_radius <= R:
             return 0.0
-        if self.kind == "scaled":
-            base = self.params["base"]
-            f = self.params["factor"]
-            inner = base.analytic_tail_integral(R / f)
-            return None if inner is None else f * f * inner
-        if self.tail is None:
+        tail = _power_log_tail(self)
+        if tail is None:
             return None
-        if self.tail[0] == "zero":
-            return 0.0 if R >= self.tail[1] else None
-        _, a, p, x_from = self.tail
-        if R < x_from:
+        a, p, x_from, scale = tail
+        if R / scale < x_from:
             return None
-        # 2 pi * int_R^inf a / (x ln^p x) dx = 2 pi a (ln R)^(1-p) / (p-1)
-        return 2.0 * math.pi * a * math.log(R) ** (1.0 - p) / (p - 1.0)
+        return scale * scale * _power_log_mass(a, p, R / scale)
 
     def signature(self):
         """Hashable identity used to decide whether two specs share one g."""
@@ -281,16 +278,29 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
 
 
 def load_tabulated_csv(path, tail_rule=("zero",)):
-    """Read (x, g(x)) rows from a CSV file; '#' lines and a header are skipped."""
+    """Read (x, g(x)) rows from a CSV file.
+
+    Blank and '#' lines are skipped, and so is the first other row when it
+    does not parse as two numbers (a header).  Any later such row raises
+    ValueError naming its line.
+    """
     xs, gs = [], []
+    header_ok = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
+        rows = csv.reader(fh)
+        for row in rows:
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                 continue
             try:
                 xv, gv = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header row
+            except (IndexError, ValueError):
+                if not header_ok:
+                    raise ValueError(
+                        "%s line %d: expected two numbers x, g(x), got %r"
+                        % (path, rows.line_num, ",".join(row))) from None
+                header_ok = False
+                continue
+            header_ok = False
             xs.append(xv)
             gs.append(gv)
     return tabulated(xs, gs, tail_rule=tail_rule, name="tabulated:%s" % path)
@@ -369,18 +379,27 @@ def from_config(cfg):
                          % (family, params, exc)) from exc
 
 
-def _head_breakpoints(g, upto):
-    brks = [d for d in g.discontinuities if 0.0 < d < upto]
-    if g.tail is not None and g.tail[0] == "power_log" and g.tail[3] < upto:
-        brks.append(g.tail[3])
+def _structural_radii(g, upto):
+    """Sorted distinct radii in (0, upto) where g jumps, kinks or changes
+    formula: its support radius, discontinuities, tabulated samples and the
+    start of its exact tail, each stretched through any scaling."""
+    radii = [g.support_radius, *g.discontinuities]
+    if g.tail is not None and g.tail[0] == "power_log":
+        radii.append(g.tail[3])
     if g.kind in ("theta_tail", "omega_tail"):
-        brks.append(min(g.params["x0"], upto))
+        radii.append(g.params["x0"])
     if g.kind == "tabulated":
-        brks.extend(float(t) for t in g.params["x"] if 0.0 < t < upto)
+        radii.extend(g.params["x"])
     if g.kind == "scaled":
         f = g.params["factor"]
-        brks.extend(b * f for b in _head_breakpoints(g.params["base"], upto / f))
-    return brks
+        radii.extend(r * f for r in _structural_radii(g.params["base"],
+                                                      math.inf))
+    return sorted({float(r) for r in radii if 0.0 < r < upto})
+
+
+def _power_log_mass(a, p, R):
+    """2 pi * int_R^inf a / (x ln^p x) dx = 2 pi a (ln R)^(1-p) / (p-1)."""
+    return 2.0 * math.pi * a * math.log(R) ** (1.0 - p) / (p - 1.0)
 
 
 def _power_log_tail(g):
@@ -400,58 +419,76 @@ def _power_log_tail(g):
     return None
 
 
+def _tail_upto_stop(panels, rel_tol):
+    """(panels, their sum) up to the first panel at most rel_tol times the
+    running tail total; NonConvergentError (g looks non-integrable) if no
+    panel is."""
+    running = np.cumsum(panels)
+    small = np.abs(panels) <= rel_tol * np.maximum(np.abs(running), 1e-300)
+    if not small.any():
+        raise NonConvergentError(
+            "tail contributions failed to decay over %d doubling intervals"
+            % panels.size)
+    stop = np.argmax(small)
+    return panels[:stop + 1], running[stop]
+
+
+def _mass(g, rel_tol):
+    """(C, R0, panels): g's plane integral C = 2 pi * int_0^inf x g(x) dx.
+
+    Compact support and power-log tails integrate the head up to where the
+    closed form takes over, to rel rel_tol / 2; R0 and panels are None.
+    Other g integrate x g(x) over [0, R0], R0 = max(1, twice every
+    discontinuity), and over the 60 panels [R0 2^k, R0 2^(k+1)] in one
+    batched_quad call, to rel min(rel_tol / 2, 1e-12) with at most 200
+    panels each; C sums the head and the panels up to the first below
+    rel_tol / 2 of the running tail.
+    """
+    R0 = panels = None
+    tail = _power_log_tail(g)
+    if tail is None and not math.isfinite(g.support_radius):
+        R0 = max([1.0] + [2.0 * d for d in g.discontinuities])
+        edges = R0 * 2.0 ** np.arange(61)
+        radii = _structural_radii(g, R0)
+        brk = np.full((61, len(radii)), np.nan)
+        brk[0] = radii
+        vals, _ = batched_quad(lambda x, k: x * g._eval(x),
+                               np.concatenate([[0.0], edges[:-1]]), edges,
+                               rel_tol=min(0.5 * rel_tol, 1e-12),
+                               breakpoints=brk, limit=200)
+        panels = vals[1:]
+        total = 2.0 * math.pi * (vals[0] + _tail_upto_stop(
+            panels, 0.5 * rel_tol)[1])
+    else:
+        upto, rest = g.support_radius, 0.0
+        if tail is not None:
+            # The base's analytic_tail_integral(x_from), stretched by
+            # scale^2; taken from the tail itself, since x_from * scale /
+            # scale can round to just below x_from.
+            a, p, x_from, scale = tail
+            upto = x_from * scale
+            rest = scale * scale * _power_log_mass(a, p, x_from)
+        head, _ = adaptive_quad(lambda x: x * g._eval(x), 0.0, upto,
+                                rel_tol=0.5 * rel_tol,
+                                breakpoints=_structural_radii(g, upto))
+        total = 2.0 * math.pi * head + rest
+    if not total > 0.0:
+        raise ValueError("connection function must have positive mass")
+    return float(total), R0, panels
+
+
 def integral_constant(g, rel_tol=1e-10):
     """The plane integral of g: C = 2 pi * integral_0^inf x g(x) dx.
 
-    Splits at declared discontinuities; an infinite tail is summed over
-    geometric [R, 2R] panels unless the function carries an exact tail
-    formula.  Raises NonConvergentError when tail panels fail to decay
+    Splits at g's structural radii.  A power-log tail adds its closed form
+    past the head; any other infinite tail is summed over geometric
+    [R, 2R] panels up to the first below rel_tol / 2 of the running tail.
+    Raises NonConvergentError when tail panels fail to decay
     (non-integrable g) and ValueError when the integral is not positive.
     """
     if not 1e-14 < rel_tol < 1e-2:
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
-
-    def xg(x):
-        return x * g._eval(np.asarray(x, dtype=float))
-
-    if math.isfinite(g.support_radius):
-        R = g.support_radius
-        head, _ = adaptive_quad(xg, 0.0, R, rel_tol=rel_tol * 0.5,
-                                breakpoints=_head_breakpoints(g, R))
-        total = 2.0 * math.pi * head
-        if not total > 0.0:
-            raise ValueError("connection function must have positive mass")
-        return total
-
-    # Analytic tail: quadrature head + closed-form remainder.
-    tail = _power_log_tail(g)
-    if tail is not None:
-        a, p, x_from, scale = tail
-        tail_from = x_from * scale
-        head, _ = adaptive_quad(xg, 0.0, tail_from, rel_tol=rel_tol * 0.5,
-                                breakpoints=_head_breakpoints(g, tail_from))
-        # The base's analytic_tail_integral(x_from), stretched by scale^2;
-        # taken from the tail itself, since tail_from / scale can round to
-        # just below x_from.
-        rest = scale * scale * (2.0 * math.pi * a * math.log(x_from)
-                                ** (1.0 - p) / (p - 1.0))
-        total = 2.0 * math.pi * head + rest
-        if not total > 0.0:
-            raise ValueError("connection function must have positive mass")
-        return total
-
-    # Numeric tail via doubling panels.
-    R0 = max([1.0] + [2.0 * d for d in g.discontinuities])
-    head, _ = adaptive_quad(xg, 0.0, R0, rel_tol=rel_tol * 0.5,
-                            breakpoints=_head_breakpoints(g, R0))
-    try:
-        tail, _, _ = doubling_tail_quad(xg, R0, rel_tol=rel_tol * 0.5)
-    except ArithmeticError as exc:
-        raise NonConvergentError(str(exc)) from exc
-    total = 2.0 * math.pi * (head + tail)
-    if not total > 0.0:
-        raise ValueError("connection function must have positive mass")
-    return total
+    return _mass(g, rel_tol)[0]
 
 
 def check_monotonicity(g, grid=4096):
@@ -492,14 +529,17 @@ def effective_cutoff(g, tail_mass):
 
     Compact support returns the support radius.  Power-log tails are solved
     in log space; if the required radius overflows floats the cutoff is
-    reported as inf (callers fall back to exact all-pairs behaviour).
+    reported as inf (callers fall back to exact all-pairs behaviour).  Any
+    other tail reads C and the doubling panels from the one quadrature
+    behind integral_constant, and sums the panels up to the first below
+    1e-14 of the running tail.
     """
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
     if math.isfinite(g.support_radius):
         return float(g.support_radius)
 
-    C = integral_constant(g)
+    C, R0, panels = _mass(g, 1e-10)
     target = tail_mass * C
 
     tail = _power_log_tail(g)
@@ -512,18 +552,8 @@ def effective_cutoff(g, tail_mass):
             return math.inf
         return max(math.exp(ln_u), tail_from) * scale
 
-    def xg(x):
-        return x * g._eval(np.asarray(x, dtype=float))
-
-    R0 = max([1.0] + [2.0 * d for d in g.discontinuities])
-    try:
-        _, _, panels = doubling_tail_quad(xg, R0, rel_tol=1e-14)
-    except ArithmeticError as exc:
-        raise NonConvergentError(str(exc)) from exc
-    vals = [v for (_, v) in panels]
-    suffix = np.cumsum(vals[::-1])[::-1]
-    # tail beyond panel k's left edge ~ suffix sum from k on.
-    for (lo, _), rest in zip(panels, suffix):
-        if 2.0 * math.pi * rest <= target:
-            return float(lo)
-    return float(2.0 * panels[-1][0])
+    vals, _ = _tail_upto_stop(panels, 1e-14)
+    # tail beyond panel k's left edge R0 2^k ~ suffix sum from k on, and
+    # none is counted past the last panel.
+    beyond = 2.0 * math.pi * np.cumsum(vals[::-1])[::-1] <= target
+    return float(R0 * 2.0 ** np.argmax(np.append(beyond, True)))

@@ -35,10 +35,11 @@ class Region:
         return self.side * self.side
 
     def contains(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
+        """A bool for one point (x, y), a bool array for an (n, 2) array."""
+        p = np.asarray(points, dtype=float)
         h = 0.5 * self.side
-        ok = (np.abs(p[:, 0]) <= h) & (np.abs(p[:, 1]) <= h)
-        return ok if ok.size > 1 else bool(ok[0])
+        ok = (np.abs(p[..., 0]) <= h) & (np.abs(p[..., 1]) <= h)
+        return ok if p.ndim > 1 else bool(ok)
 
     def distance(self, p, q):
         if self.kind == "torus":

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadcore import batched_quad, nested_quad
-from .connfn import (NonConvergentError, _head_breakpoints, classify_tail,
+from .connfn import (NonConvergentError, _structural_radii, classify_tail,
                      effective_cutoff, integral_constant)
 from .geometry import _disk_cross_batch, _disk_overlap_batch
 from .models import derive, frame_connection
@@ -79,16 +79,6 @@ def _frame(spec):
     spec = spec.with_constant()
     d = derive(spec)
     return spec, d, frame_connection(spec)
-
-
-def _structural_radii(g, upto):
-    radii = set()
-    if math.isfinite(g.support_radius) and 0.0 < g.support_radius < upto:
-        radii.add(g.support_radius)
-    for b in _head_breakpoints(g, upto):
-        if 0.0 < b < upto:
-            radii.add(float(b))
-    return sorted(radii)
 
 
 def _level_radii(g, R):

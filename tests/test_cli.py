@@ -106,6 +106,15 @@ def test_tabulated_tail_without_kind_exits_2_without_traceback(tmp_path):
     assert "kind" in proc.stderr
 
 
+def test_tabulated_bad_row_exits_2_without_traceback(tmp_path):
+    (tmp_path / "bad.csv").write_text("0.5,1.0\n1.0\n2.0,0.1\n")
+    g = json.dumps({"family": "tabulated", "params": {"path": "bad.csv"}})
+    proc = _cli("classify", "--g", g, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 2" in proc.stderr
+
+
 @pytest.mark.parametrize("args, word", [
     (("quad", "--rho", "100", "--rel-tol", "0"), "rel_tol"),
     (("quad", "--rho", "100", "--rel-tol", "-1"), "rel_tol"),

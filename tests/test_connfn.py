@@ -141,9 +141,9 @@ def test_integral_constant_power_log_uses_analytic_tail():
 
 
 def _head_quad(g, R):
-    from rcm_lab._quadcore import adaptive_quad
-    val, err = adaptive_quad(lambda x: x * g(x), 0.0, R, rel_tol=1e-11,
-                             breakpoints=[1.0, 2.0])
+    from scipy.integrate import quad
+    val, err = quad(lambda x: x * g(x), 0.0, R, points=[1.0, 2.0],
+                    epsabs=0.0, epsrel=1e-11)
     return 2.0 * math.pi * val, err
 
 
@@ -199,15 +199,54 @@ def test_effective_cutoff_basics():
     assert cuts[-1] > cuts[0]
     # mass beyond the cutoff really is below the requested share
     C = integral_constant(gl)
-    tail, _, _ = _tail_mass(gl, effective_cutoff(gl, 1e-3))
-    assert tail <= 1e-3 * C
+    assert _tail_mass(gl, effective_cutoff(gl, 1e-3)) <= 1e-3 * C
 
 
 def _tail_mass(g, R):
-    from rcm_lab._quadcore import doubling_tail_quad
-    val, err, panels = doubling_tail_quad(lambda x: x * g(x), R,
-                                          rel_tol=1e-10)
-    return 2.0 * math.pi * val, err, panels
+    from scipy.integrate import quad
+    val, _ = quad(lambda x: x * g(x), R, math.inf, epsabs=0.0, epsrel=1e-10)
+    return 2.0 * math.pi * val
+
+
+# C and the cutoffs at tail masses 0.5, 1e-1, 1e-3, 1e-6, 1e-12 and 1e-16 as
+# computed before the doubling panels moved into one array quadrature
+@pytest.mark.parametrize("g, C, cuts", [
+    (unit_disk(1.0), 3.1415926535897833, [1.0] * 6),
+    (lognormal(0.25, 4.0), 3.14289420470396, [1, 1, 2, 2, 2, 2]),
+    (lognormal(1.5, 1.0), 3.988101490792077, [1, 2, 4, 8, 16, 32]),
+    (lognormal(3.0, 1.0), 8.1585915159295, [2, 8, 32, 64, 512, 1024]),
+    (from_callable(lambda x: np.exp(-np.asarray(x) ** 2)),
+     3.1415926535897833, [1, 2, 4, 4, 8, 8]),
+    (theta_tail(0.5), 31.13393474968818,
+     [3, 3, 6.649746320714289e+43, math.inf, math.inf, math.inf]),
+], ids=["unit_disk", "lognormal-0.25-4", "lognormal-1.5-1",
+        "lognormal-3-1", "gaussian", "theta_tail-0.5"])
+def test_constant_and_cutoffs_pinned(g, C, cuts):
+    assert integral_constant(g) == pytest.approx(C, rel=1e-14, abs=0.0)
+    got = [effective_cutoff(g, tm)
+           for tm in (0.5, 1e-1, 1e-3, 1e-6, 1e-12, 1e-16)]
+    assert got == [float(c) for c in cuts]
+
+
+def test_numeric_tail_cutoff_is_one_array_quadrature(monkeypatch):
+    import rcm_lab._quadcore as qc
+    import rcm_lab.connfn as cf
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    batched = counting("batched", qc.batched_quad)
+    adaptive = counting("adaptive", qc.adaptive_quad)
+    for mod in (qc, cf):
+        monkeypatch.setattr(mod, "batched_quad", batched)
+        monkeypatch.setattr(mod, "adaptive_quad", adaptive)
+    effective_cutoff(lognormal(0.25, 4.0), 1e-12)
+    assert calls == ["batched"]
 
 
 def test_effective_cutoff_power_log_overflows_to_inf():
@@ -244,6 +283,21 @@ def test_load_tabulated_csv(tmp_path):
     g = load_tabulated_csv(p)
     assert g(0.75) == pytest.approx(0.8)
     assert g(5.0) == 0.0
+
+
+def test_load_tabulated_csv_rejects_short_row(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("x,g\n0.5,1.0\n1.0\n2.0,0.1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_tabulated_csv(p)
+
+
+def test_load_tabulated_csv_rejects_unparsed_sample(tmp_path):
+    # only the first row may be a header; a later bad row is not skipped
+    p = tmp_path / "g.csv"
+    p.write_text("# profile\n0.5,1.0\n1.0,abc\n2.0,0.1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        load_tabulated_csv(p)
 
 
 def test_from_config_families(tmp_path):

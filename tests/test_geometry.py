@@ -30,6 +30,17 @@ def test_region_contains():
     assert list(flags) == [True, False]
 
 
+def test_region_contains_array_shapes():
+    # any (n, 2) array gives a bool array of length n, also n = 1 and 0
+    reg = Region("torus", 2.0)
+    one = reg.contains(np.array([[0.5, 0.5]]))
+    assert isinstance(one, np.ndarray) and one.dtype == bool
+    assert one.shape == (1,) and one.all()
+    none = reg.contains(np.empty((0, 2)))
+    assert none.shape == (0,) and none.dtype == bool and none.all()
+    assert type(reg.contains(np.array([3.0, 0.0]))) is bool
+
+
 def test_euclidean_distance():
     assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
 
