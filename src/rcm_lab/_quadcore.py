@@ -184,9 +184,17 @@ def nested_quad(f, a, b, inner, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
     every node of every outer panel and integrates their inner integrals in
     array batched_quad calls of at most _NODE_BLOCK nodes, each to
     max(inner_abs_tol, inner_rel_tol * |value|) with batched_quad's default
-    panel limit.  The error returned is the outer level's estimate; value
-    and error are length-n arrays.
+    panel limit; inner_abs_tol is one figure or one per integral.  The
+    error returned is the outer level's estimate plus (b - a) times the
+    largest inner error of the integral, which bounds what the inner
+    errors carry into it: an inner integral that stops short of its
+    tolerance shows in it.  value and error are length-n arrays.
     """
+    inner_abs_tol = np.asarray(inner_abs_tol, dtype=float)
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    inner_err = np.zeros(a.size)
+
     def outer(s, k):
         s_all = s.ravel()
         k_all = np.broadcast_to(k, s.shape).ravel()
@@ -200,15 +208,18 @@ def nested_quad(f, a, b, inner, rel_tol=1e-10, abs_tol=0.0, breakpoints=(),
             def fn(t, j):
                 return f(t, sb[j], kb[j])
 
-            out[lo:lo + _NODE_BLOCK], _ = batched_quad(
+            out[lo:lo + _NODE_BLOCK], err = batched_quad(
                 fn, np.broadcast_to(t0, sb.shape),
                 np.broadcast_to(t1, sb.shape), rel_tol=inner_rel_tol,
-                abs_tol=inner_abs_tol,
+                abs_tol=inner_abs_tol[kb] if inner_abs_tol.ndim
+                else inner_abs_tol,
                 breakpoints=np.broadcast_to(brk, (sb.size, brk.shape[1])))
+            np.maximum.at(inner_err, kb, err)
         return out.reshape(s.shape)
 
-    return batched_quad(outer, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-                        breakpoints=breakpoints, limit=limit)
+    val, err = batched_quad(outer, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
+                            breakpoints=breakpoints, limit=limit)
+    return val, err + np.maximum(b - a, 0.0) * inner_err
 
 
 @functools.lru_cache(maxsize=16)

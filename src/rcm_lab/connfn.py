@@ -524,6 +524,14 @@ def classify_tail(g):
         "tail diagnostic oscillates; no stable limit over sampled octaves")
 
 
+# Effective cutoffs by (g.signature(), tail_mass), oldest first.  A custom
+# g's signature holds id(fn), which CPython reuses once fn is collected, so
+# each entry also holds its g: while an entry is cached no other callable
+# can take its id.  Bounded, so long runs over many g stay small.
+_CUTOFF_CACHE = {}
+_CUTOFF_CACHE_SIZE = 64
+
+
 def effective_cutoff(g, tail_mass):
     """Smallest doubling-grid radius R with 2 pi int_R^inf x g dx <= tail_mass * C.
 
@@ -532,10 +540,19 @@ def effective_cutoff(g, tail_mass):
     reported as inf (callers fall back to exact all-pairs behaviour).  Any
     other tail reads C and the doubling panels from the one quadrature
     behind integral_constant, and sums the panels up to the first below
-    1e-14 of the running tail.
+    1e-14 of the running tail.  Each (g, tail_mass) is solved once.
     """
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
+    key = (g.signature(), float(tail_mass))
+    if key not in _CUTOFF_CACHE:
+        if len(_CUTOFF_CACHE) >= _CUTOFF_CACHE_SIZE:
+            del _CUTOFF_CACHE[next(iter(_CUTOFF_CACHE))]
+        _CUTOFF_CACHE[key] = (g, _solve_cutoff(g, tail_mass))
+    return _CUTOFF_CACHE[key][1]
+
+
+def _solve_cutoff(g, tail_mass):
     if math.isfinite(g.support_radius):
         return float(g.support_radius)
 

@@ -41,7 +41,9 @@ distance is then a quadrature node itself, exact on squares of any size.
 xi_2 samples centred pairs, and their exposures take the wall distances
 h -+ x, h -+ y; for a g other than a disk its cross masses are one more
 nested quadrature, over the lens of each pair's two R-disks clipped to the
-square and split where the pair's structural circles cross.
+square, split where the pair's structural and half-level circles cross
+each line and the side walls, and integrated to the absolute error its
+xi_2 weight can carry (_CROSS_WEIGHT_TOL).
 """
 
 import math
@@ -168,6 +170,14 @@ _TABLE_ROUNDS = 40
 # forms, are taken in passes of the same size.
 _EXPOSURE_BLOCK = 2048
 
+# Error allowed in lambda * cross mass, the exponent that a cross mass
+# enters a xi_2 weight through: an error e in a cross mass moves its weight
+# by a factor exp(lambda e), so each cross mass is integrated to the
+# absolute error _CROSS_WEIGHT_TOL / lambda.  A bias of 1e-5 per weight is
+# about 1% of the standard error of a million-sample xi_2 run (the
+# benchmark's 48 samples carry a relative standard error of 10.8%).
+_CROSS_WEIGHT_TOL = 1e-5
+
 
 class _WallIntegrals:
     """The exposure model I / lambda = C_R - sum_walls H(d_w) + sum_corners
@@ -181,8 +191,8 @@ class _WallIntegrals:
 
     def __init__(self, g, side):
         self.g, self.side = g, side
-        self.R, levels = _cut_radius(g, side)
-        self.radii = _table_radii(g, self.R, levels)
+        self.R, self.levels = _cut_radius(g, side)
+        self.radii = _table_radii(g, self.R, self.levels)
         self.C = 2.0 * float(self._wall_direct(np.zeros(1), 0.0)[0])
 
     def _wall_direct(self, t, abs_tol):
@@ -262,29 +272,46 @@ class _WallIntegrals:
                 a[lo:lo + _EXPOSURE_BLOCK], b[lo:lo + _EXPOSURE_BLOCK], rel_tol)
         return val + np.bincount(np.nonzero(near)[1], q, minlength=m)
 
-    def cross(self, x1, x2):
+    def cross(self, x1, x2, abs_tol):
         """xi_2 cross masses: integral over A of g(|y - p|) g(|y - q|) dy
-        for every row pair p, q of the centred (n, 2) arrays x1, x2, by one
-        two-level array quadrature.
+        for every row pair p, q of the centred (n, 2) arrays x1, x2, each
+        to within the absolute error abs_tol, by one two-level array
+        quadrature.
 
         g is zero past R to every point of the square, so each pair
         integrates over the lens of its two R-disks clipped to A (0 where
         the disks do not meet): y between the disks' common heights, split
-        at both centres and at each centre -+ R and -+ every structural
-        radius; x along the chord both disks share at height y, split at
-        both centres and where a structural circle crosses the line.
+        at both centres, at each centre -+ R and -+ every split radius,
+        and where those circles cross the side walls; x along the chord
+        both disks share at height y, split at both centres and where a
+        split circle crosses the line.  The split radii are g's structural
+        radii and the radius where g falls to 1/2 (the first level
+        radius): on a roll-off left inside panels, a loose GK15 rule can
+        converge falsely.  abs_tol is one figure or one per pair; the
+        outer level takes nine tenths of it and the inner errors, summed
+        over the pair's y-range, the rest.  NonConvergentError says when a
+        pair's reached error, both levels together, exceeds abs_tol (an
+        integral that stopped at its panel limit, say); xi_2 passes
+        abs_tol = _CROSS_WEIGHT_TOL / lambda, so the factor it gives times
+        _CROSS_WEIGHT_TOL is the worst lambda * error.
         """
         g, h, R = self.g, 0.5 * self.side, self.R
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         n = x1.shape[0]
-        radii = np.array(_structural_radii(g, R))
+        radii = np.unique(np.concatenate([_structural_radii(g, R),
+                                          self.levels[:1]]))
         cx = np.stack([x1[:, 0], x2[:, 0]], axis=1)
         cy = np.stack([x1[:, 1], x2[:, 1]], axis=1)
         around = np.append(radii, R)
-        ybreaks = np.concatenate(
-            [cy[:, :, None], cy[:, :, None] - around, cy[:, :, None] + around],
-            axis=2).reshape(n, 2 * (1 + 2 * around.size))
+        # heights where each circle crosses a side wall x = -+h (NaN if it
+        # misses): there the part of its roll-off inside A changes shape
+        gap = np.stack([h - cx, h + cx], axis=2)[..., None]
+        off = (around ** 2 - gap ** 2).reshape(n, 2, 2 * around.size)
+        ws = np.sqrt(np.where(off > 0.0, off, np.nan))
+        c = cy[:, :, None]
+        ybreaks = np.concatenate([c, c - around, c + around, c - ws, c + ws],
+                                 axis=2).reshape(n, 2 * (1 + 6 * around.size))
         ylo = np.maximum(cy.max(axis=1) - R, -h)
         yhi = np.minimum(cy.min(axis=1) + R, h)
 
@@ -293,7 +320,7 @@ class _WallIntegrals:
             w = np.sqrt(np.maximum(R * R - dy2, 0.0))    # R-disk half-chords
             lo = np.maximum((cx[k] - w).max(axis=1), -h)
             hi = np.minimum((cx[k] + w).min(axis=1), h)
-            # each centre, and where each structural circle around it
+            # each centre, and where each split circle around it
             # crosses the line at height y (NaN if it misses)
             off = radii ** 2 - dy2[:, :, None]
             ws = np.sqrt(np.where(off > 0.0, off, np.nan))
@@ -307,9 +334,18 @@ class _WallIntegrals:
             return (g._eval(np.sqrt(ax * ax + ay * ay))
                     * g._eval(np.sqrt(bx * bx + by * by)))
 
-        val, _ = nested_quad(f, ylo, yhi, inner, rel_tol=1e-7, abs_tol=1e-12,
-                             breakpoints=ybreaks, inner_rel_tol=1e-8,
-                             inner_abs_tol=1e-13)
+        abs_tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
+        span = np.maximum(yhi - ylo, 1.0)
+        val, err = nested_quad(f, ylo, yhi, inner, rel_tol=0.0,
+                               abs_tol=0.9 * abs_tol, breakpoints=ybreaks,
+                               inner_rel_tol=0.0,
+                               inner_abs_tol=0.1 * abs_tol / span)
+        miss = err > abs_tol
+        if miss.any():
+            raise NonConvergentError(
+                "%d of %d cross masses missed their tolerance: the worst "
+                "reached %.3g times it"
+                % (int(miss.sum()), n, float(np.max(err / abs_tol))))
         return val
 
 
@@ -395,7 +431,8 @@ class _DiskExposure:
                 d[:, lo:lo + _EXPOSURE_BLOCK], self.r)
         return val
 
-    def cross(self, x1, x2):
+    def cross(self, x1, x2, abs_tol):
+        """The cross masses, closed forms: abs_tol is not needed."""
         return _disk_cross_batch(x1, x2, self.r, 0.5 * self.side)
 
 
@@ -637,8 +674,13 @@ def expected_components_order2(spec, samples=20000, seed=0,
 
     Returns (estimate, standard_error) from exactly `samples` weights.  The
     standard error is NaN when samples is 1 (one sample has no spread), and
-    exactly 0 only for a g of zero mass.
+    exactly 0 only for a g of zero mass.  Walls are modelled for the square
+    and its rescalings (dense, extended) only: a torus or window spec raises
+    ValueError, as its exposures and cross masses differ.
     """
+    if spec.model in ("torus", "window"):
+        raise ValueError("xi_2 is computed for the square frame and its "
+                         "rescalings only, got %r" % (spec.model,))
     if mode not in ("importance", "uniform"):
         raise ValueError("mode must be 'importance' or 'uniform'")
     if not samples >= 1:
@@ -702,7 +744,7 @@ def expected_components_order2(spec, samples=20000, seed=0,
     p1, p2 = x1[keep], x2[keep]
     both = np.stack([p1, p2])
     z1, z2 = _exposure(model, both[..., 0], both[..., 1], lam, 1e-8) / lam
-    cross = model.cross(p1, p2)
+    cross = model.cross(p1, p2, _CROSS_WEIGHT_TOL / lam)
     decay = np.exp(-lam * (z1 + z2 - cross))
     w = np.zeros(n)
     w[keep] = (inv_density * z1 * decay if mode == "importance"

@@ -216,13 +216,6 @@ def _near_candidates(pos, side, r_cut, wrap):
     return pairs[:, 0], pairs[:, 1]
 
 
-# Effective cutoffs by (g.signature(), tail_mass), oldest first.  A custom
-# g's signature holds id(fn), which CPython reuses once fn is collected, so
-# each entry also holds its g: while an entry is cached no other callable
-# can take its id.  Bounded, so long runs over many g stay small.
-_CUTOFF_CACHE = {}
-_CUTOFF_CACHE_SIZE = 64
-
 # Kinds that are non-increasing by construction (tabulated samples are
 # checked when the table is built); so is any rescaling of them.
 _NON_INCREASING = ("unit_disk", "lognormal", "theta_tail", "omega_tail",
@@ -233,15 +226,6 @@ def _non_increasing(g):
     while g.kind == "scaled":
         g = g.params["base"]
     return g.kind in _NON_INCREASING
-
-
-def _cutoff_cached(g, tail_mass):
-    key = (g.signature(), float(tail_mass))
-    if key not in _CUTOFF_CACHE:
-        if len(_CUTOFF_CACHE) >= _CUTOFF_CACHE_SIZE:
-            del _CUTOFF_CACHE[next(iter(_CUTOFF_CACHE))]
-        _CUTOFF_CACHE[key] = (g, effective_cutoff(g, tail_mass))
-    return _CUTOFF_CACHE[key][1]
 
 
 def _edges_cells(pts, g, metric, seed, tail_mass):
@@ -259,7 +243,7 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     if not _non_increasing(g):
         raise ValueError("cells mode needs a non-increasing g; "
                          "use mode 'exact'")
-    r_cut = _cutoff_cached(g, tail_mass)
+    r_cut = effective_cutoff(g, tail_mass)
     if (side < 3.0 * r_cut or pts.n < 16 or (
             g.support_radius > r_cut
             and g._eval(np.asarray(r_cut, dtype=float)) > 0.0)):

@@ -245,6 +245,8 @@ def test_numeric_tail_cutoff_is_one_array_quadrature(monkeypatch):
     for mod in (qc, cf):
         monkeypatch.setattr(mod, "batched_quad", batched)
         monkeypatch.setattr(mod, "adaptive_quad", adaptive)
+    # an empty cache, so the cutoff is solved here and not read back
+    monkeypatch.setattr(cf, "_CUTOFF_CACHE", {})
     effective_cutoff(lognormal(0.25, 4.0), 1e-12)
     assert calls == ["batched"]
 

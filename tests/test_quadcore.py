@@ -177,6 +177,24 @@ def test_nested_matches_per_integral_nesting(monkeypatch, node_block):
         assert vals[i] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def test_nested_error_carries_inner_misses():
+    # the inner integral of 1 / sqrt|t - 1/3| stops at the panel floor far
+    # above abs 1e-12; the outer integrand is constant, so the outer
+    # estimate alone would call the result exact
+    def f(t, s, k):
+        return 1.0 / np.sqrt(np.abs(t - 1.0 / 3.0))
+
+    _, inner_err = batched_quad(lambda t, k: f(t, None, None), 0.0, 1.0,
+                                rel_tol=0.0, abs_tol=1e-12)
+    assert inner_err[0] > 1e-9
+    val, err = nested_quad(f, 0.0, 2.0, lambda s, k: (0.0, 1.0, np.empty(0)),
+                           rel_tol=0.0, abs_tol=1e-6, inner_rel_tol=0.0,
+                           inner_abs_tol=1e-12)
+    want = 2.0 * (2.0 * math.sqrt(1.0 / 3.0) + 2.0 * math.sqrt(2.0 / 3.0))
+    assert val[0] == pytest.approx(want, rel=1e-6)
+    assert err[0] >= 2.0 * inner_err[0]
+
+
 def test_tensor_last_doubling_stops_at_max_n():
     import rcm_lab._quadcore as qc
 

@@ -12,9 +12,9 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_WallIntegrals, _WallTable, _exposure,
-                                _exposure_model, _frame, _region_integral,
-                                _torus_ew)
+from rcm_lab.quadrature import (_CROSS_WEIGHT_TOL, _WallIntegrals,
+                                _WallTable, _exposure, _exposure_model,
+                                _frame, _region_integral, _torus_ew)
 from rcm_lab.simulate import census
 
 from _oracles import (disk_square_overlap, polar_exposure,
@@ -238,23 +238,34 @@ def test_cross_mass_generic_matches_dblquad():
     model = _WallIntegrals(g, 2.0 * h)
     x1 = np.array([(0.3, -0.2), (3.6, 3.7), (-3.9, 0.5), (-3.5, 0.0)])
     x2 = np.array([(1.1, 0.4), (2.9, 3.1), (-3.2, -0.6), (1.0, 0.2)])
-    got = model.cross(x1, x2)
+    # abs_tol 1e-10 keeps the rel 1e-7 comparison meaningful
+    got = model.cross(x1, x2, 1e-10)
     assert got.shape == (4,)
     for p, q, v in zip(x1[:3], x2[:3], got):
         assert v == pytest.approx(want(p, q, h), rel=1e-7)
     assert got[3] == 0.0
     # one array call gives what single-pair calls give
     for i in range(4):
-        one = model.cross(x1[i:i + 1], x2[i:i + 1])
+        one = model.cross(x1[i:i + 1], x2[i:i + 1], 1e-10)
         assert one.shape == (1,)
         assert got[i] == pytest.approx(one[0], rel=1e-10, abs=0.0)
-    assert model.cross(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+    assert model.cross(np.empty((0, 2)), np.empty((0, 2)),
+                       1e-10).shape == (0,)
     # a wall pair of a xi_2 run (rho 1e2, seed 1) on which GK15 converged
     # falsely, 2.2e-4 off, at tolerances 1e-5 outer and 1e-6 inner
     h = 4.13058956189767
     p, q = (1.85724003, 3.9932344), (1.89442304, 3.79686609)
-    v = _WallIntegrals(g, 2.0 * h).cross(np.array([p]), np.array([q]))[0]
+    v = _WallIntegrals(g, 2.0 * h).cross(np.array([p]), np.array([q]),
+                                         1e-10)[0]
     assert v == pytest.approx(want(p, q, h), rel=1e-7)
+
+
+def _rel_cross_tol(model, x1, x2):
+    # per pair, an absolute tolerance no looser than max(1e-12, 1e-7 |v|),
+    # the relative tolerance the bounds below were set at: |v| is read off
+    # a run to abs 1e-5, less that run's tolerance, so it is never high
+    v = np.abs(model.cross(x1, x2, 1e-5)) - 1e-5
+    return np.maximum(1e-12, 1e-7 * v)
 
 
 def test_cross_mass_memory_stays_bounded():
@@ -269,9 +280,10 @@ def test_cross_mass_memory_stays_bounded():
     x1 = rng.random((600, 2)) * 2 * h - h
     x2 = np.clip(x1 + rng.normal(scale=0.6, size=(600, 2)), -h, h)
     model = _WallIntegrals(g, d.core_side)
+    tol = _rel_cross_tol(model, x1, x2)
     tracemalloc.start()
     try:
-        model.cross(x1, x2)
+        model.cross(x1, x2, tol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -579,7 +591,7 @@ def test_disk_cross_batch_matches_generic():
     x2 = x1 + rng.normal(scale=0.7, size=(6, 2))  # keep most pairs close
     x2 = np.clip(x2, -h, h)
     got = _disk_cross_batch(x1, x2, r, h)
-    want = _WallIntegrals(g, 2.0 * h).cross(x1, x2)
+    want = _WallIntegrals(g, 2.0 * h).cross(x1, x2, 1e-10)
     for v, w in zip(got, want):
         assert v == pytest.approx(w, rel=1e-6, abs=1e-6)
     # disjoint disks share no mass
@@ -610,23 +622,31 @@ def test_xi2_small_sample_error_bar_is_honest(seed):
     assert abs(est - 1.06465) <= 3.0 * math.hypot(se, 0.00528)
 
 
-def test_xi2_cross_masses_stay_cheap(monkeypatch):
-    # the 48 cross masses of the benchmark's lognormal xi_2 (seed 15000)
-    # integrate over the lens of each pair's R-disks: about 3.4 M GK15
-    # nodes, where a box of half-width effective_cutoff(g, 1e-12) took 5.1 M
-    import rcm_lab._quadcore as quadcore
-
-    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+def _xi2_pairs(spec, seed, monkeypatch):
+    # (model, x1, x2, abs_tol) of the cross masses of one 48-sample xi_2
     calls = []
     cross = _WallIntegrals.cross
 
-    def keep_pairs(model, x1, x2):
-        calls.append((model, x1, x2))
-        return cross(model, x1, x2)
+    def keep_pairs(model, x1, x2, abs_tol):
+        calls.append((model, x1, x2, abs_tol))
+        return cross(model, x1, x2, abs_tol)
 
-    monkeypatch.setattr(_WallIntegrals, "cross", keep_pairs)
-    expected_components_order2(spec, samples=48, seed=15000)
-    (model, x1, x2), = calls
+    with monkeypatch.context() as m:
+        m.setattr(_WallIntegrals, "cross", keep_pairs)
+        expected_components_order2(spec, samples=48, seed=seed)
+    (call,) = calls
+    return call
+
+
+def test_xi2_cross_masses_stay_cheap(monkeypatch):
+    # the 48 cross masses of the benchmark's lognormal xi_2 (seed 15000)
+    # integrate over the lens of each pair's R-disks: about 3.1 M GK15
+    # nodes at rel 1e-7, where a box of half-width effective_cutoff(g,
+    # 1e-12) took 5.1 M
+    import rcm_lab._quadcore as quadcore
+
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+    model, x1, x2, _ = _xi2_pairs(spec, 15000, monkeypatch)
     assert x1.shape == (48, 2)
 
     nodes = []
@@ -636,9 +656,148 @@ def test_xi2_cross_masses_stay_cheap(monkeypatch):
         nodes.append(15 * los.size)
         return panels_eval(f, los, his, owner)
 
+    tol = _rel_cross_tol(model, x1, x2)
     monkeypatch.setattr(quadcore, "_panels_eval", count_nodes)
-    cross(model, x1, x2)
+    model.cross(x1, x2, tol)
     assert sum(nodes) <= 3.6e6
+
+
+@pytest.mark.parametrize("g, rho", [
+    pytest.param(lognormal(0.25, 4.0), 1e2, id="lognormal-1e2"),
+    pytest.param(lognormal(0.25, 4.0), 1e3, id="lognormal-1e3"),
+    pytest.param(lognormal(1.5, 1.0), 1e2, id="lognormal_wide-1e2"),
+])
+def test_xi2_cross_masses_meet_their_weight_tolerance(g, rho, monkeypatch):
+    # each cross mass is integrated to _CROSS_WEIGHT_TOL / lambda, so its
+    # weight's exponent lambda * cross is off by at most _CROSS_WEIGHT_TOL;
+    # the reference is the same rule at abs 1e-10, far below every
+    # tolerance here (the smallest is 4.5e-6)
+    spec = ModelSpec(model="square", rho=rho, b=0.0, g=g)
+    model, x1, x2, abs_tol = _xi2_pairs(spec, 500, monkeypatch)
+    lam = _frame(spec)[1].density
+    assert abs_tol == pytest.approx(_CROSS_WEIGHT_TOL / lam, rel=1e-15)
+    got = model.cross(x1, x2, abs_tol)
+    want = model.cross(x1, x2, 1e-10)
+    assert np.all(lam * np.abs(got - want) <= _CROSS_WEIGHT_TOL)
+
+
+# Two pairs of xi_2 runs at rho 1e2 on which a loose rule converged
+# falsely.  The wall pair (seed 1, as in
+# test_cross_mass_generic_matches_dblquad) reached lambda * error 3.2e-4 at
+# tau 1e-4 unless g's half-level circle splits the panels.  The corner pair
+# (seed 1 again) stayed at 7.6e-6 for every tau from 1e-3 to 1e-5 unless
+# the heights where the circles cross the side wall split them.
+_WALL_PAIR = ((1.85724003, 3.9932344), (1.89442304, 3.79686609))
+_CORNER_PAIR = ((3.80823816, 4.0221766), (3.96485552, 4.00189739))
+
+
+@pytest.mark.parametrize("pair, tau", [
+    pytest.param(_WALL_PAIR, 1e-4, id="wall-1e-4"),
+    pytest.param(_WALL_PAIR, 1e-5, id="wall-1e-5"),
+    pytest.param(_CORNER_PAIR, 1e-5, id="corner-1e-5"),
+    pytest.param(_CORNER_PAIR, 1e-6, id="corner-1e-6"),
+])
+def test_cross_mass_wall_pairs_meet_a_loose_tolerance(pair, tau):
+    g = lognormal(sigma=0.25, eta=4.0)
+    lam = _frame(ModelSpec(model="square", rho=1e2, b=0.0, g=g))[1].density
+    model = _WallIntegrals(g, 2.0 * 4.13058956189767)
+    p, q = np.array(pair[:1]), np.array(pair[1:])
+    got = model.cross(p, q, tau / lam)[0]
+    want = model.cross(p, q, 1e-10)[0]
+    assert lam * abs(got - want) <= tau
+
+
+def test_xi2_cross_masses_cost_what_their_weights_need(monkeypatch):
+    # the benchmark's lognormal xi_2 (seed 15000): its 48 cross masses took
+    # 3.4 M GK15 nodes at rel 1e-7 and take about 2.1 M to the error their
+    # weights can carry, and the estimate moves by under 1e-10 relative
+    import rcm_lab._quadcore as quadcore
+
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+    nodes = []
+    cross = _WallIntegrals.cross
+    panels_eval = quadcore._panels_eval
+
+    def count_nodes(f, los, his, owner):
+        nodes.append(15 * los.size)
+        return panels_eval(f, los, his, owner)
+
+    def counted_cross(model, x1, x2, abs_tol):
+        with monkeypatch.context() as m:
+            m.setattr(quadcore, "_panels_eval", count_nodes)
+            return cross(model, x1, x2, abs_tol)
+
+    monkeypatch.setattr(_WallIntegrals, "cross", counted_cross)
+    est, _ = expected_components_order2(spec, samples=48, seed=15000)
+    assert 0 < sum(nodes) <= 2.2e6
+    assert est == pytest.approx(1.04816727022856, rel=1e-7, abs=0.0)
+
+
+def test_cross_mass_that_misses_its_tolerance_raises(monkeypatch):
+    # a pair whose reached error exceeds its tolerance (one stopped at its
+    # panel limit, say) must raise, never return quietly
+    import rcm_lab.quadrature as quadrature
+
+    nested = quadrature.nested_quad
+
+    def missing(*args, **kwargs):
+        val, err = nested(*args, **kwargs)
+        err[1] = 3.0 * kwargs["abs_tol"][1]
+        return val, err
+
+    monkeypatch.setattr(quadrature, "nested_quad", missing)
+    model = _WallIntegrals(lognormal(sigma=0.25, eta=4.0), 8.0)
+    x1 = np.array([(0.3, -0.2), (3.6, 3.7)])
+    x2 = np.array([(1.1, 0.4), (2.9, 3.1)])
+    with pytest.raises(NonConvergentError, match="1 of 2 cross masses"):
+        model.cross(x1, x2, 1e-6)
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+    with pytest.raises(NonConvergentError, match="cross masses missed"):
+        expected_components_order2(spec, samples=4, seed=1)
+
+
+def test_cross_mass_whose_inner_integrals_miss_raises(monkeypatch):
+    # an inner integral that stops short of its tolerance counts against
+    # its pair: here every inner integral reports 100 times its tolerance
+    import rcm_lab._quadcore as quadcore
+
+    batched = quadcore.batched_quad
+    depth = []
+
+    def inner_misses(f, a, b, rel_tol=1e-10, abs_tol=0.0, **kwargs):
+        depth.append(f)
+        try:
+            val, err = batched(f, a, b, rel_tol, abs_tol, **kwargs)
+        finally:
+            depth.pop()
+        if depth:  # called from inside an outer integrand
+            err = err + 100.0 * np.asarray(abs_tol)
+        return val, err
+
+    monkeypatch.setattr(quadcore, "batched_quad", inner_misses)
+    model = _WallIntegrals(lognormal(sigma=0.25, eta=4.0), 8.0)
+    x1 = np.array([(0.3, -0.2), (3.6, 3.7)])
+    x2 = np.array([(1.1, 0.4), (2.9, 3.1)])
+    with pytest.raises(NonConvergentError, match="2 of 2 cross masses"):
+        model.cross(x1, x2, 1e-6)
+
+
+@pytest.mark.parametrize("model", ["torus", "window"])
+def test_xi2_rejects_frames_other_than_the_square(model):
+    # xi_2 integrates square exposures and cross masses; on the torus (unit
+    # disk, rho 1e3) that gave the square's 0.9256 for a true 0.342
+    spec = ModelSpec(model=model, rho=1e3, b=0.0, g=unit_disk(1.0))
+    with pytest.raises(ValueError, match="square frame"):
+        expected_components_order2(spec, samples=10, seed=1)
+
+
+@pytest.mark.parametrize("model", ["dense", "extended"])
+def test_xi2_of_a_rescaled_square_is_the_squares(model):
+    square = ModelSpec(model="square", rho=1e3, b=0.0, g=unit_disk(1.0))
+    spec = ModelSpec(model=model, rho=1e3, b=0.0, g=unit_disk(1.0))
+    got = expected_components_order2(spec, samples=200, seed=1)
+    want = expected_components_order2(square, samples=200, seed=1)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0),

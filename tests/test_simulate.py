@@ -348,12 +348,11 @@ def test_boundary_coupling_matches_all_edge_thinning(g, C):
 def test_cutoff_cache_never_serves_a_collected_g():
     # a custom g's signature holds id(fn); ids come back after collection,
     # so a new g must not find the cutoff of an old one
-    from rcm_lab.connfn import effective_cutoff, from_callable
-    from rcm_lab.simulate import _cutoff_cached
+    from rcm_lab.connfn import _solve_cutoff, effective_cutoff, from_callable
 
     for r in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
         g = from_callable(lambda x, r=r: np.exp(-(x / r) ** 2))
-        assert _cutoff_cached(g, 1e-6) == effective_cutoff(g, 1e-6)
+        assert effective_cutoff(g, 1e-6) == _solve_cutoff(g, 1e-6)
         del g
 
 
