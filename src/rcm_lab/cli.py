@@ -109,6 +109,8 @@ def _cmd_quad(args):
     print(f"ratio        = {rep.ratio:.12g}")
     print(f"table error  = {rep.tolerances['exposure_table_error']:.3g} "
           f"(share of C; 0 for a closed-form disk)")
+    print(f"region error = {rep.tolerances['region_error']:.3g} "
+          f"(reached by E(W) and its split, relative to each)")
     print(f"decomposition @ margin {rep.margin:.6g} (eps={rep.eps:g}):")
     print(f"  central    = {rep.central:.12g}")
     print(f"  side       = {rep.side:.12g}")

@@ -17,9 +17,10 @@ Built-in families:
 Custom functions come from tabulated (x, g) samples with an explicit tail
 rule, or from a user callable.
 
-integral_constant and effective_cutoff share one quadrature of g's mass: a
-head integral and a closed-form tail, or, for a tail known only
-numerically, one batched_quad call over the head and 60 doubling panels.
+integral_constant and every effective_cutoff read one quadrature of g's
+mass, made once per g and memoised by g.signature() (_mass): a head
+integral and a closed-form tail, or, for a tail known only numerically,
+one batched_quad call over the head and 60 doubling panels.
 
 scipy.special is imported only where lognormal is evaluated: at module
 level it would make up more than half of ``import rcm_lab``.
@@ -433,17 +434,28 @@ def _tail_upto_stop(panels, rel_tol):
     return panels[:stop + 1], running[stop]
 
 
-def _mass(g, rel_tol):
-    """(C, R0, panels): g's plane integral C = 2 pi * int_0^inf x g(x) dx.
+# g's mass quadratures by g.signature(), oldest first.  A custom g's
+# signature holds id(fn), which CPython reuses once fn is collected, so each
+# entry also holds its g: while an entry is cached no other callable can
+# take its id.  Bounded, so long runs over many g stay small.
+_MASS_CACHE = {}
+_MASS_CACHE_SIZE = 64
+
+
+def _mass(g):
+    """(C, R0, panels): g's plane integral C = 2 pi * int_0^inf x g(x) dx,
+    integrated once per g and then read from _MASS_CACHE.
 
     Compact support and power-log tails integrate the head up to where the
-    closed form takes over, to rel rel_tol / 2; R0 and panels are None.
-    Other g integrate x g(x) over [0, R0], R0 = max(1, twice every
-    discontinuity), and over the 60 panels [R0 2^k, R0 2^(k+1)] in one
-    batched_quad call, to rel min(rel_tol / 2, 1e-12) with at most 200
-    panels each; C sums the head and the panels up to the first below
-    rel_tol / 2 of the running tail.
+    closed form takes over, to rel 5e-11; R0 and panels are None.  Other g
+    integrate x g(x) over [0, R0], R0 = max(1, twice every discontinuity),
+    and over the 60 panels [R0 2^k, R0 2^(k+1)] in one batched_quad call,
+    to rel 1e-12 with at most 200 panels each; C sums the head and the
+    panels up to the first below 5e-11 of the running tail.
     """
+    key = g.signature()
+    if key in _MASS_CACHE:
+        return _MASS_CACHE[key][1]
     R0 = panels = None
     tail = _power_log_tail(g)
     if tail is None and not math.isfinite(g.support_radius):
@@ -454,11 +466,9 @@ def _mass(g, rel_tol):
         brk[0] = radii
         vals, _ = batched_quad(lambda x, k: x * g._eval(x),
                                np.concatenate([[0.0], edges[:-1]]), edges,
-                               rel_tol=min(0.5 * rel_tol, 1e-12),
-                               breakpoints=brk, limit=200)
+                               rel_tol=1e-12, breakpoints=brk, limit=200)
         panels = vals[1:]
-        total = 2.0 * math.pi * (vals[0] + _tail_upto_stop(
-            panels, 0.5 * rel_tol)[1])
+        total = 2.0 * math.pi * (vals[0] + _tail_upto_stop(panels, 5e-11)[1])
     else:
         upto, rest = g.support_radius, 0.0
         if tail is not None:
@@ -469,26 +479,27 @@ def _mass(g, rel_tol):
             upto = x_from * scale
             rest = scale * scale * _power_log_mass(a, p, x_from)
         head, _ = adaptive_quad(lambda x: x * g._eval(x), 0.0, upto,
-                                rel_tol=0.5 * rel_tol,
+                                rel_tol=5e-11,
                                 breakpoints=_structural_radii(g, upto))
         total = 2.0 * math.pi * head + rest
     if not total > 0.0:
         raise ValueError("connection function must have positive mass")
-    return float(total), R0, panels
+    if len(_MASS_CACHE) >= _MASS_CACHE_SIZE:
+        del _MASS_CACHE[next(iter(_MASS_CACHE))]
+    _MASS_CACHE[key] = (g, (float(total), R0, panels))
+    return _MASS_CACHE[key][1]
 
 
-def integral_constant(g, rel_tol=1e-10):
+def integral_constant(g):
     """The plane integral of g: C = 2 pi * integral_0^inf x g(x) dx.
 
     Splits at g's structural radii.  A power-log tail adds its closed form
     past the head; any other infinite tail is summed over geometric
-    [R, 2R] panels up to the first below rel_tol / 2 of the running tail.
+    [R, 2R] panels up to the first below 5e-11 of the running tail.
     Raises NonConvergentError when tail panels fail to decay
     (non-integrable g) and ValueError when the integral is not positive.
     """
-    if not 1e-14 < rel_tol < 1e-2:
-        raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
-    return _mass(g, rel_tol)[0]
+    return _mass(g)[0]
 
 
 def check_monotonicity(g, grid=4096):
@@ -524,14 +535,6 @@ def classify_tail(g):
         "tail diagnostic oscillates; no stable limit over sampled octaves")
 
 
-# Effective cutoffs by (g.signature(), tail_mass), oldest first.  A custom
-# g's signature holds id(fn), which CPython reuses once fn is collected, so
-# each entry also holds its g: while an entry is cached no other callable
-# can take its id.  Bounded, so long runs over many g stay small.
-_CUTOFF_CACHE = {}
-_CUTOFF_CACHE_SIZE = 64
-
-
 def effective_cutoff(g, tail_mass):
     """Smallest doubling-grid radius R with 2 pi int_R^inf x g dx <= tail_mass * C.
 
@@ -540,23 +543,15 @@ def effective_cutoff(g, tail_mass):
     reported as inf (callers fall back to exact all-pairs behaviour).  Any
     other tail reads C and the doubling panels from the one quadrature
     behind integral_constant, and sums the panels up to the first below
-    1e-14 of the running tail.  Each (g, tail_mass) is solved once.
+    1e-14 of the running tail.  Every tail_mass reads g's one memoised
+    _mass, so a cutoff integrates nothing once C is known.
     """
     if not 0.0 < tail_mass < 1.0:
         raise ValueError("tail_mass must lie in (0, 1)")
-    key = (g.signature(), float(tail_mass))
-    if key not in _CUTOFF_CACHE:
-        if len(_CUTOFF_CACHE) >= _CUTOFF_CACHE_SIZE:
-            del _CUTOFF_CACHE[next(iter(_CUTOFF_CACHE))]
-        _CUTOFF_CACHE[key] = (g, _solve_cutoff(g, tail_mass))
-    return _CUTOFF_CACHE[key][1]
-
-
-def _solve_cutoff(g, tail_mass):
     if math.isfinite(g.support_radius):
         return float(g.support_radius)
 
-    C, R0, panels = _mass(g, 1e-10)
+    C, R0, panels = _mass(g)
     target = tail_mass * C
 
     tail = _power_log_tail(g)

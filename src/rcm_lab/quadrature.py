@@ -6,12 +6,12 @@ isolated-node counts are integrals of lambda * exp(-I(y)).
 
 Every exposure is a function of y's distances to the four walls of the
 square, and _exposure_model builds one model of it per (g, square), each
-taking a (4, m) array of wall distances.  A hard disk needs no quadrature
-at all: I(y) is lambda times the area of disk and square, and the xi_2
-cross mass of a pair is the area of both disks and the square, closed
-forms from geometry.  For any other g, truncate g at a radius R that no
-point of the square can tell apart from infinity (g's tail mass beyond R
-is below 1e-16 of C, or R = side * sqrt(2), the square's diagonal).
+taking a (4, m) array of wall distances.  Its cut radius R is the one
+reach of g that every exposure, cross mass, E(W) split and xi_2 draw
+reads.  A hard disk has R = r, its radius (at most the diagonal), and no
+quadrature: I(y) is lambda times the area of disk and square, and a xi_2
+cross mass is the area of both disks and the square.  Any other g is cut
+where it holds under 1e-16 of its mass, or at the diagonal (_cut_radius).
 Inclusion-exclusion over the four wall half-planes and the four corner
 quadrants (opposite half-planes never meet, no three meet) then gives the
 face/edge/corner split of Coon, Dettmann and Georgiou (2012):
@@ -36,9 +36,11 @@ E(W) and its central/side/corner split integrate exp(-I) in wall
 coordinates u = h - x, v = h - y over regions of the triangle
 {0 <= u <= v <= h}, eight copies of which make the square: one two-level
 array quadrature (_quadcore.nested_quad), split where a structural radius
-of g, or its cutoff at tail mass 1e-12, reaches a wall.  A near wall's
-distance is then a quadrature node itself, exact on squares of any size.
-xi_2 samples centred pairs, and their exposures take the wall distances
+of g, or R, reaches a wall.  A near wall's distance is then a quadrature
+node itself, exact on squares of any size.  Each region reports the error
+it reached (isolation_report's region_error).  xi_2 samples centred pairs:
+the first point from an envelope whose wall band is R wide, the second
+from g on [0, R] around it.  Their exposures take the wall distances
 h -+ x, h -+ y; for a g other than a disk its cross masses are one more
 nested quadrature, over the lens of each pair's two R-disks clipped to the
 square, split where the pair's structural and half-level circles cross
@@ -416,12 +418,13 @@ class _WallTable(_WallIntegrals):
 class _DiskExposure:
     """The exposure model of a hard disk of radius r on one square:
     |disk(y, r) & A| and the xi_2 cross masses, closed forms from
-    geometry."""
+    geometry.  Its cut radius R is r, capped at the diagonal."""
 
     error = 0.0     # no table
 
     def __init__(self, g, side, r):
         self.g, self.side, self.r = g, side, r
+        self.R = min(r, side * math.sqrt(2.0))
 
     def exposure(self, d, rel_tol):
         """I / lambda at each column of d, the (4, m) wall distances."""
@@ -478,22 +481,19 @@ def inner_exposure(y, spec, rel_tol=1e-8):
 
 def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
     """lambda * integral of exp(-I) over each region k of
-    {u0_k <= u <= u1_k, vlo(u, k) <= v <= vhi(u, k)}; a length-n array.
+    {u0_k <= u <= u1_k, vlo(u, k) <= v <= vhi(u, k)}, and the error each
+    reached relative to its value; two length-n arrays.
 
     u and v are the distances to the right and top walls, so the point's
     wall distances are (u, side - u, v, side - v) and the near walls carry
     no rounding of the side.  One nested_quad for all n regions; both
     levels split where a structural radius of g reaches a wall, at rad and
-    side - rad.  The radii include g's cutoff at tail mass 1e-12: farther
-    than that from every wall, exp(-I) is constant to 1e-12 of g's mass.
+    side - rad.  The radii include the model's cut radius R: farther than
+    R from every wall, I is the plane mass C_R and exp(-I) is constant.
     """
-    g, side = model.g, model.side
-    upto = side * math.sqrt(2.0)
-    radii = set(_structural_radii(g, upto))
-    cut = effective_cutoff(g, 1e-12)
-    if cut < upto:
-        radii.add(cut)
-    kinks = [k for rad in sorted(radii) for k in (rad, side - rad)]
+    side = model.side
+    radii = set(_structural_radii(model.g, side * math.sqrt(2.0)))
+    kinks = [k for rad in sorted(radii | {model.R}) for k in (rad, side - rad)]
 
     def inner(us, k):
         return vlo(us, k), vhi(us, k), kinks
@@ -504,10 +504,10 @@ def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
         return np.exp(-lam * model.exposure(d, inner_tol)).reshape(vs.shape)
 
     n = np.broadcast(u0, u1).size
-    val, _ = nested_quad(f, u0, u1, inner, rel_tol=rel_tol / 2.0,
-                         breakpoints=np.broadcast_to(kinks, (n, len(kinks))),
-                         inner_rel_tol=rel_tol / 4.0, limit=400)
-    return lam * val
+    val, err = nested_quad(f, u0, u1, inner, rel_tol=rel_tol / 2.0,
+                           breakpoints=np.broadcast_to(kinks, (n, len(kinks))),
+                           inner_rel_tol=rel_tol / 4.0, limit=400)
+    return lam * val, err / np.maximum(np.abs(val), 1e-300)
 
 
 def _inner_tol(rel_tol):
@@ -516,10 +516,11 @@ def _inner_tol(rel_tol):
 
 
 def _square_ew(d, model, rel_tol):
+    """E(W) on the square, and the error it reached relative to it."""
     h = 0.5 * model.side
-    val = _region_integral(d.density, model, 0.0, h, lambda u, k: u,
-                           lambda u, k: h, rel_tol, _inner_tol(rel_tol))
-    return 8.0 * float(val[0])
+    val, err = _region_integral(d.density, model, 0.0, h, lambda u, k: u,
+                                lambda u, k: h, rel_tol, _inner_tol(rel_tol))
+    return 8.0 * float(val[0]), float(err[0])
 
 
 def _torus_ew(d, model, rel_tol):
@@ -533,7 +534,7 @@ def expected_isolated_square(spec, rel_tol=1e-6):
     eight copies of the fundamental triangle {0 <= y <= x <= side/2}."""
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _square_ew(d, _exposure_model(g, d.core_side), rel_tol)
+    return _square_ew(d, _exposure_model(g, d.core_side), rel_tol)[0]
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
@@ -590,7 +591,7 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
 
     inner_tol = _inner_tol(rel_tol)
     model = _exposure_model(g, side)
-    ew = _square_ew(d, model, rel_tol)
+    ew, ew_err = _square_ew(d, model, rel_tol)
     ew_t = _torus_ew(d, model, min(rel_tol, 1e-9))
     ew_inf = expected_isolated_infinite(spec.b)
 
@@ -598,7 +599,7 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
     # {0 <= u <= v <= h}, split at wall distance margin: the central
     # triangle (8 copies), a side strip (8) and a corner square (4)
     h = 0.5 * side
-    val = _region_integral(
+    val, err = _region_integral(
         lam, model, [margin, 0.0, 0.0], [h, margin, margin],
         lambda u, k: np.where(k == 0, u, np.where(k == 1, margin, 0.0)),
         lambda u, k: np.where(k == 2, margin, h), rel_tol, inner_tol)
@@ -612,7 +613,8 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
         margin=margin, eps=eps,
         tolerances={"rel_tol": rel_tol, "inner_tol": inner_tol,
                     "decomposition_residual": resid,
-                    "exposure_table_error": model.error})
+                    "exposure_table_error": model.error,
+                    "region_error": max(ew_err, float(err.max()))})
 
 
 def _disk_radius(g):
@@ -691,23 +693,23 @@ def expected_components_order2(spec, samples=20000, seed=0,
     area = side * side
     rng = np.random.default_rng(int(seed))
 
-    r_t = min(g.support_radius, side * math.sqrt(2.0))
+    model = _exposure_model(g, side)
 
-    # Monotone piecewise-constant envelope for the radial density ~ r g(r).
+    # Monotone piecewise-constant envelope for the radial density ~ r g(r)
+    # on [0, R]: the exposures and cross masses cut g at R too.
     K = 512
-    edges = np.linspace(0.0, r_t, K + 1)
+    edges = np.linspace(0.0, model.R, K + 1)
     gle = np.asarray(g._eval(edges[:-1]), dtype=float)
     mass = gle * 0.5 * (edges[1:] ** 2 - edges[:-1] ** 2)
     total_mass = float(mass.sum())
     if total_mass <= 0.0:
         return 0.0, 0.0
     cdf = np.cumsum(mass) / total_mass
-    model = _exposure_model(g, side)
 
     n = int(samples)
     if mode == "importance":
-        # the envelope's wall band: g's reach at tail mass 1e-12
-        band = min(effective_cutoff(g, 1e-12), h)
+        # the envelope's wall band: g's reach R
+        band = min(model.R, h)
         x1, inv_density = _envelope_draw(rng, n, model, lam, band)
         x2 = np.empty_like(x1)
         pending = np.arange(n)

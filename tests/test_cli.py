@@ -62,6 +62,24 @@ def test_quad_prints_exposure_table_error(capsys):
     assert _table_error_line(capsys.readouterr().out) == 0.0
 
 
+def test_quad_prints_region_error(capsys):
+    # the error that E(W) and its split reached, relative to each, as
+    # isolation_report gives it
+    from rcm_lab import ModelSpec, isolation_report, lognormal
+
+    logn = '{"family": "lognormal", "params": {"sigma": 0.25, "eta": 4.0}}'
+    assert main(["quad", "--g", logn, "--rho", "100", "--rel-tol",
+                 "1e-3"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("region error")]
+    assert len(lines) == 1
+    got = float(lines[0].split("=")[1].split()[0])
+    rep = isolation_report(ModelSpec("square", 100.0, 0.0,
+                                     lognormal(0.25, 4.0)), rel_tol=1e-3)
+    assert got > 0.0
+    assert got == pytest.approx(rep.tolerances["region_error"], rel=1e-2)
+
+
 def test_quad_g_from_file(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text(DISK)

@@ -408,10 +408,10 @@ def test_region_integral_triangle_matches_frozen_ew():
     # criterion 4, with a second region in the same call
     _, d, g = _frame(_disk_spec("square", 100.0))
     h = 0.5 * d.core_side
-    val = _region_integral(d.density, _exposure_model(g, d.core_side),
-                           [0.0, 0.0], [h, h],
-                           lambda u, k: np.where(k == 0, u, 0.0),
-                           lambda u, k: h, 1e-6, 1e-8)
+    val, _ = _region_integral(d.density, _exposure_model(g, d.core_side),
+                              [0.0, 0.0], [h, h],
+                              lambda u, k: np.where(k == 0, u, 0.0),
+                              lambda u, k: h, 1e-6, 1e-8)
     assert val.shape == (2,)
     assert 8.0 * val[0] == pytest.approx(2.2779393402, rel=1e-6)
     # the second region, {0 <= x, y <= h}, is 2 triangles
@@ -710,7 +710,8 @@ def test_cross_mass_wall_pairs_meet_a_loose_tolerance(pair, tau):
 def test_xi2_cross_masses_cost_what_their_weights_need(monkeypatch):
     # the benchmark's lognormal xi_2 (seed 15000): its 48 cross masses took
     # 3.4 M GK15 nodes at rel 1e-7 and take about 2.1 M to the error their
-    # weights can carry, and the estimate moves by under 1e-10 relative
+    # weights can carry.  The partner of each pair is drawn on [0, R], R
+    # the exposure model's cut radius (1.126).
     import rcm_lab._quadcore as quadcore
 
     spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
@@ -730,7 +731,18 @@ def test_xi2_cross_masses_cost_what_their_weights_need(monkeypatch):
     monkeypatch.setattr(_WallIntegrals, "cross", counted_cross)
     est, _ = expected_components_order2(spec, samples=48, seed=15000)
     assert 0 < sum(nodes) <= 2.2e6
-    assert est == pytest.approx(1.04816727022856, rel=1e-7, abs=0.0)
+    assert est == pytest.approx(1.1349318081685624, rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [1e12, 1e16])
+def test_lognormal_xi2_runs_at_large_rho(rho):
+    # the partner is drawn from g on [0, R], R the exposure model's cut
+    # radius (1.126): a radial envelope over the whole diagonal (side
+    # 3.4e5 at rho 1e12) leaves almost every draw to rejection
+    spec = ModelSpec(model="square", rho=rho, b=0.0, g=lognormal(0.25, 4.0))
+    est, se = expected_components_order2(spec, samples=48, seed=1)
+    assert math.isfinite(est) and est > 0.0
+    assert math.isfinite(se) and se > 0.0
 
 
 def test_cross_mass_that_misses_its_tolerance_raises(monkeypatch):
