@@ -17,6 +17,11 @@ Built-in families:
 Custom functions come from tabulated (x, g) samples with an explicit tail
 rule, or from a user callable.
 
+Every g is described when it is built: its support radius, its radii
+(where it jumps, kinks or changes formula) and its exact power-log tail.
+scaled() stretches all three, and g.base is the unscaled g underneath, so
+no reader has to unwrap a stretch.
+
 integral_constant and every effective_cutoff read one quadrature of g's
 mass, made once per g and memoised by g.signature() (_mass): a head
 integral and a closed-form tail, or, for a tail known only numerically,
@@ -57,9 +62,11 @@ class ConnectionFunction:
     kind: str
     params: dict = field(compare=False)
     support_radius: float = math.inf
-    discontinuities: tuple = ()
-    # ("zero", R): no mass past R. ("power_log", a, p, x_from): the exact
-    # tail a/(x^2 ln^p x) holds for x >= x_from.  None: numeric tail only.
+    # every radius where g jumps, kinks or changes formula
+    radii: tuple = ()
+    # (a, p, x_from, scale): g(x) = a / (u^2 ln^p u) with u = x / scale for
+    # u >= x_from, the base's exact tail stretched by scale.  None: no
+    # power-log tail (compact support, or a tail known only numerically).
     tail: tuple | None = None
 
     def __call__(self, x):
@@ -120,29 +127,40 @@ class ConnectionFunction:
             raise ValueError("scale factor must be positive and finite")
         if factor == 1.0:
             return self
-        tail = None
-        if self.tail is not None:
-            if self.tail[0] == "zero":
-                tail = ("zero", self.tail[1] * factor)
-            # power_log tails do not stay power_log under scaling (the log
-            # shifts); _power_log_tail reads the base's instead.
+        tail = self.tail
+        if tail is not None:
+            # a power-log tail does not stay power-log in x (the log
+            # shifts): it keeps the base's form and stretches its scale
+            a, p, x_from, scale = tail
+            tail = (a, p, x_from, scale * factor)
         return ConnectionFunction(
             name="%s*%g" % (self.name, factor),
             kind="scaled",
             params={"base": self, "factor": factor},
             support_radius=self.support_radius * factor,
-            discontinuities=tuple(d * factor for d in self.discontinuities),
+            radii=tuple(r * factor for r in self.radii),
             tail=tail,
         )
+
+    @property
+    def base(self):
+        """The unscaled g that this one stretches (itself when unscaled)."""
+        return self._unstretched()[0]
+
+    def _unstretched(self):
+        """(base, total stretch), the factors multiplied innermost first."""
+        if self.kind != "scaled":
+            return self, 1.0
+        base, stretch = self.params["base"]._unstretched()
+        return base, stretch * self.params["factor"]
 
     def analytic_tail_integral(self, R):
         """2 pi * integral_R^inf x g(x) dx when known in closed form, else None."""
         if self.support_radius <= R:
             return 0.0
-        tail = _power_log_tail(self)
-        if tail is None:
+        if self.tail is None:
             return None
-        a, p, x_from, scale = tail
+        a, p, x_from, scale = self.tail
         if R / scale < x_from:
             return None
         return scale * scale * _power_log_mass(a, p, R / scale)
@@ -168,8 +186,7 @@ def unit_disk(r0=1.0):
         raise ValueError("r0 must be positive")
     return ConnectionFunction(
         name="unit_disk(%g)" % r0, kind="unit_disk", params={"r0": float(r0)},
-        support_radius=float(r0), discontinuities=(float(r0),),
-        tail=("zero", float(r0)))
+        support_radius=float(r0), radii=(float(r0),))
 
 
 def lognormal(sigma, eta, r0=1.0):
@@ -206,7 +223,7 @@ def theta_tail(a, x0=3.0, g0=1.0):
     return ConnectionFunction(
         name="theta_tail(%g,%g,%g)" % (a, x0, g0), kind="theta_tail",
         params={"a": float(a), "x0": float(x0), "g0": float(g0)},
-        tail=("power_log", float(a), 2.0, xf))
+        radii=(float(x0), xf), tail=(float(a), 2.0, xf, 1.0))
 
 
 def omega_tail(p, x0=3.0, g0=1.0):
@@ -218,20 +235,20 @@ def omega_tail(p, x0=3.0, g0=1.0):
     return ConnectionFunction(
         name="omega_tail(%g,%g,%g)" % (p, x0, g0), kind="omega_tail",
         params={"p": float(p), "x0": float(x0), "g0": float(g0)},
-        tail=("power_log", acont, float(p), float(x0)))
+        radii=(float(x0),), tail=(acont, float(p), float(x0), 1.0))
 
 
 def zero_function():
     """Degenerate g = 0; valid for graph building, not for model densities."""
     return ConnectionFunction(name="zero", kind="zero", params={},
-                              support_radius=0.0, tail=("zero", 0.0))
+                              support_radius=0.0)
 
 
 def from_callable(fn, name="custom", support_radius=math.inf,
                   discontinuities=()):
     return ConnectionFunction(name=name, kind="custom", params={"fn": fn},
                               support_radius=float(support_radius),
-                              discontinuities=tuple(discontinuities))
+                              radii=tuple(float(d) for d in discontinuities))
 
 
 def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
@@ -252,14 +269,10 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
     if tail_rule[0] not in ("zero", "power_log"):
         raise ValueError("tail rule must be 'zero' or 'power_log'")
 
-    discs = []
     support = math.inf
     tail = None
     if tail_rule[0] == "zero":
         support = float(xs[-1])
-        tail = ("zero", support)
-        if gs[-1] > 0.0:
-            discs.append(float(xs[-1]))
     else:
         a, p = float(tail_rule[1]), float(tail_rule[2])
         if a <= 0.0 or p <= 1.0:
@@ -269,13 +282,11 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
         join = a / (xs[-1] ** 2 * math.log(xs[-1]) ** p)
         if join > gs[-1] + 1e-12:
             raise ValueError("power_log tail would increase g at the join")
-        if abs(join - gs[-1]) > 1e-12 * max(gs[-1], 1e-300):
-            discs.append(float(xs[-1]))
-        tail = ("power_log", a, p, float(xs[-1]))
+        tail = (a, p, float(xs[-1]), 1.0)
     return ConnectionFunction(
         name=name, kind="tabulated",
         params={"x": xs, "g": gs, "tail_rule": tuple(tail_rule)},
-        support_radius=support, discontinuities=tuple(discs), tail=tail)
+        support_radius=support, radii=tuple(xs.tolist()), tail=tail)
 
 
 def load_tabulated_csv(path, tail_rule=("zero",)):
@@ -382,42 +393,13 @@ def from_config(cfg):
 
 def _structural_radii(g, upto):
     """Sorted distinct radii in (0, upto) where g jumps, kinks or changes
-    formula: its support radius, discontinuities, tabulated samples and the
-    start of its exact tail, each stretched through any scaling."""
-    radii = [g.support_radius, *g.discontinuities]
-    if g.tail is not None and g.tail[0] == "power_log":
-        radii.append(g.tail[3])
-    if g.kind in ("theta_tail", "omega_tail"):
-        radii.append(g.params["x0"])
-    if g.kind == "tabulated":
-        radii.extend(g.params["x"])
-    if g.kind == "scaled":
-        f = g.params["factor"]
-        radii.extend(r * f for r in _structural_radii(g.params["base"],
-                                                      math.inf))
-    return sorted({float(r) for r in radii if 0.0 < r < upto})
+    formula: its support radius and g.radii."""
+    return sorted({r for r in (g.support_radius, *g.radii) if 0.0 < r < upto})
 
 
 def _power_log_mass(a, p, R):
     """2 pi * int_R^inf a / (x ln^p x) dx = 2 pi a (ln R)^(1-p) / (p-1)."""
     return 2.0 * math.pi * a * math.log(R) ** (1.0 - p) / (p - 1.0)
-
-
-def _power_log_tail(g):
-    """(a, p, x_from, scale) of the exact power-log tail g carries, or None.
-
-    A scaled function has the tail of its base, stretched by scale: it
-    starts at x_from * scale.  Nested scalings multiply their factors.
-    """
-    if g.tail is not None and g.tail[0] == "power_log":
-        _, a, p, x_from = g.tail
-        return a, p, x_from, 1.0
-    if g.kind == "scaled":
-        tail = _power_log_tail(g.params["base"])
-        if tail is not None:
-            a, p, x_from, scale = tail
-            return a, p, x_from, scale * g.params["factor"]
-    return None
 
 
 def _tail_upto_stop(panels, rel_tol):
@@ -448,7 +430,7 @@ def _mass(g):
 
     Compact support and power-log tails integrate the head up to where the
     closed form takes over, to rel 5e-11; R0 and panels are None.  Other g
-    integrate x g(x) over [0, R0], R0 = max(1, twice every discontinuity),
+    integrate x g(x) over [0, R0], R0 = max(1, twice every one of g.radii),
     and over the 60 panels [R0 2^k, R0 2^(k+1)] in one batched_quad call,
     to rel 1e-12 with at most 200 panels each; C sums the head and the
     panels up to the first below 5e-11 of the running tail.
@@ -457,9 +439,9 @@ def _mass(g):
     if key in _MASS_CACHE:
         return _MASS_CACHE[key][1]
     R0 = panels = None
-    tail = _power_log_tail(g)
+    tail = g.tail
     if tail is None and not math.isfinite(g.support_radius):
-        R0 = max([1.0] + [2.0 * d for d in g.discontinuities])
+        R0 = max([1.0] + [2.0 * r for r in g.radii])
         edges = R0 * 2.0 ** np.arange(61)
         radii = _structural_radii(g, R0)
         brk = np.full((61, len(radii)), np.nan)
@@ -515,17 +497,22 @@ def classify_tail(g):
     Returns TailClass: little_o (limit 0), theta (finite positive limit,
     last 10 octaves agree within 1%), or omega (unbounded growth).
     Raises InconclusiveTailError when the samples oscillate without trend.
+
+    A stretched g(x / s) has the class of its base g and s^2 times its
+    limit, as ln^2(x) / ln^2(x / s) -> 1; its base is what gets sampled,
+    since over these octaves ln s still moves the product by percents.
     """
+    base, stretch = g._unstretched()
     ks = np.arange(10, 61)
     xs = np.power(2.0, ks)
-    fs = np.asarray(g._eval(xs), dtype=float) * xs * xs * np.log(xs) ** 2
+    fs = np.asarray(base._eval(xs), dtype=float) * xs * xs * np.log(xs) ** 2
     tail = fs[-10:]
 
     if np.all(tail == 0.0):
         return TailClass("little_o", 0.0, "exact-zero")
     mean = float(np.mean(tail))
     if mean > 0.0 and (tail.max() - tail.min()) <= 0.01 * mean:
-        return TailClass("theta", mean, "stable-window")
+        return TailClass("theta", mean * stretch * stretch, "stable-window")
     diffs = np.diff(fs[-20:])
     if np.all(diffs >= 0.0) and fs[-1] > fs[-20]:
         return TailClass("omega", math.inf, "trend")
@@ -554,9 +541,8 @@ def effective_cutoff(g, tail_mass):
     C, R0, panels = _mass(g)
     target = tail_mass * C
 
-    tail = _power_log_tail(g)
-    if tail is not None:
-        a, p, tail_from, scale = tail
+    if g.tail is not None:
+        a, p, tail_from, scale = g.tail
         # Solve 2 pi a (ln u)^(1-p) / (p-1) = target / scale^2 for u = R/scale.
         t = target / (scale * scale)
         ln_u = (2.0 * math.pi * a / ((p - 1.0) * t)) ** (1.0 / (p - 1.0))

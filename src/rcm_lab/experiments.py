@@ -117,7 +117,9 @@ def run_trial(spec, seed, mode="exact", tail_mass=1e-6):
     """One seeded realization; returns a plain-dict trial record.
 
     Torus trials additionally run the boundary coupling, so the record
-    carries the exact split W = W_T + W_E alongside the square census.
+    carries the exact split W = W_T + W_E alongside the square census:
+    a torus record's xi (and summary.csv's mean_xi*) counts the
+    components of the coupled square graph, not of the torus graph.
     Window trials report the pad-aware isolated count (W) next to the
     core-truncated one (W_core).
     """

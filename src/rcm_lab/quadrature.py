@@ -416,15 +416,15 @@ class _WallTable(_WallIntegrals):
 
 
 class _DiskExposure:
-    """The exposure model of a hard disk of radius r on one square:
-    |disk(y, r) & A| and the xi_2 cross masses, closed forms from
-    geometry.  Its cut radius R is r, capped at the diagonal."""
+    """The exposure model of a hard disk of radius r = g.support_radius on
+    one square: |disk(y, r) & A| and the xi_2 cross masses, closed forms
+    from geometry.  Its cut radius R is r, capped at the diagonal."""
 
     error = 0.0     # no table
 
-    def __init__(self, g, side, r):
-        self.g, self.side, self.r = g, side, r
-        self.R = min(r, side * math.sqrt(2.0))
+    def __init__(self, g, side):
+        self.g, self.side, self.r = g, side, g.support_radius
+        self.R = min(self.r, side * math.sqrt(2.0))
 
     def exposure(self, d, rel_tol):
         """I / lambda at each column of d, the (4, m) wall distances."""
@@ -447,9 +447,8 @@ def _exposure_model(g, side, direct=False):
     that reads one point (a torus E(W) on its own, inner_exposure) would
     spend far more on a table than its lookups save.
     """
-    r = _disk_radius(g)
-    if r is not None:
-        return _DiskExposure(g, side, r)
+    if g.base.kind == "unit_disk":
+        return _DiskExposure(g, side)
     return _WallIntegrals(g, side) if direct else _WallTable(g, side)
 
 
@@ -617,16 +616,6 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
                     "region_error": max(ew_err, float(err.max()))})
 
 
-def _disk_radius(g):
-    """Radius when g is a (possibly rescaled) hard disk, else None."""
-    if g.kind == "unit_disk":
-        return g.params["r0"]
-    if g.kind == "scaled":
-        base = _disk_radius(g.params["base"])
-        return None if base is None else base * g.params["factor"]
-    return None
-
-
 # Equal cells across the wall band, per axis, of the x1 envelope.
 _ENVELOPE_CELLS = 16
 
@@ -678,7 +667,9 @@ def expected_components_order2(spec, samples=20000, seed=0,
     standard error is NaN when samples is 1 (one sample has no spread), and
     exactly 0 only for a g of zero mass.  Walls are modelled for the square
     and its rescalings (dense, extended) only: a torus or window spec raises
-    ValueError, as its exposures and cross masses differ.
+    ValueError, as its exposures and cross masses differ.  A partner draw
+    that still has partners pending after 100000 rounds raises
+    NonConvergentError.
     """
     if spec.model in ("torus", "window"):
         raise ValueError("xi_2 is computed for the square frame and its "
@@ -717,7 +708,12 @@ def expected_components_order2(spec, samples=20000, seed=0,
         while pending.size:
             guard += 1
             if guard > 100000:
-                raise RuntimeError("x2 rejection sampler failed to terminate")
+                raise NonConvergentError(
+                    "xi_2 partner draw for g = %s did not finish: after "
+                    "100000 rounds, %d of %d partners drawn from the radial "
+                    "envelope of r g(r) on [0, R = %.6g] were still rejected "
+                    "or outside the square" % (g.name, pending.size, n,
+                                               model.R))
             m = pending.size
             kbin = np.searchsorted(cdf, rng.random(m), side="right")
             a = edges[kbin]

@@ -222,12 +222,6 @@ _NON_INCREASING = ("unit_disk", "lognormal", "theta_tail", "omega_tail",
                    "zero", "tabulated")
 
 
-def _non_increasing(g):
-    while g.kind == "scaled":
-        g = g.params["base"]
-    return g.kind in _NON_INCREASING
-
-
 def _edges_cells(pts, g, metric, seed, tail_mass):
     pos = pts.positions
     side = pts.region.side
@@ -240,7 +234,7 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     # leaves the tree little to prune.  Either way: scan all pairs.  Both
     # paths are exact only for a non-increasing g, which a sampled check
     # cannot confirm for a callable: only g's kind can.
-    if not _non_increasing(g):
+    if g.base.kind not in _NON_INCREASING:
         raise ValueError("cells mode needs a non-increasing g; "
                          "use mode 'exact'")
     r_cut = effective_cutoff(g, tail_mass)

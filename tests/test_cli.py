@@ -150,6 +150,18 @@ def test_bad_tolerance_or_count_exits_2_without_traceback(args, word):
     assert proc.stdout == ""
 
 
+def test_components_failed_partner_draw_exits_2_without_traceback():
+    # at rho = 1e12 the theta tail's radial envelope reaches so far past
+    # the square that some partners are never drawn inside it
+    proc = _cli("components", "--g",
+                '{"family": "theta_tail", "params": {"a": 0.5}}',
+                "--rho", "1e12", "--samples", "48", "--seed", "1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "partner draw" in proc.stderr and "theta_tail" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_classify_command(capsys):
     assert main(["classify", "--g", DISK]) == 0
     out = capsys.readouterr().out

@@ -89,6 +89,26 @@ def test_twice_scaled_power_log_tail_matches_single_scaling(f1, f2):
             effective_cutoff(once, mass), rel=1e-10)
 
 
+def test_scaled_stretches_tail_and_radii_in_order():
+    base = theta_tail(a=0.5)
+    g = base.scaled(0.3).scaled(2.0)
+    assert g.base is base
+    assert g.tail[:3] == base.tail[:3]
+    assert g.tail[3] == (1.0 * 0.3) * 2.0
+    assert g.radii == tuple((r * 0.3) * 2.0 for r in base.radii)
+    assert g.radii == ((3.0 * 0.3) * 2.0, (base.tail[2] * 0.3) * 2.0)
+
+
+def test_tabulated_radii_list_every_sample():
+    x = [0.5, 1.0, 2.0, 3.0]
+    v = [1.0, 0.6, 0.3, 0.2]
+    assert tabulated(x, v).radii == tuple(x)
+    gp = tabulated(x, v, tail_rule=("power_log", 0.1, 2.0))
+    assert gp.radii == tuple(x)
+    assert gp.tail == (0.1, 2.0, 3.0, 1.0)
+    assert gp.scaled(0.5).radii == tuple(r * 0.5 for r in x)
+
+
 def test_theta_tail_is_exact_past_x0():
     a = 0.5
     g = theta_tail(a=a)

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
-                            from_callable, integral_constant, lognormal,
-                            omega_tail, theta_tail, unit_disk)
+                            classify_tail, from_callable, integral_constant,
+                            lognormal, omega_tail, theta_tail, unit_disk)
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_infinite,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_CROSS_WEIGHT_TOL, _WallIntegrals,
-                                _WallTable, _exposure, _exposure_model,
-                                _frame, _region_integral, _torus_ew)
+from rcm_lab.quadrature import (_CROSS_WEIGHT_TOL, _DiskExposure,
+                                _WallIntegrals, _WallTable, _exposure,
+                                _exposure_model, _frame, _region_integral,
+                                _torus_ew)
 from rcm_lab.simulate import census
 
 from _oracles import (disk_square_overlap, polar_exposure,
@@ -436,6 +437,26 @@ def test_truncation_limit_classes():
     assert truncation_limit(omega_tail(p=1.5, x0=3.0), 0.0) == math.inf
     with pytest.raises(InconclusiveTailError):
         truncation_limit(_wiggly(), 0.0)
+
+
+@pytest.mark.parametrize("f", [0.05, 0.3, 3.0, 100.0])
+def test_stretched_theta_tail_keeps_class_and_limit(f):
+    # x^2 ln^2(x) g(x / f) -> f^2 a, and C scales by f^2 too, so the
+    # truncation limit exp(-b + 4 pi a / C) does not depend on the stretch
+    g = theta_tail(a=0.5).scaled(f)
+    tc = classify_tail(g)
+    assert tc.kind == "theta"
+    assert tc.limit_estimate == pytest.approx(0.5 * f * f, rel=1e-12)
+    assert truncation_limit(g, 0.0) == pytest.approx(1.2236173044157852,
+                                                     rel=1e-9)
+
+
+def test_stretched_disk_gets_closed_form_exposure():
+    g = unit_disk(1.3).scaled(0.7).scaled(1.9)
+    assert g.base.kind == "unit_disk"
+    model = _exposure_model(g, 10.0)
+    assert isinstance(model, _DiskExposure)
+    assert model.R == model.r == g.support_radius == (1.3 * 0.7) * 1.9
 
 
 def _wiggly():
