@@ -27,8 +27,9 @@ mass, made once per g and memoised by g.signature() (_mass): a head
 integral and a closed-form tail, or, for a tail known only numerically,
 one batched_quad call over the head and 60 doubling panels.
 
-scipy.special is imported only where lognormal is evaluated: at module
-level it would make up more than half of ``import rcm_lab``.
+scipy.special is imported only where lognormal is evaluated or a theta
+tail's start is solved: at module level it would make up more than half
+of ``import rcm_lab``.
 """
 
 import csv
@@ -88,29 +89,16 @@ class ConnectionFunction:
             # log10(0) = -inf gives g(0) = 1
             with np.errstate(divide="ignore"):
                 return 0.5 * erfc(kslope * np.log10(x / p["r0"]))
-        if k == "theta_tail":
-            a, x0, g0 = p["a"], p["x0"], p["g0"]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lx = np.log(np.where(x > 1.0, x, 2.0))
-                tail = a / (x * x * lx * lx)
-            return np.where(x <= x0, g0, np.minimum(g0, tail))
-        if k == "omega_tail":
-            pexp, x0, g0 = p["p"], p["x0"], p["g0"]
-            acont = g0 * x0 * x0 * math.log(x0) ** pexp
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lx = np.log(np.where(x > 1.0, x, 2.0))
-                tail = acont / (x * x * lx ** pexp)
-            return np.where(x <= x0, g0, np.minimum(g0, tail))
+        if k in ("theta_tail", "omega_tail"):
+            g0 = p["g0"]
+            return np.where(x <= p["x0"], g0,
+                            np.minimum(g0, _power_log(x, *self.tail[:2])))
         if k == "tabulated":
             xs, gs = p["x"], p["g"]
             out = np.interp(x, xs, gs, left=gs[0], right=0.0)
-            rule = p["tail_rule"]
             beyond = x > xs[-1]
-            if rule[0] == "power_log" and np.any(beyond):
-                a, pw = rule[1], rule[2]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lx = np.log(np.where(beyond, x, 2.0))
-                    t = a / (x * x * lx ** pw)
+            if self.tail is not None and np.any(beyond):
+                t = _power_log(x, *self.tail[:2])
                 out = np.where(beyond, np.minimum(t, 1.0), out)
             return out
         if k == "scaled":
@@ -198,28 +186,36 @@ def lognormal(sigma, eta, r0=1.0):
         params={"sigma": float(sigma), "eta": float(eta), "r0": float(r0)})
 
 
-def _power_log_start(a, p, x0, g0):
-    """Smallest x >= x0 from which g equals a/(x^2 ln^p x) exactly."""
-    def tail(x):
-        return a / (x * x * math.log(x) ** p)
-    if tail(x0) <= g0:
-        return float(x0)
-    lo, hi = x0, x0
-    while tail(hi) > g0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > g0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _power_log(x, a, p):
+    """a / (x^2 ln^p x) for a float or an array; read at 2 for x <= 1."""
+    with np.errstate(all="ignore"):
+        lx = np.log(np.where(x > 1.0, x, 2.0))
+        # lx ** 1.0 is exactly lx, so p = 2 is the plain a / (x x lx lx)
+        return a / (x * x * lx * lx ** (p - 1.0))
+
+
+def _theta_start(a, x0, g0):
+    """Smallest float x >= x0 with a / (x^2 ln^2 x) <= g0: past x0, x ln x
+    = c = sqrt(a / g0) gives x = c / W0(c), then stepped by ulps."""
+    if _power_log(x0, a, 2.0) <= g0:
+        return x0
+    c = math.sqrt(a / g0)
+    if not math.isfinite(c):
+        raise ValueError("theta tail start overflows: sqrt(a / g0) = %r" % c)
+    from scipy.special import lambertw
+
+    x = max(float(c / lambertw(c).real), x0)
+    while _power_log(x, a, 2.0) > g0:
+        x = math.nextafter(x, math.inf)
+    while x > x0 and _power_log(math.nextafter(x, x0), a, 2.0) <= g0:
+        x = math.nextafter(x, x0)
+    return x
 
 
 def theta_tail(a, x0=3.0, g0=1.0):
     if a <= 0.0 or x0 <= 1.0 or not 0.0 < g0 <= 1.0:
         raise ValueError("need a > 0, x0 > 1, 0 < g0 <= 1")
-    xf = _power_log_start(a, 2.0, x0, g0)
+    xf = _theta_start(float(a), float(x0), float(g0))
     return ConnectionFunction(
         name="theta_tail(%g,%g,%g)" % (a, x0, g0), kind="theta_tail",
         params={"a": float(a), "x0": float(x0), "g0": float(g0)},
@@ -227,10 +223,8 @@ def theta_tail(a, x0=3.0, g0=1.0):
 
 
 def omega_tail(p, x0=3.0, g0=1.0):
-    if not 1.0 < p < 2.0:
-        raise ValueError("need 1 < p < 2")
-    if x0 <= 1.0 or not 0.0 < g0 <= 1.0:
-        raise ValueError("need x0 > 1, 0 < g0 <= 1")
+    if not 1.0 < p < 2.0 or x0 <= 1.0 or not 0.0 < g0 <= 1.0:
+        raise ValueError("need 1 < p < 2, x0 > 1, 0 < g0 <= 1")
     acont = g0 * x0 * x0 * math.log(x0) ** p
     return ConnectionFunction(
         name="omega_tail(%g,%g,%g)" % (p, x0, g0), kind="omega_tail",
@@ -269,20 +263,16 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
     if tail_rule[0] not in ("zero", "power_log"):
         raise ValueError("tail rule must be 'zero' or 'power_log'")
 
-    support = math.inf
-    tail = None
-    if tail_rule[0] == "zero":
-        support = float(xs[-1])
-    else:
+    support, tail = float(xs[-1]), None
+    if tail_rule[0] == "power_log":
         a, p = float(tail_rule[1]), float(tail_rule[2])
         if a <= 0.0 or p <= 1.0:
             raise ValueError("power_log tail needs a > 0 and p > 1")
         if xs[-1] <= 1.0:
             raise ValueError("power_log tail needs the table to end past x = 1")
-        join = a / (xs[-1] ** 2 * math.log(xs[-1]) ** p)
-        if join > gs[-1] + 1e-12:
+        if _power_log(xs[-1], a, p) > gs[-1] + 1e-12:
             raise ValueError("power_log tail would increase g at the join")
-        tail = (a, p, float(xs[-1]), 1.0)
+        support, tail = math.inf, (a, p, float(xs[-1]), 1.0)
     return ConnectionFunction(
         name=name, kind="tabulated",
         params={"x": xs, "g": gs, "tail_rule": tuple(tail_rule)},

@@ -15,6 +15,7 @@ isolation and equal-seed trials across models share their randomness.
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,6 +42,11 @@ class ConfigError(ValueError):
 
 class TrialError(RuntimeError):
     pass
+
+
+def _number(v, kind=numbers.Real):
+    """True when v is a number of this kind; a bool is not a number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass
@@ -72,18 +78,24 @@ class SweepConfig:
         if not self.rhos:
             raise ConfigError("rhos must be a non-empty list")
         for r in self.rhos:
-            if not (isinstance(r, (int, float)) and r > 0):
+            if not (_number(r) and r > 0):
                 raise ConfigError("rhos must be positive numbers")
-        if not (isinstance(self.b, (int, float)) and math.isfinite(self.b)):
+        if not (_number(self.b) and math.isfinite(self.b)):
             raise ConfigError("b must be a finite number")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_number(self.trials, numbers.Integral) and self.trials >= 1):
             raise ConfigError("trials must be a positive integer")
+        if not _number(self.base_seed, numbers.Integral):
+            raise ConfigError("base_seed must be an integer")
         if self.mode not in ("exact", "cells"):
             raise ConfigError("mode must be 'exact' or 'cells'")
-        if not (isinstance(self.workers, int) and self.workers >= 0):
+        if not isinstance(self.quad, bool):
+            raise ConfigError("quad must be true or false")
+        if not (_number(self.workers, numbers.Integral) and self.workers >= 0):
             raise ConfigError("workers must be a non-negative integer")
-        if not 0.0 < self.tail_mass < 1.0:
-            raise ConfigError("tail_mass must lie in (0, 1)")
+        if not (_number(self.tail_mass) and 0.0 < self.tail_mass < 1.0):
+            raise ConfigError("tail_mass must be a number in (0, 1)")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string")
 
     def connection(self):
         return from_config(self.g)
@@ -128,10 +140,11 @@ def run_trial(spec, seed, mode="exact", tail_mass=1e-6):
            "seed": int(seed), "n": int(graph.points.positions.shape[0])}
     if spec.model == "torus":
         square_graph, w_t, w_e, w = boundary_coupling(graph)
-        if w != w_t + w_e:
-            raise TrialError(f"coupling identity failed at seed {seed}: "
-                             f"{w} != {w_t} + {w_e}")
+        # W_E = W - W_T by definition: check W by two independent counts
         cen = census(square_graph)
+        if cen.W != w:
+            raise TrialError(f"coupling check failed at seed {seed}: census "
+                             f"W = {cen.W}, degree W = {w}")
         rec.update(W=int(w), W_T=int(w_t), W_E=int(w_e))
     elif spec.model == "window":
         d = derive(spec)

@@ -49,6 +49,7 @@ xi_2 weight can carry (_CROSS_WEIGHT_TOL).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -676,8 +677,9 @@ def expected_components_order2(spec, samples=20000, seed=0,
                          "rescalings only, got %r" % (spec.model,))
     if mode not in ("importance", "uniform"):
         raise ValueError("mode must be 'importance' or 'uniform'")
-    if not samples >= 1:
-        raise ValueError("samples must be at least 1, got %r" % (samples,))
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise ValueError("samples must be an integer of at least 1, got %r"
+                         % (samples,))
     spec, d, g = _frame(spec)
     side, lam = d.core_side, d.density
     h = 0.5 * side

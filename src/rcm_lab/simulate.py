@@ -4,8 +4,8 @@ Edge decisions are pure functions of (trial seed, node pair, distance):
 a pair (i, j) is linked iff pair_uniform(seed, i, j) < g(d(i, j)).  Both
 build modes evaluate that same predicate, so their outputs are identical
 bit for bit.  Mode "exact" scans every pair in row tiles, the unpruned
-reference.  Mode "cells" (a g whose kind makes it non-increasing, so not
-a user callable) takes the pairs within the cutoff from a k-d tree when g
+reference.  Mode "cells" (any g but a user callable, whose monotonicity
+cannot be known) takes the pairs within the cutoff from a k-d tree when g
 is zero beyond it.  Otherwise it runs the same scan pruned: a pair whose
 random bits already exceed an upper bound on g at its squared distance
 cannot link, so only the remaining candidates are decided by the
@@ -216,12 +216,6 @@ def _near_candidates(pos, side, r_cut, wrap):
     return pairs[:, 0], pairs[:, 1]
 
 
-# Kinds that are non-increasing by construction (tabulated samples are
-# checked when the table is built); so is any rescaling of them.
-_NON_INCREASING = ("unit_disk", "lognormal", "theta_tail", "omega_tail",
-                   "zero", "tabulated")
-
-
 def _edges_cells(pts, g, metric, seed, tail_mass):
     pos = pts.positions
     side = pts.region.side
@@ -233,8 +227,8 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     # pairs would be scanned twice; and a cutoff beyond a third of the side
     # leaves the tree little to prune.  Either way: scan all pairs.  Both
     # paths are exact only for a non-increasing g, which a sampled check
-    # cannot confirm for a callable: only g's kind can.
-    if g.base.kind not in _NON_INCREASING:
+    # cannot confirm for a callable; every other g is one by construction.
+    if g.base.kind == "custom":
         raise ValueError("cells mode needs a non-increasing g; "
                          "use mode 'exact'")
     r_cut = effective_cutoff(g, tail_mass)

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import distributions
 from pathlib import Path
 
 import pytest
 
+from rcm_lab import experiments
 from rcm_lab.cli import main
 
 DISK = '{"family": "unit_disk", "params": {"r0": 1.0}}'
@@ -35,6 +37,36 @@ def test_run_bad_config_exits_2(tmp_path):
                                 "models": ["nope"], "rhos": [10]}))
     assert main(["run", "--config", str(path)]) == 2
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_seed", "7"), ("base_seed", 1.5), ("tail_mass", "x"),
+    ("out_dir", 5), ("quad", "no"), ("trials", True), ("workers", True),
+    ("rhos", [True])])
+def test_run_wrong_typed_field_exits_2_without_traceback(tmp_path, capsys,
+                                                          field, value):
+    cfg = {"g": {"family": "unit_disk", "params": {"r0": 1.0}},
+           "models": ["square"], "rhos": [60.0], "trials": 2,
+           "out_dir": str(tmp_path / "out")}
+    cfg[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert field in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_coupling_check_failure_exits_3(monkeypatch, capsys):
+    real = experiments.census
+    monkeypatch.setattr(experiments, "census",
+                        lambda graph: replace(real(graph), W=real(graph).W + 1))
+    assert main(["coupling", "--g", DISK, "--rho", "80", "--trials", "2",
+                 "--seed", "3"]) == 3
+    assert capsys.readouterr().err.startswith("trial failure: ")
 
 
 def test_quad_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
                             integral_constant, load_tabulated_csv, lognormal,
                             omega_tail, tabulated, theta_tail, unit_disk,
                             zero_function)
+from rcm_lab.connfn import _power_log
 
 
 def test_unit_disk_values():
@@ -117,6 +118,28 @@ def test_theta_tail_is_exact_past_x0():
     assert np.allclose(f, a, rtol=1e-12)
     assert g(2.9) == 1.0  # head value up to and including x0
     assert g(3.0) == 1.0
+
+
+# C of theta_tail(a, 3, g0) as frozen when a bisection found the tail start;
+# the closed-form start must keep it.
+@pytest.mark.parametrize("a, g0, C", [
+    (11.0, 1.0, 91.18437461247969), (11.0, 0.3, 64.78583985110728),
+    (50.0, 1.0, 272.33530520789384), (50.0, 0.3, 207.46219930652563),
+    (1e4, 1.0, 21299.151515034908), (1e4, 0.3, 18401.005130525475)])
+def test_theta_tail_start_is_the_float_boundary(a, g0, C):
+    g = theta_tail(a, 3.0, g0)
+    xf = g.tail[2]
+    assert xf > 3.0 and g.radii == (3.0, xf)
+    assert _power_log(xf, a, 2.0) <= g0
+    assert _power_log(math.nextafter(xf, 0.0), a, 2.0) > g0
+    assert g(xf) == _power_log(xf, a, 2.0)
+    assert integral_constant(g) == pytest.approx(C, rel=1e-15, abs=0.0)
+
+
+def test_theta_tail_start_overflow_raises():
+    # sqrt(a / g0) overflows: no start can be found, and none is made up
+    with pytest.raises(ValueError, match="overflows"):
+        theta_tail(1e308, 1.5, 1e-10)
 
 
 def test_theta_tail_analytic_integral():
@@ -362,6 +385,33 @@ def test_from_config_families(tmp_path):
         from_config({"params": {}})
     with pytest.raises(ValueError):
         from_config({"family": "pentagon"})
+
+
+TABLE = ([0.5, 1.5, 3.0], [1.0, 0.6, 0.02])
+
+
+def _table_config(tmp_path, tail):
+    path = tmp_path / "g.csv"
+    path.write_text("".join("%r,%r\n" % row for row in zip(*TABLE)))
+    return {"family": "tabulated", "params": {"path": str(path),
+                                              "tail": tail}}
+
+
+def test_from_config_tabulated_power_log_tail(tmp_path):
+    cfg = _table_config(tmp_path, {"kind": "power_log", "a": 0.1, "p": 2.0})
+    g = from_config(json.loads(json.dumps(cfg)))
+    want = tabulated(*TABLE, tail_rule=("power_log", 0.1, 2.0))
+    assert g.signature() == want.signature()
+    assert g.tail == want.tail == (0.1, 2.0, 3.0, 1.0)
+    assert integral_constant(g) == integral_constant(want) == 12.06491329785865
+
+
+@pytest.mark.parametrize("tail, name", [
+    ({"kind": "power_log", "a": 0.1}, "'p'"),
+    ({"kind": "power_log", "a": 0.1, "p": 2.0, "q": 1.0}, "'q'")])
+def test_from_config_power_log_tail_names_bad_key(tmp_path, tail, name):
+    with pytest.raises(ValueError, match=name):
+        from_config(_table_config(tmp_path, tail))
 
 
 def test_config_json_round_trip(tmp_path):

@@ -1,14 +1,16 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rcm_lab import experiments
 from rcm_lab.connfn import unit_disk
 from rcm_lab.experiments import (SUMMARY_HEADER, AggregateStats, ConfigError,
-                                 SweepConfig, aggregate_from_records,
-                                 convergence_check,
+                                 SweepConfig, TrialError,
+                                 aggregate_from_records, convergence_check,
                                  necessary_condition_report, run_sweep,
                                  run_trial, write_summary_csv)
 from rcm_lab.models import ModelSpec
@@ -94,6 +96,18 @@ def test_run_trial_record_shapes():
     wi = run_trial(ModelSpec(model="window", rho=80.0, b=0.0, g=g,
                              C=math.pi), seed=3)
     assert 0 <= wi["W"] <= wi["W_core"] <= wi["n_core"] <= wi["n"]
+
+
+def test_run_trial_coupling_check_can_fail(monkeypatch):
+    # census and the coupling's degrees count W independently; a census
+    # that disagrees must fail the trial
+    real = experiments.census
+    monkeypatch.setattr(experiments, "census",
+                        lambda graph: replace(real(graph), W=real(graph).W + 1))
+    spec = ModelSpec(model="torus", rho=80.0, b=0.0, g=unit_disk(1.0),
+                     C=math.pi)
+    with pytest.raises(TrialError, match="coupling check failed at seed 3"):
+        run_trial(spec, seed=3)
 
 
 def test_aggregate_by_hand():

@@ -539,9 +539,11 @@ def test_xi2_importance_vs_uniform():
     assert abs(ei - eu) <= 4.0 * math.hypot(si, su)
     with pytest.raises(ValueError):
         expected_components_order2(spec, samples=10, mode="other")
-    for bad in (0, -5):
+    for bad in (0, -5, 2.5):
         with pytest.raises(ValueError, match="samples"):
             expected_components_order2(spec, samples=bad)
+    assert (expected_components_order2(spec, samples=np.int64(3), seed=1)
+            == expected_components_order2(spec, samples=3, seed=1))
 
 
 def test_xi2_against_simulation():
