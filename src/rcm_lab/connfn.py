@@ -169,9 +169,25 @@ class ConnectionFunction:
         return (self.kind, tuple(items))
 
 
+def _check(ok, what, value):
+    """Raise ValueError naming the parameter unless ok.  Every check is
+    written so that NaN fails it: `not x > 0.0`, never `x <= 0.0`."""
+    if not ok:
+        raise ValueError("%s, got %r" % (what, value))
+
+
+def _positive(name, v):
+    _check(v > 0.0 and math.isfinite(v),
+           name + " must be positive and finite", v)
+
+
+def _tail_params(x0, g0):
+    _check(x0 > 1.0 and math.isfinite(x0), "x0 must be finite and > 1", x0)
+    _check(0.0 < g0 <= 1.0, "g0 must lie in (0, 1]", g0)
+
+
 def unit_disk(r0=1.0):
-    if not r0 > 0.0:
-        raise ValueError("r0 must be positive")
+    _positive("r0", r0)
     return ConnectionFunction(
         name="unit_disk(%g)" % r0, kind="unit_disk", params={"r0": float(r0)},
         support_radius=float(r0), radii=(float(r0),))
@@ -179,8 +195,8 @@ def unit_disk(r0=1.0):
 
 def lognormal(sigma, eta, r0=1.0):
     """Shadowing-style fade: probability 1/2 at x = r0, erfc roll-off."""
-    if sigma <= 0.0 or eta <= 0.0 or r0 <= 0.0:
-        raise ValueError("sigma, eta, r0 must be positive")
+    for name, v in (("sigma", sigma), ("eta", eta), ("r0", r0)):
+        _positive(name, v)
     return ConnectionFunction(
         name="lognormal(%g,%g,%g)" % (sigma, eta, r0), kind="lognormal",
         params={"sigma": float(sigma), "eta": float(eta), "r0": float(r0)})
@@ -213,8 +229,8 @@ def _theta_start(a, x0, g0):
 
 
 def theta_tail(a, x0=3.0, g0=1.0):
-    if a <= 0.0 or x0 <= 1.0 or not 0.0 < g0 <= 1.0:
-        raise ValueError("need a > 0, x0 > 1, 0 < g0 <= 1")
+    _positive("a", a)
+    _tail_params(x0, g0)
     xf = _theta_start(float(a), float(x0), float(g0))
     return ConnectionFunction(
         name="theta_tail(%g,%g,%g)" % (a, x0, g0), kind="theta_tail",
@@ -223,8 +239,8 @@ def theta_tail(a, x0=3.0, g0=1.0):
 
 
 def omega_tail(p, x0=3.0, g0=1.0):
-    if not 1.0 < p < 2.0 or x0 <= 1.0 or not 0.0 < g0 <= 1.0:
-        raise ValueError("need 1 < p < 2, x0 > 1, 0 < g0 <= 1")
+    _check(1.0 < p < 2.0, "p must lie in (1, 2)", p)
+    _tail_params(x0, g0)
     acont = g0 * x0 * x0 * math.log(x0) ** p
     return ConnectionFunction(
         name="omega_tail(%g,%g,%g)" % (p, x0, g0), kind="omega_tail",
@@ -254,9 +270,11 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
     gs = np.asarray(g, dtype=float)
     if xs.ndim != 1 or xs.shape != gs.shape or xs.size < 2:
         raise ValueError("need matching 1-D x and g arrays with >= 2 rows")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x samples must be finite")
     if np.any(np.diff(xs) <= 0.0):
         raise ValueError("x samples must be strictly increasing")
-    if np.any(gs < 0.0) or np.any(gs > 1.0):
+    if not np.all((gs >= 0.0) & (gs <= 1.0)):
         raise ValueError("g samples must lie in [0, 1]")
     if np.any(np.diff(gs) > 0.0):
         raise ValueError("g samples must be non-increasing")
@@ -266,8 +284,9 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
     support, tail = float(xs[-1]), None
     if tail_rule[0] == "power_log":
         a, p = float(tail_rule[1]), float(tail_rule[2])
-        if a <= 0.0 or p <= 1.0:
-            raise ValueError("power_log tail needs a > 0 and p > 1")
+        _positive("power_log tail a", a)
+        _check(p > 1.0 and math.isfinite(p),
+               "power_log tail p must be finite and > 1", p)
         if xs[-1] <= 1.0:
             raise ValueError("power_log tail needs the table to end past x = 1")
         if _power_log(xs[-1], a, p) > gs[-1] + 1e-12:

@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,6 +260,8 @@ def run_sweep(config, out_dir=None, log=None):
                               config.tail_mass))
 
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_trial_task, tasks, chunksize=4))
     else:

@@ -9,7 +9,7 @@ Every area here is closed form: the free lens, one disk and the square
 (four quadrant pieces, from the centre's wall distances), and two equal
 disks and the square, whose slice width is integrated exactly piece by
 piece between the heights where an arc or a wall takes over as its left or
-right end.
+right end.  Only the live pieces, those of positive height, are evaluated.
 """
 
 import math
@@ -127,10 +127,11 @@ def _disk_overlap_batch(d, r):
     return area
 
 
-# Pairs per _disk_cross_batch block.  A block keeps a few dozen
-# (block x 11 panels) float64 arrays alive: 1024-pair blocks peak near
-# 3 MB traced for any number of pairs, 4096-pair blocks at 11 MB, and one
-# block of 20 000 pairs at 54 MB, all at the same speed.
+# Pairs per _disk_cross_batch block.  A block keeps its (block x 12)
+# breakpoints and a few dozen arrays over its live panels (about 3.5 of
+# the 11 per pair) alive: 1024-pair blocks peak near 1.5 MB traced for any
+# number of pairs, 4096-pair blocks at 5.5 MB, at about the same speed,
+# and one slower block of 20 000 pairs at 26 MB.
 _CROSS_BLOCK = 1024
 
 
@@ -143,7 +144,9 @@ def _disk_cross_batch(x1, x2, r, h):
     width can only cross zero, where the two circles meet or where a
     circle meets a wall, so between those heights every panel integrates
     in closed form with the active arc or wall picked at its midpoint.
-    Exact for any centres; 0 where the disks or their slices are disjoint.
+    Only live panels, those of positive height, are evaluated; each pair
+    then adds its panel widths in panel order.  Exact for any centres; 0
+    where the disks or their slices are disjoint.
     """
     x1 = np.asarray(x1, dtype=float).reshape(-1, 2)
     x2 = np.asarray(x2, dtype=float).reshape(-1, 2)
@@ -174,30 +177,34 @@ def _disk_cross_block(p1, p2, r, h):
                           (mid + half)[:, None], wall], axis=1)
     brk = np.where((brk >= ylo[:, None]) & (brk <= yhi[:, None]), brk, np.nan)
     brk.sort(axis=1)
-    a, b = brk[:, :-1], brk[:, 1:]
-    live = b > a                                 # False for NaN panels
-    a, b = np.where(live, a, 0.0), np.where(live, b, 0.0)
+    # only live panels are evaluated: k is the pair, j the panel, and a NaN
+    # end compares False
+    k, j = np.nonzero(brk[:, 1:] > brk[:, :-1])
+    a, b = brk[k, j], brk[k, j + 1]
     m = 0.5 * (a + b)
+    c, yc = cx[k], cy[k]                                    # (K, 2)
 
     # half-widths of both arcs at the midpoints, and each arc's exact
     # integral of sqrt(r^2 - (y - y_c)^2) over the panel
-    dm = m[:, :, None] - cy[:, None, :]                     # (n, K, 2)
+    dm = m[:, None] - yc
     s = np.sqrt(np.maximum(r * r - dm * dm, 0.0))
-    arc = (_arc_antiderivative(b[:, :, None] - cy[:, None, :], r)
-           - _arc_antiderivative(a[:, :, None] - cy[:, None, :], r))
-    span = (b - a)[:, :, None]
-    c = cx[:, None, :]
-    left = np.concatenate([c - s, np.full_like(m, -h)[:, :, None]], axis=2)
-    right = np.concatenate([c + s, np.full_like(m, h)[:, :, None]], axis=2)
-    left_int = np.concatenate([c * span - arc, -h * span], axis=2)
-    right_int = np.concatenate([c * span + arc, h * span], axis=2)
-    il = left.argmax(axis=2)[:, :, None]
-    ir = right.argmin(axis=2)[:, :, None]
-    width = (np.take_along_axis(right_int, ir, axis=2)
-             - np.take_along_axis(left_int, il, axis=2))[:, :, 0]
-    open_ = (np.take_along_axis(right, ir, axis=2)
-             > np.take_along_axis(left, il, axis=2))[:, :, 0]
-    return np.where(live & open_, width, 0.0).sum(axis=1)
+    arc = (_arc_antiderivative(b[:, None] - yc, r)
+           - _arc_antiderivative(a[:, None] - yc, r))
+    span = (b - a)[:, None]
+    left = np.concatenate([c - s, np.full_like(span, -h)], axis=1)
+    right = np.concatenate([c + s, np.full_like(span, h)], axis=1)
+    left_int = np.concatenate([c * span - arc, -h * span], axis=1)
+    right_int = np.concatenate([c * span + arc, h * span], axis=1)
+    rows = np.arange(k.size)
+    il, ir = left.argmax(axis=1), right.argmin(axis=1)
+    width = right_int[rows, ir] - left_int[rows, il]
+    open_ = right[rows, ir] > left[rows, il]
+    # each row adds its 11 panels in order, dead ones as zeros, so a pair's
+    # area does not depend on its batch; a per-pair bincount would reorder
+    # the additions
+    panels = np.zeros((brk.shape[0], brk.shape[1] - 1))
+    panels[k, j] = np.where(open_, width, 0.0)
+    return panels.sum(axis=1)
 
 
 def clipped_lens_difference_area(x1, x2, r, region):

@@ -668,8 +668,9 @@ def expected_components_order2(spec, samples=20000, seed=0,
     standard error is NaN when samples is 1 (one sample has no spread), and
     exactly 0 only for a g of zero mass.  Walls are modelled for the square
     and its rescalings (dense, extended) only: a torus or window spec raises
-    ValueError, as its exposures and cross masses differ.  A partner draw
-    that still has partners pending after 100000 rounds raises
+    ValueError, as its exposures and cross masses differ, and so does a
+    samples or seed that is not an integer (a bool or a float).  A partner
+    draw that still has partners pending after 100000 rounds raises
     NonConvergentError.
     """
     if spec.model in ("torus", "window"):
@@ -677,9 +678,13 @@ def expected_components_order2(spec, samples=20000, seed=0,
                          "rescalings only, got %r" % (spec.model,))
     if mode not in ("importance", "uniform"):
         raise ValueError("mode must be 'importance' or 'uniform'")
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+    if not (isinstance(samples, numbers.Integral)
+            and not isinstance(samples, bool) and samples >= 1):
         raise ValueError("samples must be an integer of at least 1, got %r"
                          % (samples,))
+    if not (isinstance(seed, numbers.Integral)
+            and not isinstance(seed, bool)):
+        raise ValueError("seed must be an integer, got %r" % (seed,))
     spec, d, g = _frame(spec)
     side, lam = d.core_side, d.density
     h = 0.5 * side

@@ -11,6 +11,7 @@ from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
                             omega_tail, tabulated, theta_tail, unit_disk,
                             zero_function)
 from rcm_lab.connfn import _power_log
+from rcm_lab.cli import main
 
 
 def test_unit_disk_values():
@@ -452,3 +453,71 @@ def test_import_leaves_scipy_special_unloaded():
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "False"
+
+
+# Non-finite family parameters: each names the parameter it rejects.  NaN
+# fails every ordered comparison, so these once slipped past `x <= 0`-style
+# checks and built a g that failed only later, or never.
+NAN, INF = math.nan, math.inf
+NONFINITE_FAMILIES = [
+    ("theta_tail", {"a": 0.5, "x0": NAN}, "x0"),
+    ("theta_tail", {"a": INF}, "a"),
+    ("omega_tail", {"p": 1.5, "x0": NAN}, "x0"),
+    ("omega_tail", {"p": 1.5, "x0": INF}, "x0"),
+    ("lognormal", {"sigma": NAN, "eta": 1.0}, "sigma"),
+    ("lognormal", {"sigma": 0.25, "eta": INF}, "eta"),
+    ("lognormal", {"sigma": 0.25, "eta": 4.0, "r0": INF}, "r0"),
+    ("unit_disk", {"r0": INF}, "r0"),
+]
+# (x, g, tail rule) tables, each with one non-finite entry
+NONFINITE_TABLES = [
+    ([0.5, 1.5, 3.0], [1.0, NAN, 0.02], ("zero",), "g samples"),
+    ([0.5, 1.5, INF], [1.0, 0.6, 0.02], ("zero",), "x samples"),
+    ([0.5, 1.5, 3.0], [1.0, 0.6, 0.02], ("power_log", NAN, 2.0),
+     "power_log tail a"),
+    ([0.5, 1.5, 3.0], [1.0, 0.6, 0.02], ("power_log", 0.1, NAN),
+     "power_log tail p"),
+]
+
+
+def _quad_rejects(g_cfg, name, capsys):
+    # the CLI: exit 2 and one error line, no traceback
+    assert main(["quad", "--g", json.dumps(g_cfg), "--rho", "100"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert name in lines[0]
+
+
+@pytest.mark.parametrize("family, params, name", NONFINITE_FAMILIES)
+def test_nonfinite_family_parameter_is_rejected(family, params, name,
+                                                capsys):
+    make = {"theta_tail": theta_tail, "omega_tail": omega_tail,
+            "lognormal": lognormal, "unit_disk": unit_disk}[family]
+    with pytest.raises(ValueError, match=name):
+        make(**params)
+    # a JSON config may carry NaN and Infinity
+    cfg = {"family": family, "params": params}
+    with pytest.raises(ValueError, match=name):
+        from_config(json.loads(json.dumps(cfg)))
+    _quad_rejects(cfg, name, capsys)
+
+
+def _table_file(tmp_path, x, g):
+    path = tmp_path / "g.csv"
+    path.write_text("".join("%r,%r\n" % row for row in zip(x, g)))
+    return path
+
+
+@pytest.mark.parametrize("x, g, rule, name", NONFINITE_TABLES)
+def test_nonfinite_table_is_rejected(tmp_path, x, g, rule, name, capsys):
+    with pytest.raises(ValueError, match=name):
+        tabulated(x, g, tail_rule=rule)
+    tail = ({"kind": "zero"} if rule[0] == "zero"
+            else {"kind": "power_log", "a": rule[1], "p": rule[2]})
+    cfg = {"family": "tabulated",
+           "params": {"path": str(_table_file(tmp_path, x, g)),
+                      "tail": tail}}
+    with pytest.raises(ValueError, match=name):
+        from_config(json.loads(json.dumps(cfg)))
+    _quad_rejects(cfg, name, capsys)

@@ -201,3 +201,22 @@ def test_necessary_condition_report():
     assert rows[1]["reference"] == 1.0
     assert 0.0 <= rows[1]["frac_no_isolated"] <= 1.0
     assert rows[1]["mean_W"] >= 0.0
+
+
+def test_import_leaves_process_pool_unloaded():
+    # a sweep imports its process pool only when it runs workers; the
+    # workers=2 tests above take that path
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rcm_lab; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"

@@ -291,6 +291,46 @@ def test_disk_cross_batch_symmetric_and_free_lens():
                              h).shape == (0,)
 
 
+def _mixed_pairs(h, r, n, rng):
+    """n pairs of each kind: interior, near walls and corners, centres on
+    the wall and corner lines, coincident, tangent and disjoint."""
+    def near_wall(m):
+        return (h - rng.uniform(0.0, 1.2 * r, (m, 2))) * rng.choice(
+            [-1.0, 1.0], (m, 2))
+
+    def at_angle(m, dist):
+        t = rng.uniform(0.0, 2.0 * np.pi, m)
+        return dist[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+
+    inner = rng.uniform(-h, h, (n, 2))
+    walls = near_wall(n)
+    lines = rng.choice([-h, 0.0, h], (n, 2))
+    x1 = np.vstack([inner, walls, lines, near_wall(n), inner, walls])
+    x2 = np.vstack([inner + rng.normal(scale=0.7 * r, size=(n, 2)),
+                    walls + rng.normal(scale=0.7 * r, size=(n, 2)),
+                    lines + rng.normal(scale=0.7 * r, size=(n, 2)),
+                    x1[3 * n:4 * n],
+                    inner + at_angle(n, np.full(n, 2.0 * r)),
+                    walls + at_angle(n, 2.0 * r + rng.uniform(0.0, r, n))])
+    return x1, x2
+
+
+@pytest.mark.parametrize("h, r", [(4.43, 1.0), (0.6, 1.0)])
+def test_disk_cross_batch_is_blockwise_and_pairwise_identical(monkeypatch, h,
+                                                              r):
+    # only the live panels of each pair are evaluated, and each pair adds
+    # its panels in the same order however the pairs are batched
+    x1, x2 = _mixed_pairs(h, r, 250, np.random.default_rng(44))
+    got = _disk_cross_batch(x1, x2, r, h)
+    alone = np.array([_disk_cross_batch(p, q, r, h)[0]
+                      for p, q in zip(x1, x2)])
+    assert np.array_equal(got, alone)
+    assert np.any(got == 0.0) and np.any(got > 0.0)
+    for block in (7, 5000):
+        monkeypatch.setattr("rcm_lab.geometry._CROSS_BLOCK", block)
+        assert np.array_equal(_disk_cross_batch(x1, x2, r, h), got)
+
+
 def test_disk_cross_batch_memory_stays_bounded():
     # pairs are measured in fixed blocks, so the peak does not grow with the
     # number of pairs

@@ -539,10 +539,14 @@ def test_xi2_importance_vs_uniform():
     assert abs(ei - eu) <= 4.0 * math.hypot(si, su)
     with pytest.raises(ValueError):
         expected_components_order2(spec, samples=10, mode="other")
-    for bad in (0, -5, 2.5):
+    for bad in (0, -5, 2.5, True):
         with pytest.raises(ValueError, match="samples"):
             expected_components_order2(spec, samples=bad)
-    assert (expected_components_order2(spec, samples=np.int64(3), seed=1)
+    for bad in (1.7, 1.0, True):
+        with pytest.raises(ValueError, match="seed"):
+            expected_components_order2(spec, samples=3, seed=bad)
+    assert (expected_components_order2(spec, samples=np.int64(3),
+                                       seed=np.int64(1))
             == expected_components_order2(spec, samples=3, seed=1))
 
 
