@@ -139,6 +139,8 @@ def run_trial(spec, seed, mode="exact", tail_mass=1e-6):
            "seed": int(seed), "n": int(graph.points.positions.shape[0])}
     if spec.model == "torus":
         square_graph, w_t, w_e, w = boundary_coupling(graph)
+        # the torus edges are not needed again: free them before the census
+        del graph
         # W_E = W - W_T by definition: check W by two independent counts
         cen = census(square_graph)
         if cen.W != w:

@@ -201,10 +201,12 @@ def _disk_cross_block(p1, p2, r, h):
     open_ = right[rows, ir] > left[rows, il]
     # each row adds its 11 panels in order, dead ones as zeros, so a pair's
     # area does not depend on its batch; a per-pair bincount would reorder
-    # the additions
+    # the additions.  A nearly tangent pair's panel can round a few ulps
+    # below zero while its midpoint still reads open, so the sum is
+    # clamped at 0.
     panels = np.zeros((brk.shape[0], brk.shape[1] - 1))
     panels[k, j] = np.where(open_, width, 0.0)
-    return panels.sum(axis=1)
+    return np.maximum(panels.sum(axis=1), 0.0)
 
 
 def clipped_lens_difference_area(x1, x2, r, region):

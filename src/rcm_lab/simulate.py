@@ -73,9 +73,11 @@ def sample_poisson(region, density, seed, expected_count=None):
     draw identical counts), and positions are unit-square draws scaled by
     the side so equal-seed frames agree up to the scale factor.
     """
-    if density < 0.0:
+    if not density >= 0.0:
         raise ValueError("density must be non-negative")
     mu = density * region.area if expected_count is None else float(expected_count)
+    if not mu >= 0.0:
+        raise ValueError("expected_count must be non-negative")
     rng = np.random.default_rng(int(seed))
     n = int(rng.poisson(mu))
     unit = rng.random((n, 2)) - 0.5
@@ -123,8 +125,8 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
     pairs whose pair_bits fall below the _bound_table threshold of their
     squared distance, one mix per pair from per-row keys, in three buffers
     reused by every tile.  Only the candidates of all tiles, together, get
-    a distance, a g value and a pair_uniform, so they are decided by the
-    same predicate as the unpruned scan.
+    a distance and a g value, and are decided by _links: the same
+    predicate as the unpruned scan.
     """
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
@@ -170,9 +172,23 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
     i, j = np.concatenate(out_i), np.concatenate(out_j)
     if prune:
         d = gap_distance(x[i] - x[j], y[i] - y[j], period)
-        keep = pair_uniform(seed, i, j, stream=STREAM_EDGE) < g._eval(d)
+        keep = _links(seed, i, j, g._eval(d))
         i, j = i[keep], j[keep]
     return np.column_stack([i, j])
+
+
+def _links(seed, i, j, p):
+    """Which pairs (i, j) link, given p = g(d): pair_uniform < p.
+
+    Where p >= 1 every uniform in [0, 1) lies below it, so only the other
+    pairs draw one; a NaN p fails p >= 1, draws, and fails u < p.
+    """
+    link = p >= 1.0
+    rest = np.flatnonzero(~link)
+    if rest.size:
+        link[rest] = pair_uniform(seed, i[rest], j[rest],
+                                  stream=STREAM_EDGE) < p[rest]
+    return link
 
 
 def _squared_gaps(c, r0, r1, metric, side, out):
@@ -200,7 +216,8 @@ _QUERY_SLACK = 1e-9
 
 
 def _near_candidates(pos, side, r_cut, wrap):
-    """Unordered pairs (i < j) within r_cut, plus a few just beyond it."""
+    """Unordered pairs (i < j) within r_cut, plus a few just beyond it, as
+    the k-d tree's (m, 2) int64 array."""
     from scipy.spatial import cKDTree
 
     if wrap:
@@ -210,10 +227,8 @@ def _near_candidates(pos, side, r_cut, wrap):
         tree = cKDTree(data, boxsize=side, balanced_tree=False)
     else:
         tree = cKDTree(pos, balanced_tree=False)
-    pairs = tree.query_pairs(r_cut + _QUERY_SLACK * side,
-                             output_type="ndarray")
-    pairs = pairs.astype(np.int64, copy=False)
-    return pairs[:, 0], pairs[:, 1]
+    return tree.query_pairs(r_cut + _QUERY_SLACK * side,
+                            output_type="ndarray")
 
 
 def _edges_cells(pts, g, metric, seed, tail_mass):
@@ -237,16 +252,27 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
             and g._eval(np.asarray(r_cut, dtype=float)) > 0.0)):
         return _scan_pairs(pts, g, metric, seed, prune=True)
 
-    ii, jj = _near_candidates(pos, side, r_cut, wrap)
-    d = gap_distance(pos[ii, 0] - pos[jj, 0], pos[ii, 1] - pos[jj, 1],
-                     side if wrap else None)
-    near = d <= r_cut
-    ii, jj, d = ii[near], jj[near], d[near]
-    u = pair_uniform(seed, ii, jj, stream=STREAM_EDGE)
-    keep = u < g._eval(d)
-    # With i < j < n, the key i*n + j orders pairs lexicographically.
-    i, j = np.divmod(np.sort(ii[keep] * pts.n + jj[keep]), pts.n)
-    return np.column_stack([i, j])
+    # The candidates are decided in blocks of _TILE pairs, each keeping
+    # only the keys i*n + j of its edges, so no temporary grows with the
+    # number of pairs.  With i < j < n, the keys order pairs
+    # lexicographically.
+    pairs = _near_candidates(pos, side, r_cut, wrap)
+    x, y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
+    n = pts.n
+    keys = []
+    for lo in range(0, pairs.shape[0], _TILE):
+        i, j = pairs[lo:lo + _TILE, 0], pairs[lo:lo + _TILE, 1]
+        d = gap_distance(x[i] - x[j], y[i] - y[j], side if wrap else None)
+        near = np.flatnonzero(d <= r_cut)
+        i, j = i[near], j[near]
+        link = _links(seed, i, j, g._eval(d[near]))
+        keys.append(i[link] * n + j[link])
+    del pairs
+    keys = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    keys.sort()
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
@@ -275,16 +301,28 @@ def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
 
 
 def census(graph):
-    """Component-order counts from scipy's connected components."""
+    """Component-order counts from scipy's connected components.
+
+    The adjacency goes to csgraph as the CSR arrays it works on (float64
+    data, int32 indices and row pointers), built straight from the edges
+    when their first column is sorted, as build_graph leaves it; other
+    edge arrays are sorted by row first.  Reversed or repeated edges
+    change no component.
+    """
     n = graph.n
     if n == 0:
         xi = {}
     else:
-        from scipy.sparse import coo_array
+        from scipy.sparse import csr_array
         from scipy.sparse.csgraph import connected_components
 
         ii, jj = graph.edges[:, 0], graph.edges[:, 1]
-        adj = coo_array((np.ones(ii.size, dtype=np.int8), (ii, jj)),
+        if np.any(ii[1:] < ii[:-1]):
+            order = np.argsort(ii, kind="stable")
+            ii, jj = ii[order], jj[order]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
+        adj = csr_array((np.ones(ii.size), jj.astype(np.int32), indptr),
                         shape=(n, n))
         _, labels = connected_components(adj, directed=False)
         counts = np.bincount(np.bincount(labels))
@@ -325,19 +363,23 @@ def boundary_coupling(torus_graph):
     # Only wrap-around edges can go: an edge whose coordinate differences
     # need no shift of the side has d_e == d_t exactly, ratio 1, and a
     # uniform in [0, 1) always keeps it.  The others are decided as
-    # v < g_e / g_t, with g_t > 0 since the edge exists.
+    # v < g_e / g_t, with g_t > 0 since the edge exists.  Edges are
+    # tested in blocks of _TILE, so no temporary grows with their number.
     keep = np.ones(edges.shape[0], dtype=bool)
-    dx = pos[edges[:, 0], 0] - pos[edges[:, 1], 0]
-    dy = pos[edges[:, 0], 1] - pos[edges[:, 1], 1]
-    wrap = np.flatnonzero((np.round(dx / side) != 0)
-                          | (np.round(dy / side) != 0))
-    if wrap.size:
-        ii, jj = edges[wrap, 0], edges[wrap, 1]
-        d_e = gap_distance(dx[wrap], dy[wrap])
-        d_t = gap_distance(dx[wrap], dy[wrap], side)
-        v = pair_uniform(pts.seed, ii, jj, stream=STREAM_COUPLING)
-        keep[wrap] = np.atleast_1d(v) < (np.atleast_1d(g._eval(d_e))
-                                         / np.atleast_1d(g._eval(d_t)))
+    x, y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
+    for lo in range(0, edges.shape[0], _TILE):
+        i, j = edges[lo:lo + _TILE, 0], edges[lo:lo + _TILE, 1]
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        wrap = np.flatnonzero((np.round(dx / side) != 0)
+                              | (np.round(dy / side) != 0))
+        if wrap.size:
+            dx, dy = dx[wrap], dy[wrap]
+            d_e = gap_distance(dx, dy)
+            d_t = gap_distance(dx, dy, side)
+            v = pair_uniform(pts.seed, i[wrap], j[wrap],
+                             stream=STREAM_COUPLING)
+            keep[lo + wrap] = np.atleast_1d(v) < (
+                np.atleast_1d(g._eval(d_e)) / np.atleast_1d(g._eval(d_t)))
 
     square_pts = PointSet(positions=pos, region=Region("square", side),
                           density=pts.density, seed=pts.seed)
@@ -360,7 +402,7 @@ def window_truncation_census(window_graph, core_side):
     node isolated only if it has no neighbour anywhere in the padded region
     (the plane-like answer).  truncated >= with_pad always.
     """
-    if core_side <= 0.0 or core_side > window_graph.points.region.side:
+    if not 0.0 < core_side <= window_graph.points.region.side:
         raise ValueError("core must be positive and fit inside the window")
     pos = window_graph.points.positions
     h = 0.5 * core_side

@@ -331,6 +331,15 @@ def test_disk_cross_batch_is_blockwise_and_pairwise_identical(monkeypatch, h,
         assert np.array_equal(_disk_cross_batch(x1, x2, r, h), got)
 
 
+@pytest.mark.parametrize("h", [4.43, 0.6])
+def test_disk_cross_batch_is_never_negative(h):
+    # the pairs at distance 2r, whose open panels can round a few ulps
+    # below zero (ten of them at h = 4.43, one at 0.6), are clamped at 0
+    x1, x2 = _mixed_pairs(h, 1.0, 250, np.random.default_rng(44))
+    got = _disk_cross_batch(x1, x2, 1.0, h)
+    assert np.all(got >= 0.0)
+
+
 def test_disk_cross_batch_memory_stays_bounded():
     # pairs are measured in fixed blocks, so the peak does not grow with the
     # number of pairs

@@ -115,6 +115,14 @@ def graphs(draw):
     pts = PointSet(positions=np.zeros((n, 2)), region=Region("square", 1.0),
                    density=1.0, seed=0)
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    # A hand-built graph may break build_graph's order: each edge once or
+    # twice, rows shuffled, some reversed (i > j).
+    if arr.size and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = np.repeat(np.arange(len(arr)), rng.integers(1, 3, len(arr)))
+        arr = arr[rng.permutation(rows)]
+        swap = rng.random(len(arr)) < 0.5
+        arr[swap] = arr[swap, ::-1]
     return RcmGraph(points=pts, edges=arr, metric="euclidean",
                     g=unit_disk(1.0))
 

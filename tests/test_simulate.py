@@ -5,11 +5,12 @@ import pytest
 
 from rcm_lab.connfn import (check_monotonicity, from_callable, lognormal,
                             omega_tail, tabulated, theta_tail, unit_disk)
+from rcm_lab.experiments import run_trial
 from rcm_lab.geometry import Region, gap_distance, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (_BINS, _TILE, MetricMismatchError, PointSet,
-                              _bound_table, _scan_pairs,
+                              _bound_table, _links, _scan_pairs,
                               _squared_gaps, boundary_coupling, build_graph,
                               census, isolated_count, sample_poisson,
                               window_truncation_census)
@@ -44,6 +45,16 @@ def test_sample_poisson_expected_count_override():
     assert pts.n > 300  # mean 400, not area*density = 4
     with pytest.raises(ValueError):
         sample_poisson(region, -1.0, 0)
+
+
+@pytest.mark.parametrize("density, count, name", [
+    (math.nan, None, "density"), (1.0, math.nan, "expected_count"),
+    (1.0, -3.0, "expected_count")])
+def test_sample_poisson_rejects_nan_and_negative(density, count, name):
+    # the error names the parameter, not numpy's Poisson argument
+    with pytest.raises(ValueError, match=name):
+        sample_poisson(Region("square", 2.0), density, 0,
+                       expected_count=count)
 
 
 def test_build_graph_matches_bruteforce_euclidean():
@@ -269,6 +280,73 @@ def test_exact_scan_memory_stays_bounded():
         assert peak < 16e6, mode
 
 
+def test_links_draw_only_where_g_is_below_one(monkeypatch):
+    # every uniform lies in [0, 1), so g >= 1 links without a draw; a NaN
+    # g draws and fails the comparison
+    p = np.array([1.0, np.nan, 0.0, 0.5, 1.5, 1.0 - 2.0 ** -53, 0.999])
+    i, j = np.arange(7), np.arange(7) + 10
+    drawn = []
+
+    def counted(seed, i, j, stream):
+        drawn.append(len(i))
+        return pair_uniform(seed, i, j, stream=stream)
+
+    monkeypatch.setattr("rcm_lab.simulate.pair_uniform", counted)
+    got = _links(9, i, j, p)
+    assert drawn == [5]
+    assert np.array_equal(got, pair_uniform(9, i, j) < p)
+    assert got.tolist()[:3] == [True, False, False] and got[4]
+
+
+def test_near_pair_memory_stays_bounded():
+    # the disk torus of the benchmark at rho 1e5: about 1e5 nodes and 5.7e5
+    # near pairs, decided in blocks of _TILE pairs and kept as edge keys;
+    # a whole-array pass over the pairs peaked at 46-48 MB in both calls.
+    # The scipy modules are imported first, so only the trial is traced.
+    import tracemalloc
+
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.spatial  # noqa: F401
+
+    spec = ModelSpec(model="torus", rho=1e5, b=0.0,
+                     g=unit_disk(1.0)).with_constant()
+    d = derive(spec)
+    pts = sample_poisson(Region("torus", d.side), d.density, 3,
+                         expected_count=d.expected_nodes)
+    assert 9.8e4 < pts.n < 1.02e5
+    peaks = []
+    for build in (lambda: build_graph(pts, spec.g, metric="toroidal",
+                                      mode="cells"),
+                  lambda: run_trial(spec, 3, mode="cells")):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 25e6 and peaks[1] < 36e6, peaks
+
+
+@pytest.mark.parametrize("tile", [7, 1 << 22, _TILE])
+def test_near_pair_blocks_give_the_same_graphs(monkeypatch, tile):
+    # cells-mode edges, the coupled square edges and the census do not
+    # depend on the block size, and match the exact scan
+    disk = ModelSpec(model="torus", rho=300.0, b=0.0,
+                     g=unit_disk(1.0)).with_constant()
+    logn = ModelSpec(model="square", rho=300.0, b=0.0,
+                     g=lognormal(0.25, 4.0)).with_constant()
+    want = [realize(spec, 5, mode="exact") for spec in (disk, logn)]
+    want_square = boundary_coupling(want[0])[0]
+    monkeypatch.setattr("rcm_lab.simulate._TILE", tile)
+    got = [realize(spec, 5, mode="cells") for spec in (disk, logn)]
+    got_square = boundary_coupling(got[0])[0]
+    for a, b in zip(got + [got_square], want + [want_square]):
+        assert a.edges.shape[0] > 300
+        assert np.array_equal(a.edges, b.edges)
+        assert census(a) == census(b)
+    assert got_square.edges.shape[0] < got[0].edges.shape[0]
+
+
 def test_census_against_bfs():
     g = unit_disk(1.2)
     for seed in range(8):
@@ -401,6 +479,8 @@ def test_window_truncation_census():
         window_truncation_census(graph, 0.0)
     with pytest.raises(ValueError):
         window_truncation_census(graph, graph.points.region.side * 2.0)
+    with pytest.raises(ValueError):
+        window_truncation_census(graph, math.nan)
 
 
 def test_connectivity_via_census_matches_bfs():
