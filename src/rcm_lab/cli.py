@@ -10,7 +10,8 @@ import sys
 
 from .connfn import (InconclusiveTailError, NonConvergentError, from_config,
                      integral_constant)
-from .experiments import ConfigError, SweepConfig, TrialError, run_sweep, run_trial
+from .experiments import (ConfigError, SweepConfig, TrialError,
+                          aggregate_from_records, run_sweep, run_trial)
 from .models import InvalidParamsError, ModelSpec
 from .quadrature import (expected_components_order2, isolation_report,
                          truncation_limit)
@@ -141,17 +142,14 @@ def _cmd_coupling(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     g = _load_g(args.g)
-    spec = ModelSpec(model="torus", rho=args.rho, b=args.b, g=g).with_constant()
-    sums = {"W": 0, "W_T": 0, "W_E": 0}
-    for t in range(args.trials):
-        rec = run_trial(spec, args.seed + t, mode=args.mode)
-        for k in sums:
-            sums[k] += rec[k]
-    n = args.trials
-    print(f"trials = {n}, identity W = W_T + W_E held in all")
-    print(f"mean W   = {sums['W'] / n:.6f}")
-    print(f"mean W_T = {sums['W_T'] / n:.6f}")
-    print(f"mean W_E = {sums['W_E'] / n:.6f}")
+    spec = ModelSpec(model="torus", rho=args.rho, b=args.b, g=g)
+    agg, = aggregate_from_records(
+        [run_trial(spec, args.seed + t, mode=args.mode)
+         for t in range(args.trials)])
+    print(f"trials = {agg.trials}, identity W = W_T + W_E held in all")
+    print(f"mean W   = {agg.mean_W:.6f}")
+    print(f"mean W_T = {agg.mean_W_T:.6f}")
+    print(f"mean W_E = {agg.mean_W_E:.6f}")
     return 0
 
 
@@ -159,19 +157,15 @@ def _cmd_components(args):
     if args.trials < 0:
         raise ValueError("--trials must not be negative")
     g = _load_g(args.g)
-    spec = ModelSpec(model="square", rho=args.rho, b=args.b, g=g).with_constant()
+    spec = ModelSpec(model="square", rho=args.rho, b=args.b, g=g)
     est, se = expected_components_order2(spec, samples=args.samples,
                                          seed=args.seed, mode=args.mode)
     print(f"E(xi_2) quadrature = {est:.6g} (se {se:.2g})")
     if args.trials > 0:
-        from .simulate import census
-        from .models import realize
-        vals = []
-        for t in range(args.trials):
-            graph = realize(spec, args.seed + 1_000_000 + t)
-            vals.append(census(graph).xi.get(2, 0))
         import numpy as np
-        vals = np.asarray(vals, dtype=float)
+        vals = np.asarray(
+            [run_trial(spec, args.seed + 1_000_000 + t)["xi"].get("2", 0)
+             for t in range(args.trials)], dtype=float)
         se_sim = (vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1
                   else math.nan)
         print(f"mean xi_2 simulated = {vals.mean():.6g} (se {se_sim:.2g}, "

@@ -25,7 +25,8 @@ from .connfn import from_config
 from .models import MODELS, ModelSpec, derive, realize
 from .quadrature import (expected_isolated_infinite, expected_isolated_square,
                          expected_isolated_torus)
-from .simulate import boundary_coupling, census, window_truncation_census
+from .simulate import (boundary_coupling, census, isolated_count,
+                       window_truncation_census)
 
 XI_COLUMNS = tuple(range(2, 9))
 
@@ -256,7 +257,7 @@ def run_sweep(config, out_dir=None, log=None):
     for model in config.models:
         for rho in config.rhos:
             spec = ModelSpec(model=model, rho=float(rho), b=float(config.b),
-                             g=g).with_constant()
+                             g=g)
             for t in range(config.trials):
                 tasks.append((spec, config.base_seed + t, config.mode,
                               config.tail_mass))
@@ -277,7 +278,7 @@ def run_sweep(config, out_dir=None, log=None):
                 r = float(rho)
                 if r not in cache:
                     spec = ModelSpec(model="square", rho=r, b=float(config.b),
-                                     g=g).with_constant()
+                                     g=g)
                     cache[r] = (expected_isolated_square(spec),
                                 expected_isolated_torus(spec))
                     if log:
@@ -339,13 +340,9 @@ def necessary_condition_report(g, b_list, rho, trials=200, seed=0,
             row.update(valid=False, note="lambda would be non-positive")
             rows.append(row)
             continue
-        spec = ModelSpec(model="torus", rho=float(rho), b=float(b),
-                         g=g).with_constant()
-        ws = []
-        for t in range(trials):
-            graph = realize(spec, seed + t, mode=mode)
-            ws.append(census(graph).W)
-        ws = np.asarray(ws, dtype=float)
+        spec = ModelSpec(model="torus", rho=float(rho), b=float(b), g=g)
+        ws = np.asarray([isolated_count(realize(spec, seed + t, mode=mode))
+                         for t in range(trials)], dtype=float)
         row.update(valid=True, mean_W=float(ws.mean()),
                    reference=float(math.exp(-b)),
                    frac_no_isolated=float(np.mean(ws == 0)))

@@ -34,6 +34,11 @@ class Region:
     def area(self):
         return self.side * self.side
 
+    @property
+    def period(self):
+        """The side on a torus, where gaps wrap; None on a square."""
+        return self.side if self.kind == "torus" else None
+
     def contains(self, points):
         """A bool for one point (x, y), a bool array for an (n, 2) array."""
         p = np.asarray(points, dtype=float)
@@ -42,9 +47,8 @@ class Region:
         return ok if p.ndim > 1 else bool(ok)
 
     def distance(self, p, q):
-        if self.kind == "torus":
-            return toroidal_distance(p, q, self.side)
-        return euclidean_distance(p, q)
+        d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+        return gap_distance(d[..., 0], d[..., 1], self.period)
 
 
 def gap_distance(dx, dy, side=None):
@@ -69,6 +73,14 @@ def toroidal_distance(p, q, side):
     return gap_distance(d[..., 0], d[..., 1], side)
 
 
+def _check_lens(z, r):
+    """Raise ValueError naming z or r unless z >= 0 and r > 0 (NaN fails)."""
+    if not np.all(z >= 0.0):
+        raise ValueError("z must be >= 0, got %r" % (z,))
+    if not np.all(r > 0.0):
+        raise ValueError("r must be > 0, got %r" % (r,))
+
+
 def lens_difference_area(z, r):
     """Area of D(x2, r) \\ D(x1, r) for centers a distance z apart.
 
@@ -78,8 +90,7 @@ def lens_difference_area(z, r):
     """
     z = np.asarray(z, dtype=float)
     r = np.asarray(r, dtype=float)
-    if np.any(z < 0.0) or np.any(r <= 0.0):
-        raise ValueError("need z >= 0 and r > 0")
+    _check_lens(z, r)
     full = math.pi * r * r
     s2 = np.clip(1.0 - z * z / (4.0 * r * r), 0.0, 1.0)
     s = np.sqrt(s2)
@@ -91,6 +102,7 @@ def lens_difference_area(z, r):
 def lens_difference_derivative(z, r):
     """d/dz of lens_difference_area: 2 r sqrt(1 - z^2/(4 r^2)) on [0, 2r)."""
     z = np.asarray(z, dtype=float)
+    _check_lens(z, r)
     s2 = np.clip(1.0 - z * z / (4.0 * r * r), 0.0, 1.0)
     out = np.where(z >= 2.0 * r, 0.0, 2.0 * r * np.sqrt(s2))
     return float(out) if out.shape == () else out
@@ -218,6 +230,7 @@ def clipped_lens_difference_area(x1, x2, r, region):
     """
     if region.kind != "square":
         raise ValueError("clipped lens areas are defined on square regions")
+    _check_lens(0.0, r)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     h = 0.5 * region.side

@@ -16,7 +16,7 @@ coupling tests rely on.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from . import simulate
 from .connfn import ConnectionFunction, effective_cutoff, integral_constant
@@ -40,8 +40,8 @@ class ModelSpec:
     rho: float
     b: float
     g: ConnectionFunction
-    C: float | None = None          # cached integral constant
-    margin: float | None = None     # window frame only
+    # window frame only; keyword-only, so a stray fifth argument fails
+    margin: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -52,10 +52,10 @@ class ModelSpec:
             raise InvalidParamsError("b must be finite")
 
     def with_constant(self):
-        """Same spec with C filled in (computed once, then cached)."""
-        if self.C is not None:
-            return self
-        return replace(self, C=integral_constant(self.g))
+        """This spec, once g's plane integral C is computed into the per-g
+        cache that derive reads; lets a caller pay for C up front."""
+        integral_constant(self.g)
+        return self
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,13 @@ class DerivedParams:
     density: float        # intensity in this frame
     expected_nodes: float
     conn_scale: float     # this frame uses g(distance / conn_scale)
-    metric: str
     core_side: float      # observation core (differs from side for window)
     margin: float
 
 
 def derive(spec):
     """Frame parameters for a spec; raises InvalidParamsError off-domain."""
-    spec = spec.with_constant()
-    C = spec.C
+    C = integral_constant(spec.g)
     logterm = math.log(spec.rho) + spec.b
     if logterm <= 0.0:
         raise InvalidParamsError(
@@ -102,14 +100,12 @@ def derive(spec):
         return DerivedParams(
             r_rho=r_rho, lam=lam, side=side, density=density,
             expected_nodes=lam * side * side, conn_scale=scale,
-            metric="euclidean", core_side=core, margin=margin)
+            core_side=core, margin=margin)
 
-    metric = "toroidal" if m == "torus" else "euclidean"
     # expected_nodes = density * side^2 = rho exactly, by construction.
     return DerivedParams(
         r_rho=r_rho, lam=lam, side=side, density=density,
-        expected_nodes=spec.rho, conn_scale=scale, metric=metric,
-        core_side=side, margin=0.0)
+        expected_nodes=spec.rho, conn_scale=scale, core_side=side, margin=0.0)
 
 
 def frame_connection(spec):
@@ -137,8 +133,7 @@ def realize(spec, seed, mode="exact", tail_mass=1e-6):
     pts = simulate.sample_poisson(region, d.density, seed,
                                   expected_count=d.expected_nodes)
     g_frame = frame_connection(spec)
-    graph = simulate.build_graph(pts, g_frame, metric=d.metric, mode=mode,
-                                 tail_mass=tail_mass)
+    graph = simulate.build_graph(pts, g_frame, mode=mode, tail_mass=tail_mass)
     return graph
 
 

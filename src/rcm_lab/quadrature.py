@@ -81,7 +81,6 @@ def _check_rel_tol(rel_tol):
 
 
 def _frame(spec):
-    spec = spec.with_constant()
     d = derive(spec)
     return spec, d, frame_connection(spec)
 

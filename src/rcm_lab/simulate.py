@@ -31,7 +31,7 @@ _TILE = 1 << 16
 
 
 class MetricMismatchError(ValueError):
-    """Operation applied to a graph with the wrong metric."""
+    """Operation applied to a graph on the wrong kind of region."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class PointSet:
 class RcmGraph:
     points: PointSet
     edges: np.ndarray       # (m, 2) int64, i < j, lexicographically sorted
-    metric: str             # "euclidean" or "toroidal"
     g: ConnectionFunction
 
     @property
@@ -92,12 +91,12 @@ def sample_poisson(region, density, seed, expected_count=None):
 _BINS = 1 << 12
 
 
-def _bound_table(g, metric, side):
+def _bound_table(g, region):
     """(bins per unit of d^2, thresholds) that screen pairs for a
     non-increasing g.
 
     Bin k covers d^2 in [k, k + 1) * step, uniform over [0, the largest d^2
-    of the metric].  Its threshold is ceil(bound * 2^53), with bound at
+    in the region].  Its threshold is ceil(bound * 2^53), with bound at
     least g(d) for every d in the bin: g at the bin's inner radius, shrunk
     by 1e-9 against the rounding of squared distances, plus 1e-9 relative
     and 1e-12 absolute slack (a tabulated power_log tail may start up to
@@ -105,7 +104,7 @@ def _bound_table(g, metric, side):
     A pair whose 53 bits reach the threshold has u >= bound >= g(d), so it
     cannot link.
     """
-    step = (2.0 if metric == "euclidean" else 0.5) * side * side / _BINS
+    step = (2.0 if region.period is None else 0.5) * region.area / _BINS
     inner = np.sqrt(np.arange(_BINS) * step) * (1.0 - 1e-9)
     bound = g._eval(inner) * (1.0 + 1e-9) + 1e-12
     # NaN screens nothing; no threshold exceeds 2^53, the bits' range
@@ -113,7 +112,7 @@ def _bound_table(g, metric, side):
     return 1.0 / step, np.ceil(bound * 2.0 ** 53).astype(np.uint64)
 
 
-def _scan_pairs(pts, g, metric, seed, prune=False):
+def _scan_pairs(pts, g, seed, prune=False):
     """Edges (i < j) over all pairs, in lexicographic order.
 
     Each tile is rows [r0, r0 + _TILE // n) against columns [r0, n), at
@@ -130,13 +129,12 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
     """
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
-    side = pts.region.side
-    period = side if metric == "toroidal" else None
+    period = pts.region.period
     idx = np.arange(n, dtype=np.int64)
     out_i, out_j = [idx[:0]], [idx[:0]]
     rows = max(1, min(n, _TILE // max(n, 1)))
     if prune:
-        per_d2, thresholds = _bound_table(g, metric, side)
+        per_d2, thresholds = _bound_table(g, pts.region)
         keys = row_key(seed, idx, stream=STREAM_EDGE)[:, None]
         cols = idx.astype(np.uint64)[None, :]
         upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
@@ -157,8 +155,8 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
         # a holds d^2, then the bits; b dy^2, then the thresholds; k the
         # bins, then the mixing scratch
         a, b, k = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        d2 = _squared_gaps(x, r0, r1, metric, side, a)
-        d2 += _squared_gaps(y, r0, r1, metric, side, b)
+        d2 = _squared_gaps(x, r0, r1, period, a)
+        d2 += _squared_gaps(y, r0, r1, period, b)
         d2 *= per_d2
         np.copyto(k, d2, casting="unsafe")
         thr = np.take(thresholds, k, mode="clip", out=b.view(np.uint64))
@@ -177,8 +175,8 @@ def _scan_pairs(pts, g, metric, seed, prune=False):
     return np.column_stack([i, j])
 
 
-def _links(seed, i, j, p):
-    """Which pairs (i, j) link, given p = g(d): pair_uniform < p.
+def _links(seed, i, j, p, stream=STREAM_EDGE):
+    """Which pairs (i, j) pass pair_uniform(seed, i, j, stream) < p.
 
     Where p >= 1 every uniform in [0, 1) lies below it, so only the other
     pairs draw one; a NaN p fails p >= 1, draws, and fails u < p.
@@ -187,18 +185,18 @@ def _links(seed, i, j, p):
     rest = np.flatnonzero(~link)
     if rest.size:
         link[rest] = pair_uniform(seed, i[rest], j[rest],
-                                  stream=STREAM_EDGE) < p[rest]
+                                  stream=stream) < p[rest]
     return link
 
 
-def _squared_gaps(c, r0, r1, metric, side, out):
+def _squared_gaps(c, r0, r1, period, out):
     """Squared differences of coordinate c, rows [r0, r1) against columns
-    [r0, n), written to out.  On the torus the gap is side/2 - ||dc| -
-    side/2|, the minimum image up to a few ulps of the side: far inside the
-    bound table's 1e-9 shrink at its first bin edge, side / 90."""
+    [r0, n), written to out.  With a period p (a torus) the gap is p/2 -
+    ||dc| - p/2|, the minimum image up to a few ulps of p: far inside the
+    bound table's 1e-9 shrink at its first bin edge, p / 90."""
     dc = np.subtract(c[r0:r1, None], c[None, r0:], out=out)
-    if metric == "toroidal":
-        h = 0.5 * side
+    if period is not None:
+        h = 0.5 * period
         np.abs(dc, out=dc)
         dc -= h
         np.abs(dc, out=dc)
@@ -231,10 +229,10 @@ def _near_candidates(pos, side, r_cut, wrap):
                             output_type="ndarray")
 
 
-def _edges_cells(pts, g, metric, seed, tail_mass):
+def _edges_cells(pts, g, seed, tail_mass):
     pos = pts.positions
     side = pts.region.side
-    wrap = metric == "toroidal"
+    period = pts.region.period
 
     # The tree only pays when no pair beyond the cutoff can link, that is
     # when g is zero at the cutoff (g is non-increasing).  Otherwise the
@@ -250,19 +248,19 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     if (side < 3.0 * r_cut or pts.n < 16 or (
             g.support_radius > r_cut
             and g._eval(np.asarray(r_cut, dtype=float)) > 0.0)):
-        return _scan_pairs(pts, g, metric, seed, prune=True)
+        return _scan_pairs(pts, g, seed, prune=True)
 
     # The candidates are decided in blocks of _TILE pairs, each keeping
     # only the keys i*n + j of its edges, so no temporary grows with the
     # number of pairs.  With i < j < n, the keys order pairs
     # lexicographically.
-    pairs = _near_candidates(pos, side, r_cut, wrap)
+    pairs = _near_candidates(pos, side, r_cut, period is not None)
     x, y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
     n = pts.n
     keys = []
     for lo in range(0, pairs.shape[0], _TILE):
         i, j = pairs[lo:lo + _TILE, 0], pairs[lo:lo + _TILE, 1]
-        d = gap_distance(x[i] - x[j], y[i] - y[j], side if wrap else None)
+        d = gap_distance(x[i] - x[j], y[i] - y[j], period)
         near = np.flatnonzero(d <= r_cut)
         i, j = i[near], j[near]
         link = _links(seed, i, j, g._eval(d[near]))
@@ -275,29 +273,26 @@ def _edges_cells(pts, g, metric, seed, tail_mass):
     return edges
 
 
-def build_graph(points, g, metric="euclidean", mode="exact", tail_mass=1e-6):
+def build_graph(points, g, mode="exact", tail_mass=1e-6):
     """Realize the random connection graph on a sampled point set.
 
-    mode "exact" scans all pairs in row tiles; mode "cells" takes the
-    pairs within the effective cutoff from a k-d tree when g is zero
-    beyond it, and otherwise scans all pairs, deciding only those that
-    pass a bound-table screen (see _scan_pairs).  Both give the same edge
-    set, sorted lexicographically, for the same seed.
+    Distances wrap when the points' region is a torus.  Mode "exact"
+    scans all pairs in row tiles; mode "cells" takes the pairs within the
+    effective cutoff from a k-d tree when g is zero beyond it, and
+    otherwise scans all pairs, deciding only those that pass a bound-table
+    screen (see _scan_pairs).  Both give the same edge set, sorted
+    lexicographically, for the same seed.
     """
-    if metric not in ("euclidean", "toroidal"):
-        raise MetricMismatchError("metric must be 'euclidean' or 'toroidal'")
-    if metric == "toroidal" and points.region.kind != "torus":
-        raise MetricMismatchError("toroidal metric needs a torus region")
     if mode not in ("exact", "cells"):
         raise ValueError("mode must be 'exact' or 'cells'")
 
     if points.n < 2:
         edges = np.empty((0, 2), dtype=np.int64)
     elif mode == "exact":
-        edges = _scan_pairs(points, g, metric, points.seed)
+        edges = _scan_pairs(points, g, points.seed)
     else:
-        edges = _edges_cells(points, g, metric, points.seed, tail_mass)
-    return RcmGraph(points=points, edges=edges, metric=metric, g=g)
+        edges = _edges_cells(points, g, points.seed, tail_mass)
+    return RcmGraph(points=points, edges=edges, g=g)
 
 
 def census(graph):
@@ -352,7 +347,7 @@ def boundary_coupling(torus_graph):
     nodes before thinning, W after, and W_E = W - W_T >= 0 is the count
     exposed by removing the wrap-around edges.
     """
-    if torus_graph.metric != "toroidal":
+    if torus_graph.points.region.kind != "torus":
         raise MetricMismatchError("boundary coupling starts from a torus graph")
     pts = torus_graph.points
     pos = pts.positions
@@ -376,15 +371,18 @@ def boundary_coupling(torus_graph):
             dx, dy = dx[wrap], dy[wrap]
             d_e = gap_distance(dx, dy)
             d_t = gap_distance(dx, dy, side)
-            v = pair_uniform(pts.seed, i[wrap], j[wrap],
-                             stream=STREAM_COUPLING)
-            keep[lo + wrap] = np.atleast_1d(v) < (
-                np.atleast_1d(g._eval(d_e)) / np.atleast_1d(g._eval(d_t)))
+            keep[lo + wrap] = _links(pts.seed, i[wrap], j[wrap],
+                                     g._eval(d_e) / g._eval(d_t),
+                                     stream=STREAM_COUPLING)
 
+    # Each row as one 16-byte field: a boolean selection of a 1-D array
+    # builds no index array (8 bytes per kept edge for an (m, 2) array).
+    rows = np.ascontiguousarray(edges, dtype=np.int64).view(
+        np.dtype((np.void, 16))).reshape(-1)
     square_pts = PointSet(positions=pos, region=Region("square", side),
                           density=pts.density, seed=pts.seed)
-    square_graph = RcmGraph(points=square_pts, edges=edges[keep],
-                            metric="euclidean", g=g)
+    square_graph = RcmGraph(points=square_pts, g=g,
+                            edges=rows[keep].view(np.int64).reshape(-1, 2))
     w_t = isolated_count(torus_graph)
     w = isolated_count(square_graph)
     w_e = w - w_t

@@ -36,7 +36,7 @@ RHO_LEGS = ((1e2, 12000, "exact"), (1e3, 6000, "cells"), (1e4, 2000, "cells"))
 
 
 def _disk_spec(model, rho, b=0.0):
-    return ModelSpec(model=model, rho=rho, b=b, g=unit_disk(1.0), C=PI)
+    return ModelSpec(model=model, rho=rho, b=b, g=unit_disk(1.0))
 
 
 def _ok(num, text):
@@ -168,13 +168,12 @@ def test_criterion_07_truncation_limits():
     Ct = integral_constant(gt)
     want = math.exp(4.0 * PI * a / Ct)
     got = expected_isolated_torus(
-        ModelSpec(model="torus", rho=1e8, b=0.0, g=gt, C=Ct))
+        ModelSpec(model="torus", rho=1e8, b=0.0, g=gt))
     rel = abs(got / want - 1.0)
     assert rel <= 0.05
     go = omega_tail(p=1.5)
-    Co = integral_constant(go)
     vals = [expected_isolated_torus(
-        ModelSpec(model="torus", rho=r, b=0.0, g=go, C=Co))
+        ModelSpec(model="torus", rho=r, b=0.0, g=go))
         for r in (1e4, 1e6, 1e8)]
     assert vals[0] < vals[1] < vals[2]
     _ok(7, "theta(0.5) torus E(W) at 1e8 = %.4f vs limit %.4f (rel %.3f); "

@@ -81,20 +81,17 @@ def test_from_json(tmp_path):
 
 def test_run_trial_record_shapes():
     g = unit_disk(1.0)
-    sq = run_trial(ModelSpec(model="square", rho=80.0, b=0.0, g=g,
-                             C=math.pi), seed=3)
+    sq = run_trial(ModelSpec(model="square", rho=80.0, b=0.0, g=g), seed=3)
     assert sq["model"] == "square" and sq["seed"] == 3
     assert sq["W"] == sq["xi"].get("1", 0)
     assert sum(int(k) * v for k, v in sq["xi"].items()) == sq["n"]
 
-    to = run_trial(ModelSpec(model="torus", rho=80.0, b=0.0, g=g,
-                             C=math.pi), seed=3)
+    to = run_trial(ModelSpec(model="torus", rho=80.0, b=0.0, g=g), seed=3)
     assert to["W"] == to["W_T"] + to["W_E"] and to["W_E"] >= 0
     # same seed: the coupled square graph is the square trial's graph
     assert to["W"] == sq["W"] and to["xi"] == sq["xi"]
 
-    wi = run_trial(ModelSpec(model="window", rho=80.0, b=0.0, g=g,
-                             C=math.pi), seed=3)
+    wi = run_trial(ModelSpec(model="window", rho=80.0, b=0.0, g=g), seed=3)
     assert 0 <= wi["W"] <= wi["W_core"] <= wi["n_core"] <= wi["n"]
 
 
@@ -104,8 +101,7 @@ def test_run_trial_coupling_check_can_fail(monkeypatch):
     real = experiments.census
     monkeypatch.setattr(experiments, "census",
                         lambda graph: replace(real(graph), W=real(graph).W + 1))
-    spec = ModelSpec(model="torus", rho=80.0, b=0.0, g=unit_disk(1.0),
-                     C=math.pi)
+    spec = ModelSpec(model="torus", rho=80.0, b=0.0, g=unit_disk(1.0))
     with pytest.raises(TrialError, match="coupling check failed at seed 3"):
         run_trial(spec, seed=3)
 

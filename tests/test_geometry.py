@@ -134,6 +134,30 @@ def test_clipped_lens_requires_square():
         clipped_lens_difference_area((0, 0), (1, 0), 1.0, Region("torus", 4.0))
 
 
+_BAD_LENS = [(math.nan, 1.0, "z"), (1.0, math.nan, "r"), (-1.0, 1.0, "z"),
+             (1.0, 0.0, "r"), (np.array([0.5, math.nan]), 1.0, "z")]
+
+
+@pytest.mark.parametrize("z, r, name", _BAD_LENS)
+def test_lens_difference_area_rejects_bad_input(z, r, name):
+    # NaN fails the checks too, and the error names the parameter
+    with pytest.raises(ValueError, match=name + " must"):
+        lens_difference_area(z, r)
+
+
+@pytest.mark.parametrize("z, r, name", _BAD_LENS)
+def test_lens_difference_derivative_rejects_bad_input(z, r, name):
+    with pytest.raises(ValueError, match=name + " must"):
+        lens_difference_derivative(z, r)
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, math.nan])
+def test_clipped_lens_rejects_bad_radius(r):
+    with pytest.raises(ValueError, match="r must"):
+        clipped_lens_difference_area((0.0, 0.0), (0.5, 0.0), r,
+                                     Region("square", 4.0))
+
+
 def test_clipped_lens_equals_unclipped_when_interior():
     reg = Region("square", 50.0)
     rng = np.random.default_rng(31)

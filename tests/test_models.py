@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import lognormal, unit_disk
+from rcm_lab.connfn import integral_constant, lognormal, unit_disk
 from rcm_lab.models import (MODELS, FrameMismatchError, InvalidParamsError,
                             ModelSpec, derive, frame_connection, frame_region,
                             realize, rescale_instance)
 
 
 def _disk_spec(model, rho=1000.0, b=0.0):
-    return ModelSpec(model=model, rho=rho, b=b, g=unit_disk(1.0), C=math.pi)
+    return ModelSpec(model=model, rho=rho, b=b, g=unit_disk(1.0))
 
 
 def test_scaling_radius_formula():
@@ -34,8 +35,8 @@ def test_frame_geometry_relations():
         for d in (dd, de, ds, dt):
             assert d.expected_nodes == rho
             assert d.density * d.side ** 2 == pytest.approx(rho, rel=1e-12)
-        assert dt.metric == "toroidal"
-        assert ds.metric == "euclidean"
+        assert frame_region(_disk_spec("torus", rho, b)).kind == "torus"
+        assert frame_region(_disk_spec("square", rho, b)).kind == "square"
 
 
 def test_frame_connection_rescaling():
@@ -61,30 +62,45 @@ def test_invalid_params():
     with pytest.raises(InvalidParamsError):
         ModelSpec(model="square", rho=-5.0, b=0.0, g=unit_disk(1.0))
     with pytest.raises(InvalidParamsError):
-        derive(ModelSpec(model="square", rho=2.0, b=-1.0, g=unit_disk(1.0),
-                         C=math.pi))  # log(2) - 1 < 0
+        derive(ModelSpec(model="square", rho=2.0, b=-1.0,
+                         g=unit_disk(1.0)))  # log(2) - 1 < 0
     with pytest.raises(InvalidParamsError):
         derive(ModelSpec(model="window", rho=100.0, b=0.0, g=unit_disk(1.0),
-                         C=math.pi, margin=-1.0))
+                         margin=-1.0))
+
+
+def test_margin_is_keyword_only():
+    # a fifth positional argument has no field to go to
+    with pytest.raises(TypeError):
+        ModelSpec("window", 100.0, 0.0, unit_disk(1.0), math.pi)
 
 
 def test_with_constant_caches():
     spec = ModelSpec(model="square", rho=100.0, b=0.0, g=unit_disk(2.0))
-    spec2 = spec.with_constant()
-    assert spec2.C == pytest.approx(4.0 * math.pi, rel=1e-10)
-    assert spec2.with_constant() is spec2 or spec2.with_constant().C == spec2.C
+    assert spec.with_constant() is spec
+    assert integral_constant(spec.g) == pytest.approx(4.0 * math.pi,
+                                                      rel=1e-10)
+
+
+def test_derive_reads_c_from_the_current_g():
+    # C belongs to g: a spec whose g is replaced derives the frame of the
+    # new g, even after with_constant() computed the old g's C
+    spec = replace(_disk_spec("square").with_constant(), g=unit_disk(2.0))
+    fresh = ModelSpec(model="square", rho=1000.0, b=0.0, g=unit_disk(2.0))
+    assert derive(spec) == derive(fresh)
+    assert derive(spec).lam == pytest.approx(
+        math.log(1000.0) / (4.0 * math.pi), rel=1e-12)
 
 
 def test_window_margin_default_covers_connection_range():
-    spec = ModelSpec(model="window", rho=400.0, b=0.0, g=unit_disk(1.0),
-                     C=math.pi)
+    spec = ModelSpec(model="window", rho=400.0, b=0.0, g=unit_disk(1.0))
     d = derive(spec)
     assert d.margin >= 1.0
     assert d.side == pytest.approx(d.core_side + 2.0 * d.margin, rel=1e-12)
     assert d.expected_nodes == pytest.approx(d.density * d.side ** 2, rel=1e-12)
     # margin override wins
     spec2 = ModelSpec(model="window", rho=400.0, b=0.0, g=unit_disk(1.0),
-                      C=math.pi, margin=3.5)
+                      margin=3.5)
     assert derive(spec2).margin == 3.5
 
 
@@ -92,7 +108,7 @@ def test_realize_returns_graph_in_frame():
     spec = _disk_spec("torus", rho=200.0)
     graph = realize(spec, seed=4)
     d = derive(spec)
-    assert graph.metric == "toroidal"
+    assert graph.points.region.kind == "torus"
     assert graph.points.region.side == pytest.approx(d.side)
     assert graph.points.region.contains(graph.points.positions).all()
     with pytest.raises(ValueError):
@@ -125,8 +141,7 @@ def test_rescale_rejects_bad_pairs():
     graph = realize(s_sq, seed=0)
     with pytest.raises(FrameMismatchError):
         rescale_instance(graph.points, graph.edges, s_sq, s_to)
-    other = ModelSpec(model="extended", rho=999.0, b=0.0, g=unit_disk(1.0),
-                      C=math.pi)
+    other = ModelSpec(model="extended", rho=999.0, b=0.0, g=unit_disk(1.0))
     with pytest.raises(FrameMismatchError):
         rescale_instance(graph.points, graph.edges, s_sq, other)
 

@@ -67,17 +67,13 @@ def point_sets(draw, kind):
     return pts, r0, exact
 
 
-def _metric(pts):
-    return "toroidal" if pts.region.kind == "torus" else "euclidean"
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), kind=st.sampled_from(["square", "torus"]))
 def test_exact_equals_cells_disk(data, kind):
     pts, r0, exact = data.draw(point_sets(kind))
     g = unit_disk(r0)
-    ge = build_graph(pts, g, metric=_metric(pts), mode="exact")
-    gc = build_graph(pts, g, metric=_metric(pts), mode="cells")
+    ge = build_graph(pts, g, mode="exact")
+    gc = build_graph(pts, g, mode="cells")
     assert np.array_equal(ge.edges, gc.edges)
     # A hard disk links every pair within r0, boundary included.
     linked = {tuple(e) for e in gc.edges.tolist()}
@@ -99,9 +95,8 @@ def test_exact_equals_cells_with_long_pairs(data, kind):
     extra += [(x + r_cut, y) for x, y in extra]
     pts = PointSet(positions=np.vstack([pts.positions, extra]),
                    region=pts.region, density=1.0, seed=pts.seed)
-    ge = build_graph(pts, g, metric=_metric(pts), mode="exact")
-    gc = build_graph(pts, g, metric=_metric(pts), mode="cells",
-                     tail_mass=0.3)
+    ge = build_graph(pts, g, mode="exact")
+    gc = build_graph(pts, g, mode="cells", tail_mass=0.3)
     assert np.array_equal(ge.edges, gc.edges)
 
 
@@ -123,8 +118,7 @@ def graphs(draw):
         arr = arr[rng.permutation(rows)]
         swap = rng.random(len(arr)) < 0.5
         arr[swap] = arr[swap, ::-1]
-    return RcmGraph(points=pts, edges=arr, metric="euclidean",
-                    g=unit_disk(1.0))
+    return RcmGraph(points=pts, edges=arr, g=unit_disk(1.0))
 
 
 @settings(max_examples=100, deadline=None)

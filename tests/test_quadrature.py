@@ -25,7 +25,7 @@ PI = math.pi
 
 
 def _disk_spec(model, rho, b=0.0):
-    return ModelSpec(model=model, rho=rho, b=b, g=unit_disk(1.0), C=PI)
+    return ModelSpec(model=model, rho=rho, b=b, g=unit_disk(1.0))
 
 
 def test_inner_exposure_center_and_corner():
@@ -562,13 +562,12 @@ def test_xi2_against_simulation():
 
 
 def test_xi2_zero_connection():
-    # an identically-zero connection forms no pairs at all (guard path);
-    # C must be supplied since it cannot be computed from g = 0
+    # g = 0 has no plane integral C and so no frame: xi_2 refuses it, as
+    # E(W) does
     from rcm_lab.connfn import zero_function
-    spec = ModelSpec(model="square", rho=50.0, b=0.0, g=zero_function(),
-                     C=PI)
-    est, se = expected_components_order2(spec, samples=100, seed=0)
-    assert est == 0.0 and se == 0.0
+    spec = ModelSpec(model="square", rho=50.0, b=0.0, g=zero_function())
+    with pytest.raises(ValueError, match="positive mass"):
+        expected_components_order2(spec, samples=100, seed=0)
 
 
 def test_xi2_single_sample_error_is_unknown():
@@ -581,11 +580,10 @@ def test_xi2_single_sample_error_is_unknown():
 
 def test_xi2_scale_invariance_of_frames():
     # the square frame depends on g only through its shape: shrinking the
-    # disk (with C adjusted to match) reproduces the same expectation
+    # disk (C follows g) reproduces the same expectation
     a, sa = expected_components_order2(_disk_spec("square", 50.0),
                                        samples=2000, seed=11)
-    tiny = ModelSpec(model="square", rho=50.0, b=0.0, g=unit_disk(1e-3),
-                     C=PI * 1e-6)
+    tiny = ModelSpec(model="square", rho=50.0, b=0.0, g=unit_disk(1e-3))
     b_, sb = expected_components_order2(tiny, samples=2000, seed=11)
     assert b_ == pytest.approx(a, rel=1e-6)
 

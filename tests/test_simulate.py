@@ -10,7 +10,7 @@ from rcm_lab.geometry import Region, gap_distance, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (_BINS, _TILE, MetricMismatchError, PointSet,
-                              _bound_table, _links, _scan_pairs,
+                              RcmGraph, _bound_table, _links, _scan_pairs,
                               _squared_gaps, boundary_coupling, build_graph,
                               census, isolated_count, sample_poisson,
                               window_truncation_census)
@@ -60,7 +60,7 @@ def test_sample_poisson_rejects_nan_and_negative(density, count, name):
 def test_build_graph_matches_bruteforce_euclidean():
     g = lognormal(sigma=1.0, eta=2.0)
     pts = _pts(11, side=6.0, density=2.0)
-    graph = build_graph(pts, g, metric="euclidean", mode="exact")
+    graph = build_graph(pts, g, mode="exact")
     want = pairwise_edges_bruteforce(
         pts.positions,
         lambda d: float(g(d)),
@@ -71,7 +71,7 @@ def test_build_graph_matches_bruteforce_euclidean():
 def test_build_graph_matches_bruteforce_toroidal():
     g = unit_disk(1.5)
     pts = _pts(12, side=6.0, density=2.0, kind="torus")
-    graph = build_graph(pts, g, metric="toroidal", mode="exact")
+    graph = build_graph(pts, g, mode="exact")
     pos = pts.positions
     want = []
     for i in range(pts.n):
@@ -82,23 +82,30 @@ def test_build_graph_matches_bruteforce_toroidal():
     assert [tuple(e) for e in graph.edges.tolist()] == want
 
 
+def test_build_graph_reads_the_torus_from_the_region():
+    # torus-ness has one source, the region: a torus point set gets
+    # minimum-image distances in both modes (plain ones give 783 edges)
+    g = unit_disk(1.0)
+    pts = sample_poisson(Region("torus", 10.0), 2.0, 4)
+    want = _bruteforce_edges(pts, g)
+    assert want.shape == (846, 2)
+    for mode in ("exact", "cells"):
+        assert np.array_equal(build_graph(pts, g, mode=mode).edges, want)
+
+
 def test_metric_validation():
     pts = _pts(0)
-    with pytest.raises(MetricMismatchError):
-        build_graph(pts, unit_disk(1.0), metric="toroidal")
-    with pytest.raises(MetricMismatchError):
-        build_graph(pts, unit_disk(1.0), metric="manhattan")
     with pytest.raises(ValueError):
         build_graph(pts, unit_disk(1.0), mode="fast")
 
 
 def test_exact_equals_cells_disk():
     g = unit_disk(1.0)
-    for kind, metric in (("square", "euclidean"), ("torus", "toroidal")):
+    for kind in ("square", "torus"):
         for seed in range(6):
             pts = _pts(seed, side=12.0, density=2.5, kind=kind)
-            ge = build_graph(pts, g, metric=metric, mode="exact")
-            gc = build_graph(pts, g, metric=metric, mode="cells")
+            ge = build_graph(pts, g, mode="exact")
+            gc = build_graph(pts, g, mode="cells")
             assert np.array_equal(ge.edges, gc.edges)
 
 
@@ -150,8 +157,7 @@ def test_tile_scan_matches_bruteforce(kind, mode):
     g = lognormal(sigma=1.5, eta=1.0)
     pts = _uniform_point_set(403, 16.0, kind, seed=31)
     assert _spans_three_tiles_with_partial_last(pts.n)
-    metric = "toroidal" if kind == "torus" else "euclidean"
-    graph = build_graph(pts, g, metric=metric, mode=mode, tail_mass=0.3)
+    graph = build_graph(pts, g, mode=mode, tail_mass=0.3)
     want = _bruteforce_edges(pts, g)
     assert graph.edges.dtype == np.int64
     assert np.array_equal(graph.edges, want)
@@ -161,7 +167,7 @@ def test_tile_scan_matches_bruteforce(kind, mode):
     if mode == "cells":
         # infinite cutoffs: the pruned scan against the pair-by-pair loop
         for g in (theta_tail(0.5), omega_tail(1.5)):
-            graph = build_graph(pts, g, metric=metric, mode="cells")
+            graph = build_graph(pts, g, mode="cells")
             assert np.array_equal(graph.edges, _bruteforce_edges(pts, g))
 
 
@@ -172,8 +178,7 @@ def test_pruned_scan_at_bin_edges(kind):
     # integer, so it lies exactly on the inner edge of its bin, and so do
     # the jumps of theta_tail at x0 = 3 and x0 = 2
     side = 32
-    metric = "toroidal" if kind == "torus" else "euclidean"
-    per_d2, _ = _bound_table(theta_tail(0.5), metric, float(side))
+    per_d2, _ = _bound_table(theta_tail(0.5), Region(kind, float(side)))
     assert per_d2 == (2.0 if kind == "square" else 8.0)
     cells = np.random.default_rng(17).choice(side * side, 300, replace=False)
     pos = np.column_stack(np.divmod(cells, side)) - 0.5 * side
@@ -184,7 +189,7 @@ def test_pruned_scan_at_bin_edges(kind):
     for g in (theta_tail(0.5), theta_tail(0.2, x0=2.0, g0=0.7),
               tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
                         tail_rule=("power_log", 0.1, 2.0))):
-        graph = build_graph(pts, g, metric=metric, mode="cells")
+        graph = build_graph(pts, g, mode="cells")
         assert np.array_equal(graph.edges, _bruteforce_edges(pts, g))
 
 
@@ -217,7 +222,8 @@ def test_bound_table_bounds_g_in_every_bin(g, metric, side):
     # at the inner edge of every bin and at random d^2 inside it (or 1,
     # which passes every pair: uniforms lie below 1)
     assert check_monotonicity(g)
-    per_d2, thresholds = _bound_table(g, metric, side)
+    region = Region("torus" if metric == "toroidal" else "square", side)
+    per_d2, thresholds = _bound_table(g, region)
     assert thresholds.shape == (_BINS,) and thresholds.dtype == np.uint64
     assert thresholds.max() <= 2 ** 53
     rng = np.random.default_rng(3)
@@ -227,15 +233,14 @@ def test_bound_table_bounds_g_in_every_bin(g, metric, side):
     d = np.sqrt((k + offset) / per_d2)
     assert np.all(thresholds[k] * 2.0 ** -53 >= np.fmin(g._eval(d), 1.0))
     # the same for the pairs of a point set, binned as the scan bins them
-    pts = _uniform_point_set(300, side, "torus" if metric == "toroidal"
-                             else "square", seed=8)
+    pts = _uniform_point_set(300, side, region.kind, seed=8)
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
-    d2 = (_squared_gaps(x, 0, n, metric, side, np.empty((n, n)))
-          + _squared_gaps(y, 0, n, metric, side, np.empty((n, n))))
+    d2 = (_squared_gaps(x, 0, n, region.period, np.empty((n, n)))
+          + _squared_gaps(y, 0, n, region.period, np.empty((n, n))))
     bins = np.minimum((d2 * per_d2).astype(np.intp), _BINS - 1)
     d = gap_distance(x[:, None] - x[None, :], y[:, None] - y[None, :],
-                     side if metric == "toroidal" else None)
+                     region.period)
     assert np.all(thresholds[bins] * 2.0 ** -53
                   >= np.fmin(g._eval(d), 1.0))
     # and the screen prunes: beyond g's head, few pairs stay candidates
@@ -248,13 +253,12 @@ def test_tiny_point_sets(n):
     g = theta_tail(0.5)
     for kind in ("square", "torus"):
         pts = _uniform_point_set(n, 1.0, kind, seed=5)
-        metric = "toroidal" if kind == "torus" else "euclidean"
         want = _bruteforce_edges(pts, g)
-        scanned = _scan_pairs(pts, g, metric, pts.seed)
+        scanned = _scan_pairs(pts, g, pts.seed)
         assert scanned.shape == want.shape and scanned.dtype == np.int64
         assert np.array_equal(scanned, want)
         for mode in ("exact", "cells"):
-            graph = build_graph(pts, g, metric=metric, mode=mode)
+            graph = build_graph(pts, g, mode=mode)
             assert graph.edges.shape == want.shape
             assert np.array_equal(graph.edges, want)
     # two points closer than x0 = 3, where g = 1: the pair always links
@@ -273,7 +277,7 @@ def test_exact_scan_memory_stays_bounded():
     for mode in ("exact", "cells"):
         tracemalloc.start()
         try:
-            build_graph(pts, theta_tail(0.5), metric="toroidal", mode=mode)
+            build_graph(pts, theta_tail(0.5), mode=mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,8 +319,7 @@ def test_near_pair_memory_stays_bounded():
                          expected_count=d.expected_nodes)
     assert 9.8e4 < pts.n < 1.02e5
     peaks = []
-    for build in (lambda: build_graph(pts, spec.g, metric="toroidal",
-                                      mode="cells"),
+    for build in (lambda: build_graph(pts, spec.g, mode="cells"),
                   lambda: run_trial(spec, 3, mode="cells")):
         tracemalloc.start()
         try:
@@ -372,8 +375,7 @@ def test_census_empty_graph():
 
 
 def test_boundary_coupling_identity_and_subset():
-    spec = ModelSpec(model="torus", rho=200.0, b=0.0, g=unit_disk(1.0),
-                     C=math.pi)
+    spec = ModelSpec(model="torus", rho=200.0, b=0.0, g=unit_disk(1.0))
     for seed in range(30):
         tg = realize(spec, seed)
         sq, w_t, w_e, w = boundary_coupling(tg)
@@ -390,24 +392,24 @@ def test_boundary_coupling_is_square_law_for_disk():
     # with a direct square-frame draw at the same seed
     for seed in range(20):
         torus = realize(ModelSpec(model="torus", rho=150.0, b=0.0,
-                                  g=unit_disk(1.0), C=math.pi), seed)
+                                  g=unit_disk(1.0)), seed)
         square = realize(ModelSpec(model="square", rho=150.0, b=0.0,
-                                   g=unit_disk(1.0), C=math.pi), seed)
+                                   g=unit_disk(1.0)), seed)
         sq, _, _, _ = boundary_coupling(torus)
         assert np.array_equal(sq.points.positions, square.points.positions)
         assert np.array_equal(sq.edges, square.edges)
 
 
-@pytest.mark.parametrize("g, C", [
-    pytest.param(unit_disk(1.0), math.pi, id="unit_disk"),
-    pytest.param(lognormal(sigma=0.25, eta=4.0), None, id="lognormal"),
+@pytest.mark.parametrize("g", [
+    pytest.param(unit_disk(1.0), id="unit_disk"),
+    pytest.param(lognormal(sigma=0.25, eta=4.0), id="lognormal"),
 ])
-def test_boundary_coupling_matches_all_edge_thinning(g, C):
+def test_boundary_coupling_matches_all_edge_thinning(g):
     # the reference decides every torus edge by v < g(d_e) / g(d_t); the
     # library decides only the wrap-around ones and must keep the same set
     from rcm_lab.pairrng import STREAM_COUPLING
 
-    spec = ModelSpec(model="torus", rho=200.0, b=0.0, g=g, C=C)
+    spec = ModelSpec(model="torus", rho=200.0, b=0.0, g=g)
     removed = 0
     for seed in range(6):
         tg = realize(spec, seed)
@@ -452,9 +454,27 @@ def test_cells_mode_rejects_callable_that_passes_the_sampled_check():
     assert check_monotonicity(g)
     pts = _pts(4, side=30.0, density=2.0, kind="torus")
     with pytest.raises(ValueError, match="non-increasing"):
-        build_graph(pts, g, metric="toroidal", mode="cells")
-    exact = build_graph(pts, g, metric="toroidal", mode="exact")
+        build_graph(pts, g, mode="cells")
+    exact = build_graph(pts, g, mode="exact")
     assert exact.edges.shape == (12564, 2)
+
+
+def test_boundary_coupling_takes_any_integer_edge_layout():
+    # int32 and strided edge arrays, as a hand-built graph may hold them,
+    # couple to the same int64 edges and counts as their int64 copy
+    tg = realize(ModelSpec(model="torus", rho=200.0, b=0.0,
+                           g=lognormal(sigma=0.25, eta=4.0)), 2)
+    want = boundary_coupling(tg)
+    assert want[0].edges.shape[0] < tg.edges.shape[0]
+    wide = np.zeros((tg.edges.shape[0], 3), dtype=np.int64)
+    wide[:, :2] = tg.edges
+    for edges in (tg.edges.astype(np.int32), wide[:, :2],
+                  np.asfortranarray(tg.edges)):
+        got = boundary_coupling(RcmGraph(points=tg.points, edges=edges,
+                                         g=tg.g))
+        assert got[0].edges.dtype == np.int64
+        assert np.array_equal(got[0].edges, want[0].edges)
+        assert got[1:] == want[1:]
 
 
 def test_boundary_coupling_needs_torus():
@@ -464,8 +484,7 @@ def test_boundary_coupling_needs_torus():
 
 
 def test_window_truncation_census():
-    spec = ModelSpec(model="window", rho=300.0, b=0.0, g=unit_disk(1.0),
-                     C=math.pi)
+    spec = ModelSpec(model="window", rho=300.0, b=0.0, g=unit_disk(1.0))
     d = derive(spec)
     for seed in range(15):
         graph = realize(spec, seed)
