@@ -51,13 +51,18 @@ class Region:
         return gap_distance(d[..., 0], d[..., 1], self.period)
 
 
+def min_image(d, side):
+    """The gap d shifted by the multiple of side that brings it into
+    [-side/2, side/2]: its minimum image on the side-length torus.  Odd in
+    d, so min_image(-d) is -min_image(d) to the bit."""
+    return d - side * np.round(d / side)
+
+
 def gap_distance(dx, dy, side=None):
     """Distance from coordinate gaps dx, dy.  With a side (the torus) each
-    gap is first shifted by the multiple of side that brings it into
-    [-side/2, side/2], its minimum image."""
+    gap is first taken to its minimum image."""
     if side is not None:
-        dx = dx - side * np.round(dx / side)
-        dy = dy - side * np.round(dy / side)
+        dx, dy = min_image(dx, side), min_image(dy, side)
     return np.hypot(dx, dy)
 
 

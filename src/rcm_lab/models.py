@@ -108,16 +108,21 @@ def derive(spec):
         expected_nodes=spec.rho, conn_scale=scale, core_side=side, margin=0.0)
 
 
-def frame_connection(spec):
-    """The connection function evaluated on this frame's coordinates."""
-    d = derive(spec)
+def _frame_connection(spec, d):
     return spec.g if d.conn_scale == 1.0 else spec.g.scaled(d.conn_scale)
 
 
+def _frame_region(spec, d):
+    return Region("torus" if spec.model == "torus" else "square", d.side)
+
+
+def frame_connection(spec):
+    """The connection function evaluated on this frame's coordinates."""
+    return _frame_connection(spec, derive(spec))
+
+
 def frame_region(spec):
-    d = derive(spec)
-    kind = "torus" if spec.model == "torus" else "square"
-    return Region(kind, d.side)
+    return _frame_region(spec, derive(spec))
 
 
 def realize(spec, seed, mode="exact", tail_mass=1e-6):
@@ -129,12 +134,10 @@ def realize(spec, seed, mode="exact", tail_mass=1e-6):
     and edge decisions are keyed by (seed, i, j) alone.
     """
     d = derive(spec)
-    region = frame_region(spec)
-    pts = simulate.sample_poisson(region, d.density, seed,
+    pts = simulate.sample_poisson(_frame_region(spec, d), d.density, seed,
                                   expected_count=d.expected_nodes)
-    g_frame = frame_connection(spec)
-    graph = simulate.build_graph(pts, g_frame, mode=mode, tail_mass=tail_mass)
-    return graph
+    return simulate.build_graph(pts, _frame_connection(spec, d), mode=mode,
+                                tail_mass=tail_mass)
 
 
 def rescale_instance(points, edges, from_spec, to_spec):
@@ -156,7 +159,7 @@ def rescale_instance(points, edges, from_spec, to_spec):
     factor = d_to.side / d_from.side
     new_points = simulate.PointSet(
         positions=points.positions * factor,
-        region=frame_region(to_spec),
+        region=_frame_region(to_spec, d_to),
         density=d_to.density,
         seed=points.seed)
     return new_points, edges

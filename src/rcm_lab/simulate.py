@@ -5,28 +5,34 @@ a pair (i, j) is linked iff pair_uniform(seed, i, j) < g(d(i, j)).  Both
 build modes evaluate that same predicate, so their outputs are identical
 bit for bit.  Mode "exact" scans every pair in row tiles, the unpruned
 reference.  Mode "cells" (any g but a user callable, whose monotonicity
-cannot be known) takes the pairs within the cutoff from a k-d tree when g
-is zero beyond it.  Otherwise it runs the same scan pruned: a pair whose
-random bits already exceed an upper bound on g at its squared distance
-cannot link, so only the remaining candidates are decided by the
-predicate.
+cannot be known) sorts the points into a grid of cells at least `reach`
+wide and decides the pairs at most reach apart from neighbouring cells.
+When g can be positive beyond reach, a hash-only scan keeps the farther
+pairs whose random bits fall below one bound on g past reach, and only
+those get a distance.  reach is g's cutoff when g is zero past it, and
+otherwise the radius where g(D) = pi D^2 / area.
 
-scipy.spatial and scipy.sparse are imported inside the functions that use
-them: at module level they would add about 0.2 s to ``import rcm_lab`` for
-callers that never build a graph.
+scipy.sparse is imported inside census, the one function that uses it: at
+module level it would add about 0.2 s to ``import rcm_lab`` for callers
+that never build a graph.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connfn import ConnectionFunction, effective_cutoff
-from .geometry import Region, gap_distance
+from .geometry import Region, gap_distance, min_image
 from .pairrng import (STREAM_COUPLING, STREAM_EDGE, pair_bits, pair_uniform,
                       row_key)
 
-# Pairs per row tile of the all-pairs scan.  A tile's temporaries take
-# about 64 bytes per pair, so 2^16-pair tiles peak near 4 MB traced.
+# Pairs per row tile of the all-pairs scans and per block of the boundary
+# coupling.  A tile's temporaries take about 64 bytes per pair, so 2^16-pair
+# tiles peak near 4 MB traced.  The cell grid's chunks take _TILE / 4 pairs
+# (about 60 bytes each) and the far screen's distance blocks _TILE / 16
+# (about 200 bytes each, with g and a uniform): larger ones ran no faster
+# and raised the peak RSS of a rho 2e3 theta torus trial.
 _TILE = 1 << 16
 
 
@@ -84,48 +90,14 @@ def sample_poisson(region, density, seed, expected_count=None):
                     density=density, seed=int(seed))
 
 
-# Bins of squared distance in the bound table of the pruned scan.  The
-# table (one uint64 per bin) stays in the L1 cache, and bins this narrow
-# keep the candidates within 1.0-1.3 times the edges (under 0.5% of the
-# pairs) for theta_tail, omega_tail and lognormal at rho 2e3.
-_BINS = 1 << 12
-
-
-def _bound_table(g, region):
-    """(bins per unit of d^2, thresholds) that screen pairs for a
-    non-increasing g.
-
-    Bin k covers d^2 in [k, k + 1) * step, uniform over [0, the largest d^2
-    in the region].  Its threshold is ceil(bound * 2^53), with bound at
-    least g(d) for every d in the bin: g at the bin's inner radius, shrunk
-    by 1e-9 against the rounding of squared distances, plus 1e-9 relative
-    and 1e-12 absolute slack (a tabulated power_log tail may start up to
-    1e-12 above the last sample).
-    A pair whose 53 bits reach the threshold has u >= bound >= g(d), so it
-    cannot link.
-    """
-    step = (2.0 if region.period is None else 0.5) * region.area / _BINS
-    inner = np.sqrt(np.arange(_BINS) * step) * (1.0 - 1e-9)
-    bound = g._eval(inner) * (1.0 + 1e-9) + 1e-12
-    # NaN screens nothing; no threshold exceeds 2^53, the bits' range
-    bound = np.fmin(np.maximum(bound, 0.0), 1.0)
-    return 1.0 / step, np.ceil(bound * 2.0 ** 53).astype(np.uint64)
-
-
-def _scan_pairs(pts, g, seed, prune=False):
-    """Edges (i < j) over all pairs, in lexicographic order.
+def _scan_pairs(pts, g, seed):
+    """Edges (i < j) over all pairs, in lexicographic order: exact mode, the
+    unpruned reference.
 
     Each tile is rows [r0, r0 + _TILE // n) against columns [r0, n), at
     most max(_TILE, n) pairs.  Coordinate differences come from contiguous
     slices, so no pair index is decoded and no coordinate gathered; the
     triangle j <= i at the start of each tile is computed and masked out.
-
-    With prune (g non-increasing), a tile first keeps its candidates: the
-    pairs whose pair_bits fall below the _bound_table threshold of their
-    squared distance, one mix per pair from per-row keys, in three buffers
-    reused by every tile.  Only the candidates of all tiles, together, get
-    a distance and a g value, and are decided by _links: the same
-    predicate as the unpruned scan.
     """
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     n = pts.n
@@ -133,46 +105,16 @@ def _scan_pairs(pts, g, seed, prune=False):
     idx = np.arange(n, dtype=np.int64)
     out_i, out_j = [idx[:0]], [idx[:0]]
     rows = max(1, min(n, _TILE // max(n, 1)))
-    if prune:
-        per_d2, thresholds = _bound_table(g, pts.region)
-        keys = row_key(seed, idx, stream=STREAM_EDGE)[:, None]
-        cols = idx.astype(np.uint64)[None, :]
-        upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
-        bufs = [np.empty(rows * n), np.empty(rows * n),
-                np.empty(rows * n, dtype=np.intp)]
     for r0 in range(0, n - 1, rows):
         r1 = min(n - 1, r0 + rows)
-        if not prune:
-            i, j = idx[r0:r1, None], idx[None, r0:]
-            d = gap_distance(x[r0:r1, None] - x[None, r0:],
-                             y[r0:r1, None] - y[None, r0:], period)
-            u = pair_uniform(seed, i, j, stream=STREAM_EDGE)
-            ti, tj = np.nonzero((j > i) & (u < g._eval(d)))
-            out_i.append(ti + r0)
-            out_j.append(tj + r0)
-            continue
-        shape = (r1 - r0, n - r0)
-        # a holds d^2, then the bits; b dy^2, then the thresholds; k the
-        # bins, then the mixing scratch
-        a, b, k = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        d2 = _squared_gaps(x, r0, r1, period, a)
-        d2 += _squared_gaps(y, r0, r1, period, b)
-        d2 *= per_d2
-        np.copyto(k, d2, casting="unsafe")
-        thr = np.take(thresholds, k, mode="clip", out=b.view(np.uint64))
-        bits = pair_bits(keys[r0:r1], cols[:, r0:], out=a.view(np.uint64),
-                         tmp=k.view(np.uint64))
-        cand = bits < thr
-        cand[:, :shape[0]] &= upper[:shape[0], :shape[0]]
-        ti, tj = np.divmod(np.flatnonzero(cand), shape[1])
+        i, j = idx[r0:r1, None], idx[None, r0:]
+        d = gap_distance(x[r0:r1, None] - x[None, r0:],
+                         y[r0:r1, None] - y[None, r0:], period)
+        u = pair_uniform(seed, i, j, stream=STREAM_EDGE)
+        ti, tj = np.nonzero((j > i) & (u < g._eval(d)))
         out_i.append(ti + r0)
         out_j.append(tj + r0)
-    i, j = np.concatenate(out_i), np.concatenate(out_j)
-    if prune:
-        d = gap_distance(x[i] - x[j], y[i] - y[j], period)
-        keep = _links(seed, i, j, g._eval(d))
-        i, j = i[keep], j[keep]
-    return np.column_stack([i, j])
+    return np.column_stack([np.concatenate(out_i), np.concatenate(out_j)])
 
 
 def _links(seed, i, j, p, stream=STREAM_EDGE):
@@ -189,85 +131,188 @@ def _links(seed, i, j, p, stream=STREAM_EDGE):
     return link
 
 
-def _squared_gaps(c, r0, r1, period, out):
-    """Squared differences of coordinate c, rows [r0, r1) against columns
-    [r0, n), written to out.  With a period p (a torus) the gap is p/2 -
-    ||dc| - p/2|, the minimum image up to a few ulps of p: far inside the
-    bound table's 1e-9 shrink at its first bin edge, p / 90."""
-    dc = np.subtract(c[r0:r1, None], c[None, r0:], out=out)
-    if period is not None:
-        h = 0.5 * period
-        np.abs(dc, out=dc)
-        dc -= h
-        np.abs(dc, out=dc)
-        np.subtract(h, dc, out=dc)
-    dc *= dc
-    return dc
+def _reach(g, region, tail_mass):
+    """(reach, below) of the cells-mode build, for a non-increasing g.
+
+    The pairs at most reach apart are the near pairs, taken from the cell
+    grid.  When g is zero past its finite cutoff for tail_mass, reach is
+    that cutoff and below is 0: no pair beyond it can link.  Otherwise
+    reach is where g(D) = pi D^2 / area, read off a geometric grid of ratio
+    2^(1/64), so that the far screen keeps about g(reach) of all pairs and
+    the grid hands on about pi reach^2 / area of them.  below is then
+    ceil(bound * 2^53), with bound >= g(d) for every d > reach: g just
+    inside reach, shrunk by 1e-9 against the rounding of distances, plus
+    1e-9 relative and 1e-12 absolute slack (a tabulated power_log tail may
+    start up to 1e-12 above the last sample).  A pair whose 53 bits reach
+    below has u >= bound >= g(d), so it cannot link.
+    """
+    r_cut = effective_cutoff(g, tail_mass)
+    if math.isfinite(r_cut) and not g._eval(
+            np.nextafter(r_cut, math.inf)) > 0.0:
+        return r_cut, 0
+    per_area = math.pi / region.area
+    radii = 2.0 ** (np.arange(-40 * 64, 1) / 64.0) / math.sqrt(per_area)
+    reach = float(radii[np.argmin(g._eval(radii) > per_area * radii * radii)])
+    bound = float(g._eval(np.asarray(reach * (1.0 - 1e-9))))
+    bound = bound * (1.0 + 1e-9) + 1e-12
+    # NaN screens nothing; no threshold exceeds 2^53, the bits' range
+    if not bound < 1.0:
+        return reach, 1 << 53
+    return reach, math.ceil(max(bound, 0.0) * 2.0 ** 53)
 
 
-# Slack on the k-d tree query radius, per unit of side.  The tree's own
-# arithmetic (wrapped coordinates, squared distances) differs from
-# gap_distance by a few ulps of the side, so the tree is asked for slightly
-# more than r_cut and the d <= r_cut filter on the program's own distance
-# decides every pair.
-_QUERY_SLACK = 1e-9
+# The half stencil: a cell's own pairs and its pairs with four of its eight
+# neighbours, as (row, column) offsets, so each neighbouring pair of cells
+# is visited once.
+_STENCIL = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _near_candidates(pos, side, r_cut, wrap):
-    """Unordered pairs (i < j) within r_cut, plus a few just beyond it, as
-    the k-d tree's (m, 2) int64 array."""
-    from scipy.spatial import cKDTree
+def _near_keys(pts, g, seed, reach, k):
+    """Edge keys i*n + j (i < j) of the pairs at most reach apart.
 
-    if wrap:
-        # cKDTree's periodic box takes coordinates in [0, side); shifted
-        # points lie in [0, side], and np.mod folds side onto 0.
-        data = np.mod(pos + 0.5 * side, side)
-        tree = cKDTree(data, boxsize=side, balanced_tree=False)
-    else:
-        tree = cKDTree(pos, balanced_tree=False)
-    return tree.query_pairs(r_cut + _QUERY_SLACK * side,
-                            output_type="ndarray")
+    The points are sorted into a k x k grid of cells at least reach * (1 +
+    1e-9) wide: np.mod folds torus coordinates into [0, side], and a cell
+    index past the grid is clipped to it.  A pair at most reach apart then
+    lies in one cell or in two neighbouring ones (mod k on the torus, k >=
+    3), and the half stencil hands it on once.  The pairs are walked in
+    chunks of whole cells, about _TILE / 4 pairs each (a chunk's
+    temporaries take about 60 bytes per pair), in cell-sorted order.
+    Their minimum-image gaps pass a squared-distance prefilter with 1e-9
+    relative slack; the survivors get gap_distance's arithmetic (min_image,
+    then hypot), and those at most reach apart are decided by _links.
+    """
+    n = pts.n
+    side = pts.region.side
+    period = pts.region.period
+    pos = pts.positions
+    cell = 0
+    for c in (pos[:, 0], pos[:, 1]):
+        c = c + 0.5 * side
+        if period is not None:
+            np.mod(c, side, out=c)
+        c *= k / side
+        cell = cell * k + np.clip(c, 0, k - 1).astype(np.int64)
+    del c
+    order = np.argsort(cell)
+    counts = np.bincount(cell, minlength=k * k + 1)
+    del cell
+    start = np.zeros(k * k + 2, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    xs, ys = pos[order, 0], pos[order, 1]
+
+    # each cell's neighbour at every other stencil offset: cyclic on the
+    # torus, else the empty cell k * k past the grid's edge
+    ids = np.arange(k * k).reshape(k, k)
+    ids = (np.pad(ids, 1, mode="wrap") if period is not None
+           else np.pad(ids, 1, constant_values=k * k))
+    nbrs = [ids[1 + dr:1 + dr + k, 1 + dc:1 + dc + k].ravel()
+            for dr, dc in _STENCIL[1:]]
+    own = counts[:-1]
+    pairs = own * (own - 1) // 2 + own * sum(counts[q] for q in nbrs)
+    reached = np.concatenate([[0], np.cumsum(pairs)])
+    del ids, own, pairs
+
+    limit = (reach * (1.0 + 1e-9)) ** 2
+    # the keys fill one buffer, doubled when full: thousands of small key
+    # arrays, one per chunk, left the heap fragmented at rho 1e6
+    keys, m = np.empty(0, dtype=np.int64), 0
+    c0 = 0
+    while c0 < k * k:
+        c1 = max(c0 + 1, int(np.searchsorted(
+            reached, reached[c0] + _TILE // 4, side="right")) - 1)
+        p = np.arange(start[c0], start[c1])
+        pc = np.repeat(np.arange(c0, c1), counts[c0:c1])
+        # each point's range of partners: later points of its own cell,
+        # then every point of each neighbour
+        lo = np.concatenate([p + 1] + [start[q[pc]] for q in nbrs])
+        cnt = np.concatenate([start[pc + 1]]
+                             + [start[q[pc] + 1] for q in nbrs]) - lo
+        src = np.repeat(np.tile(p, len(_STENCIL)), cnt)
+        dst = (np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+               + np.arange(src.size))
+        dx, dy = xs[src] - xs[dst], ys[src] - ys[dst]
+        if period is not None:
+            dx, dy = min_image(dx, period), min_image(dy, period)
+        close = np.flatnonzero(dx * dx + dy * dy <= limit)
+        d = np.hypot(dx[close], dy[close])
+        near = d <= reach
+        i, j = order[src[close[near]]], order[dst[close[near]]]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        link = _links(seed, i, j, g._eval(d[near]))
+        i, j = i[link], j[link]
+        if m + i.size > keys.size:
+            grown = np.empty(2 * (m + i.size), dtype=np.int64)
+            grown[:m] = keys[:m]
+            keys = grown
+        keys[m:m + i.size] = i * n + j
+        m += i.size
+        c0 = c1
+    return keys[:m]
+
+
+def _far_keys(pts, g, seed, reach, below):
+    """Edge keys i*n + j (i < j) of the pairs more than reach apart.
+
+    Row tiles as in _scan_pairs, but a tile only hashes: it keeps the pairs
+    whose pair_bits fall below `below`, one mix per pair from per-row keys,
+    in two buffers reused by every tile.  Only those candidates get a
+    distance, in blocks of _TILE / 16, and the ones more than reach apart
+    are decided by _links.
+    """
+    n = pts.n
+    idx = np.arange(n, dtype=np.int64)
+    rows_key = row_key(seed, idx, stream=STREAM_EDGE)[:, None]
+    cols = idx.astype(np.uint64)[None, :]
+    rows = max(1, min(n, _TILE // n))
+    upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    bufs = [np.empty(rows * n, dtype=np.uint64) for _ in range(2)]
+    out_i, out_j = [idx[:0]], [idx[:0]]
+    for r0 in range(0, n - 1, rows):
+        r1 = min(n - 1, r0 + rows)
+        shape = (r1 - r0, n - r0)
+        views = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        cand = pair_bits(rows_key[r0:r1], cols[:, r0:], *views) < below
+        cand[:, :shape[0]] &= upper[:shape[0], :shape[0]]
+        ti, tj = np.divmod(np.flatnonzero(cand), shape[1])
+        out_i.append(ti + r0)
+        out_j.append(tj + r0)
+    del bufs
+    cand_i, cand_j = np.concatenate(out_i), np.concatenate(out_j)
+    x, y = pts.positions[:, 0], pts.positions[:, 1]
+    block = max(1, _TILE // 16)
+    keys = [idx[:0]]
+    for lo in range(0, cand_i.size, block):
+        i, j = cand_i[lo:lo + block], cand_j[lo:lo + block]
+        d = gap_distance(x[i] - x[j], y[i] - y[j], pts.region.period)
+        far = np.flatnonzero(d > reach)
+        i, j = i[far], j[far]
+        link = _links(seed, i, j, g._eval(d[far]))
+        keys.append(i[link] * n + j[link])
+    return np.concatenate(keys)
 
 
 def _edges_cells(pts, g, seed, tail_mass):
-    pos = pts.positions
-    side = pts.region.side
-    period = pts.region.period
-
-    # The tree only pays when no pair beyond the cutoff can link, that is
-    # when g is zero at the cutoff (g is non-increasing).  Otherwise the
-    # far pairs need a distance and a uniform each, so the tree's near
-    # pairs would be scanned twice; and a cutoff beyond a third of the side
-    # leaves the tree little to prune.  Either way: scan all pairs.  Both
-    # paths are exact only for a non-increasing g, which a sampled check
-    # cannot confirm for a callable; every other g is one by construction.
+    # Both the grid and the far screen are exact only for a non-increasing
+    # g, which a sampled check cannot confirm for a callable; every other g
+    # is one by construction.
     if g.base.kind == "custom":
         raise ValueError("cells mode needs a non-increasing g; "
                          "use mode 'exact'")
-    r_cut = effective_cutoff(g, tail_mass)
-    if (side < 3.0 * r_cut or pts.n < 16 or (
-            g.support_radius > r_cut
-            and g._eval(np.asarray(r_cut, dtype=float)) > 0.0)):
-        return _scan_pairs(pts, g, seed, prune=True)
+    reach, below = _reach(g, pts.region, tail_mass)
+    # cells at least reach wide, and no more of them than points
+    side = pts.region.side
+    k = math.isqrt(pts.n)
+    if reach * (1.0 + 1e-9) * k > side:
+        k = int(side // (reach * (1.0 + 1e-9)))
+    if pts.n < 16 or k < 3:
+        return _scan_pairs(pts, g, seed)
 
-    # The candidates are decided in blocks of _TILE pairs, each keeping
-    # only the keys i*n + j of its edges, so no temporary grows with the
-    # number of pairs.  With i < j < n, the keys order pairs
-    # lexicographically.
-    pairs = _near_candidates(pos, side, r_cut, period is not None)
-    x, y = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
-    n = pts.n
-    keys = []
-    for lo in range(0, pairs.shape[0], _TILE):
-        i, j = pairs[lo:lo + _TILE, 0], pairs[lo:lo + _TILE, 1]
-        d = gap_distance(x[i] - x[j], y[i] - y[j], period)
-        near = np.flatnonzero(d <= r_cut)
-        i, j = i[near], j[near]
-        link = _links(seed, i, j, g._eval(d[near]))
-        keys.append(i[link] * n + j[link])
-    del pairs
-    keys = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    # With i < j < n, the keys i*n + j order pairs lexicographically.
+    keys = _near_keys(pts, g, seed, reach, k)
+    if below:
+        keys = np.concatenate([keys, _far_keys(pts, g, seed, reach, below)])
     keys.sort()
+    n = pts.n
     edges = np.empty((keys.size, 2), dtype=np.int64)
     np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
     return edges
@@ -277,11 +322,12 @@ def build_graph(points, g, mode="exact", tail_mass=1e-6):
     """Realize the random connection graph on a sampled point set.
 
     Distances wrap when the points' region is a torus.  Mode "exact"
-    scans all pairs in row tiles; mode "cells" takes the pairs within the
-    effective cutoff from a k-d tree when g is zero beyond it, and
-    otherwise scans all pairs, deciding only those that pass a bound-table
-    screen (see _scan_pairs).  Both give the same edge set, sorted
-    lexicographically, for the same seed.
+    scans all pairs in row tiles.  Mode "cells" takes the pairs within
+    reach from a sorted cell grid, and screens the farther ones by their
+    random bits alone when g can link past reach (see _reach).  tail_mass
+    only decides whether g counts as zero past its effective cutoff, which
+    then is the reach; the edges do not depend on it.  Both modes give the
+    same edge set, sorted lexicographically, for the same seed.
     """
     if mode not in ("exact", "cells"):
         raise ValueError("mode must be 'exact' or 'cells'")

@@ -227,10 +227,11 @@ def test_criterion_10_shared_seed_model_equivalence():
 
 def test_criterion_11_exact_vs_cells():
     # theta tails keep 1e-9 of their mass out to an astronomically large
-    # radius, so cells mode cannot use its k-d tree and scans all pairs,
-    # pruned by its bound table; exact mode's scan is unpruned, so the
-    # identity checks the pruning.  The k-d tree path is exercised with
-    # compact and lognormal g in the simulation unit tests.
+    # radius, so cells mode takes the pairs within its reach from the cell
+    # grid and screens the farther ones by their random bits; exact mode's
+    # scan is unpruned, so the identity checks both parts.  A g that is
+    # zero past its cutoff (the grid alone) is exercised with compact and
+    # lognormal g in the simulation unit tests.
     spec = ModelSpec(model="torus", rho=500.0, b=0.0,
                      g=theta_tail(a=0.5)).with_constant()
     sizes = []

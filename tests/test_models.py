@@ -56,6 +56,27 @@ def test_frame_region_kinds():
     assert frame_region(_disk_spec("window")).kind == "square"
 
 
+@pytest.mark.parametrize("model", ["dense", "torus", "window"])
+def test_realize_derives_its_frame_once(monkeypatch, model):
+    # the frame's region and g both come from one derive
+    import rcm_lab.models as models
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.model)
+        return derive(spec)
+
+    monkeypatch.setattr(models, "derive", counted)
+    graph = realize(_disk_spec(model, rho=100.0), 4)
+    assert calls == [model]
+    assert graph.points.region == frame_region(_disk_spec(model, rho=100.0))
+    calls.clear()
+    rescale_instance(graph.points, graph.edges, _disk_spec("dense"),
+                     _disk_spec("extended"))
+    assert calls == ["dense", "extended"]
+
+
 def test_invalid_params():
     with pytest.raises(InvalidParamsError):
         ModelSpec(model="cube", rho=10.0, b=0.0, g=unit_disk(1.0))

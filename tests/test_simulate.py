@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import (check_monotonicity, from_callable, lognormal,
-                            omega_tail, tabulated, theta_tail, unit_disk)
+from rcm_lab.connfn import (check_monotonicity, effective_cutoff,
+                            from_callable, lognormal, omega_tail, tabulated,
+                            theta_tail, unit_disk)
 from rcm_lab.experiments import run_trial
 from rcm_lab.geometry import Region, gap_distance, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
-from rcm_lab.simulate import (_BINS, _TILE, MetricMismatchError, PointSet,
-                              RcmGraph, _bound_table, _links, _scan_pairs,
-                              _squared_gaps, boundary_coupling, build_graph,
-                              census, isolated_count, sample_poisson,
-                              window_truncation_census)
+from rcm_lab.simulate import (_TILE, MetricMismatchError, PointSet, RcmGraph,
+                              _links, _reach, _scan_pairs, boundary_coupling,
+                              build_graph, census, isolated_count,
+                              sample_poisson, window_truncation_census)
 
 from _oracles import (bfs_components, pairwise_edges_bruteforce,
                       torus_distance_reference)
@@ -153,7 +153,8 @@ def _spans_three_tiles_with_partial_last(n):
 @pytest.mark.parametrize("kind", ["square", "torus"])
 def test_tile_scan_matches_bruteforce(kind, mode):
     # g is positive beyond its coarse tail_mass=0.3 cutoff (2.0), so cells
-    # mode scans all pairs as well, and many edges are longer than that
+    # mode screens the pairs beyond its reach as well, and many edges are
+    # longer than that
     g = lognormal(sigma=1.5, eta=1.0)
     pts = _uniform_point_set(403, 16.0, kind, seed=31)
     assert _spans_three_tiles_with_partial_last(pts.n)
@@ -165,32 +166,77 @@ def test_tile_scan_matches_bruteforce(kind, mode):
                             pts.positions[want[:, 1]])
     assert (d > 2.0).sum() > 20
     if mode == "cells":
-        # infinite cutoffs: the pruned scan against the pair-by-pair loop
+        # infinite cutoffs: the grid and the far screen against the
+        # pair-by-pair loop
         for g in (theta_tail(0.5), omega_tail(1.5)):
             graph = build_graph(pts, g, mode="cells")
             assert np.array_equal(graph.edges, _bruteforce_edges(pts, g))
 
 
+_LATTICE_G = [theta_tail(0.5), theta_tail(0.2, x0=2.0, g0=0.7),
+              tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
+                        tail_rule=("power_log", 0.1, 2.0))]
+
+
 @pytest.mark.parametrize("kind", ["square", "torus"])
 def test_pruned_scan_at_bin_edges(kind):
-    # integer points on a side-32 square, whose bins are 1/2 (square) or
-    # 1/8 (torus) of a unit of d^2 wide: every squared distance is an
-    # integer, so it lies exactly on the inner edge of its bin, and so do
-    # the jumps of theta_tail at x0 = 3 and x0 = 2
+    # integer points on a side-32 square: every squared distance is an
+    # integer, and the jumps of theta_tail at x0 = 3 and x0 = 2 are hit
+    # exactly
     side = 32
-    per_d2, _ = _bound_table(theta_tail(0.5), Region(kind, float(side)))
-    assert per_d2 == (2.0 if kind == "square" else 8.0)
     cells = np.random.default_rng(17).choice(side * side, 300, replace=False)
     pos = np.column_stack(np.divmod(cells, side)) - 0.5 * side
     pts = PointSet(positions=pos.astype(float),
                    region=Region(kind, float(side)), density=1.0, seed=29)
     d = pts.region.distance(pos[:, None, :], pos[None, :, :])
     assert (d == 3.0).sum() > 100 and (d == 2.0).sum() > 100
-    for g in (theta_tail(0.5), theta_tail(0.2, x0=2.0, g0=0.7),
-              tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
-                        tail_rule=("power_log", 0.1, 2.0))):
+    for g in _LATTICE_G:
         graph = build_graph(pts, g, mode="cells")
         assert np.array_equal(graph.edges, _bruteforce_edges(pts, g))
+
+
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_cells_mode_at_exactly_reach(kind):
+    # a 5 x 5 lattice of spacing reach: j * reach is exact for |j| <= 2, and
+    # so is the difference of neighbours, so 40 pairs per seed lie exactly
+    # reach apart, on the border between the grid's near pairs and the far
+    # screen's; each must be decided once
+    region = Region(kind, 32.0)
+    at_reach = 0
+    for g in _LATTICE_G:
+        reach, below = _reach(g, region, 1e-6)
+        assert below > 0 and 3.0 * reach < region.side
+        steps = np.arange(-2, 3) * reach
+        pos = np.array([(a, b) for a in steps for b in steps])
+        d = region.distance(pos[:, None, :], pos[None, :, :])
+        assert (d == reach).sum() == 2 * 40
+        for seed in range(30):
+            pts = PointSet(positions=pos, region=region, density=1.0,
+                           seed=seed)
+            edges = build_graph(pts, g, mode="cells").edges
+            assert np.array_equal(edges,
+                                  build_graph(pts, g, mode="exact").edges)
+            at_reach += int((d[edges[:, 0], edges[:, 1]] == reach).sum())
+    assert at_reach > 20
+
+
+def test_cells_mode_at_the_torus_seam():
+    # (2.5, 0) and (-2, 0) are 0.5 apart across the seam of a side-5 torus,
+    # and so are (0, -2.5) and (0, 2): exactly the disk's radius.  (3, 1)
+    # lies outside the fundamental domain, 0.4 from (-1.6, 1); the grid
+    # folds every coordinate onto the torus, 2.5 + 2.5 onto 0
+    rng = np.random.default_rng(41)
+    pos = np.vstack([[[2.5, 0.0], [-2.0, 0.0], [0.0, -2.5], [0.0, 2.0],
+                      [3.0, 1.0], [-1.6, 1.0]],
+                     (rng.random((96, 2)) - 0.5) * 5.0])
+    pts = PointSet(positions=pos, region=Region("torus", 5.0), density=1.0,
+                   seed=3)
+    g = unit_disk(0.5)
+    assert toroidal_distance(pos[[0, 2]], pos[[1, 3]], 5.0).tolist() == [
+        0.5, 0.5]
+    edges = build_graph(pts, g, mode="cells").edges
+    assert np.array_equal(edges, build_graph(pts, g, mode="exact").edges)
+    assert {(0, 1), (2, 3), (4, 5)} <= set(map(tuple, edges.tolist()))
 
 
 _MONOTONE = [
@@ -206,10 +252,11 @@ _MONOTONE = [
                  id="tabulated_power_log"),
     pytest.param(theta_tail(0.5).scaled(0.37), id="theta_frame_scaled"),
     # once exp(-x) has decayed, g rises by up to 2e-13 here and there:
-    # check_monotonicity allows that (up to 1e-12), so the table's absolute
-    # slack must cover it
+    # check_monotonicity allows that (up to 1e-12), so the screen's absolute
+    # slack must cover it.  The rises stop at x = 50, so g has a finite mass
+    # and a cutoff, which the screen's reach is chosen from
     pytest.param(from_callable(lambda x: np.exp(-x)
-                               + 1e-13 * (1.0 + np.sin(40.0 * x))),
+                               + 1e-13 * (1.0 + np.sin(40.0 * x)) * (x < 50)),
                  id="rises_within_tolerance"),
 ]
 
@@ -218,34 +265,47 @@ _MONOTONE = [
 @pytest.mark.parametrize("metric, side", [("euclidean", 9.0),
                                           ("toroidal", 40.0)])
 def test_bound_table_bounds_g_in_every_bin(g, metric, side):
-    # no pair the table screens out may link: thresholds * 2^-53 >= g(d)
-    # at the inner edge of every bin and at random d^2 inside it (or 1,
-    # which passes every pair: uniforms lie below 1)
+    # the far screen's bound is a table of one bin, d > reach: no pair it
+    # screens out may link, so below * 2^-53 >= g(d) at random d beyond
+    # reach, at the first floats past reach and at g's jumps (below is 2^53
+    # at most, which passes every pair: uniforms lie below 1)
     assert check_monotonicity(g)
     region = Region("torus" if metric == "toroidal" else "square", side)
-    per_d2, thresholds = _bound_table(g, region)
-    assert thresholds.shape == (_BINS,) and thresholds.dtype == np.uint64
-    assert thresholds.max() <= 2 ** 53
+    reach, below = _reach(g, region, 1e-6)
+    assert 0.0 < reach < side and 0 <= below <= 2 ** 53
     rng = np.random.default_rng(3)
-    k = np.repeat(np.arange(_BINS), 9)
-    offset = rng.random(k.size)
-    offset[::9] = 0.0
-    d = np.sqrt((k + offset) / per_d2)
-    assert np.all(thresholds[k] * 2.0 ** -53 >= np.fmin(g._eval(d), 1.0))
-    # the same for the pairs of a point set, binned as the scan bins them
+    jumps = [r for x in g.radii for r in (x, np.nextafter(x, math.inf))]
+    d = np.concatenate([reach * 100.0 ** rng.random(4000),
+                        [reach * (1.0 + 2.0 ** -52),
+                         np.nextafter(reach, math.inf)], jumps])
+    d = d[d > reach]
+    assert d.size >= 4002
+    assert np.all(below * 2.0 ** -53 >= np.fmin(g._eval(d), 1.0))
+    # the same for the pairs of a point set, measured as the screen does
     pts = _uniform_point_set(300, side, region.kind, seed=8)
     x, y = pts.positions[:, 0], pts.positions[:, 1]
-    n = pts.n
-    d2 = (_squared_gaps(x, 0, n, region.period, np.empty((n, n)))
-          + _squared_gaps(y, 0, n, region.period, np.empty((n, n))))
-    bins = np.minimum((d2 * per_d2).astype(np.intp), _BINS - 1)
     d = gap_distance(x[:, None] - x[None, :], y[:, None] - y[None, :],
                      region.period)
-    assert np.all(thresholds[bins] * 2.0 ** -53
-                  >= np.fmin(g._eval(d), 1.0))
-    # and the screen prunes: beyond g's head, few pairs stay candidates
-    assert thresholds[-1] * 2.0 ** -53 <= 1.001 * g._eval(
-        np.sqrt((_BINS - 1) / per_d2)) + 2e-12
+    assert np.all(below * 2.0 ** -53 >= np.fmin(g._eval(d[d > reach]), 1.0))
+    # and the screen prunes: below is g just inside reach, up to its slack
+    assert below * 2.0 ** -53 <= 1.001 * g._eval(
+        np.asarray(reach * (1.0 - 1e-9))) + 2e-12
+
+
+def test_far_screen_only_where_g_reaches_past_the_cutoff():
+    # g zero past its finite cutoff: reach is the cutoff, and nothing is
+    # screened.  theta_tail's cutoff and support radius are both infinite,
+    # so its reach is where g(D) = pi D^2 / area
+    for kind in ("square", "torus"):
+        region = Region(kind, 40.0)
+        for g in (unit_disk(1.0), lognormal(0.25, 4.0)):
+            assert _reach(g, region, 1e-6) == (effective_cutoff(g, 1e-6), 0)
+        g = theta_tail(0.5)
+        assert effective_cutoff(g, 1e-6) == g.support_radius == math.inf
+        reach, below = _reach(g, region, 1e-6)
+        assert 3.0 < reach < 4.0 and below > 0
+        ratio = g._eval(np.asarray(reach)) * region.area / (math.pi * reach**2)
+        assert 0.9 <= ratio <= 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -267,7 +327,8 @@ def test_tiny_point_sets(n):
 
 def test_exact_scan_memory_stays_bounded():
     # the theta-tail torus of the benchmark at rho 2e3: about 2000 nodes
-    # and 2e6 pairs, scanned in small row tiles, pruned in cells mode
+    # and 2e6 pairs, scanned in small row tiles, which cells mode only
+    # hashes past its reach
     import tracemalloc
 
     d = derive(ModelSpec(model="torus", rho=2e3, b=0.0, g=theta_tail(0.5)))
@@ -306,11 +367,10 @@ def test_near_pair_memory_stays_bounded():
     # the disk torus of the benchmark at rho 1e5: about 1e5 nodes and 5.7e5
     # near pairs, decided in blocks of _TILE pairs and kept as edge keys;
     # a whole-array pass over the pairs peaked at 46-48 MB in both calls.
-    # The scipy modules are imported first, so only the trial is traced.
+    # scipy's graph module is imported first, so only the trial is traced.
     import tracemalloc
 
     import scipy.sparse.csgraph  # noqa: F401
-    import scipy.spatial  # noqa: F401
 
     spec = ModelSpec(model="torus", rho=1e5, b=0.0,
                      g=unit_disk(1.0)).with_constant()
@@ -328,6 +388,60 @@ def test_near_pair_memory_stays_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 25e6 and peaks[1] < 36e6, peaks
+
+
+# sha256 of cells-mode edges.tobytes() at seed 11, frozen from the k-d tree
+# and bound-table builds that the cell grid replaced: a change to either
+# part of the grid, or to the pair stream, moves some of them.
+_EDGE_DIGESTS = [
+    ("torus", 1e4, unit_disk(1.0), 1e-6, 44835,
+     "286aa0e0c7c3144d8eb7b6dfce685cc01b31a3d3c1d70b2e2f40500383514a73"),
+    ("square", 1e3, lognormal(1.5, 1.0), 0.3, 3068,
+     "57961e948d8efe3fbb2e97537aaa2366d828492c32e8334fce29352b27d9a18d"),
+    ("torus", 1e3, lognormal(0.25, 4.0), 1e-6, 3248,
+     "307b8ac46e744e6f59b7272ad1151810ab962ed4a131647cea6f83ea35efd500"),
+    ("torus", 2e3, theta_tail(0.5), 1e-6, 6906,
+     "5ebf26ab1273b1e510c94c3a815a08e3b48540728c72a999b6ea062a25f0c6cf"),
+    ("window", 1e3, omega_tail(1.5), 1e-6, 2436,
+     "8aaebc0aa617830ed2afe7ba57bde7d2a111b9bb274b6018f1d7df33177b81a2"),
+    ("dense", 1e3, tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
+                             tail_rule=("power_log", 0.1, 2.0)), 1e-6, 3033,
+     "158f5870f81eaaafcd50642b0f8c543f516395a3f2cef1c5724ab6349ba26d4f"),
+]
+
+
+def test_cells_edges_match_frozen_digests():
+    import hashlib
+
+    for model, rho, g, tail_mass, m, digest in _EDGE_DIGESTS:
+        edges = realize(ModelSpec(model=model, rho=rho, b=0.0, g=g), 11,
+                        mode="cells", tail_mass=tail_mass).edges
+        assert edges.shape == (m, 2) and edges.dtype == np.int64
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest, (
+            model, g.name)
+
+
+def test_cells_build_leaves_scipy_spatial_unloaded():
+    # the near pairs come from the package's own cell grid
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rcm_lab
+
+    src = str(Path(rcm_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    code = ("import sys\n"
+            "from rcm_lab import ModelSpec, realize, unit_disk\n"
+            "spec = ModelSpec(model='torus', rho=1e4, b=0.0, g=unit_disk())\n"
+            "graph = realize(spec, 3, mode='cells')\n"
+            "print(graph.edges.shape[0] > 0, 'scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["True", "False"]
 
 
 @pytest.mark.parametrize("tile", [7, 1 << 22, _TILE])
