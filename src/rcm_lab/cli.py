@@ -49,13 +49,10 @@ def _build_parser():
     p.add_argument("--config", required=True, help="path to sweep JSON")
     p.add_argument("--out", default=None, help="output directory override")
 
-    p = sub.add_parser("quad", help="isolation integrals and decomposition")
+    p = sub.add_parser("quad", help="isolation integrals and decomposition "
+                                      "(every frame shares them)")
     _add_g(p)
     _add_model_params(p)
-    p.add_argument("--model", choices=("dense", "extended", "square", "torus"),
-                   default="square",
-                   help="frame used to phrase the model (all frames share "
-                        "the same isolation expectations)")
     p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--eps", type=float, default=0.2,
                    help="decomposition margin exponent, margin = r_rho^(-eps)")
@@ -101,7 +98,7 @@ def _cmd_run(args):
 
 def _cmd_quad(args):
     g = _load_g(args.g)
-    spec = ModelSpec(model=args.model, rho=args.rho, b=args.b, g=g)
+    spec = ModelSpec(model="square", rho=args.rho, b=args.b, g=g)
     rep = isolation_report(spec, rel_tol=args.rel_tol, eps=args.eps)
     print(f"C            = {integral_constant(g):.12g}")
     print(f"EW (square)  = {rep.EW:.12g}")

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connfn import from_config
-from .models import MODELS, ModelSpec, derive, realize
+from .models import (MODELS, InvalidParamsError, ModelSpec, derive,
+                     realize)
 from .quadrature import (expected_isolated_infinite, expected_isolated_square,
                          expected_isolated_torus)
 from .simulate import (boundary_coupling, census, isolated_count,
@@ -67,7 +68,7 @@ class SweepConfig:
         if not isinstance(self.g, dict) or "family" not in self.g:
             raise ConfigError("g must be a config object with a 'family' field")
         try:
-            self.connection()
+            g = self.connection()
         except Exception as exc:
             raise ConfigError(f"bad connection function config: {exc}") from exc
         if not self.models:
@@ -96,6 +97,15 @@ class SweepConfig:
             raise ConfigError("tail_mass must be a number in (0, 1)")
         if not isinstance(self.out_dir, str):
             raise ConfigError("out_dir must be a string")
+        # every (model, rho) must derive, or the sweep would fail midway
+        for m in self.models:
+            for r in self.rhos:
+                try:
+                    derive(ModelSpec(model=m, rho=float(r), b=float(self.b),
+                                     g=g))
+                except (InvalidParamsError, OverflowError) as exc:
+                    raise ConfigError(f"rhos: rho = {r!r} with b = {self.b!r} "
+                                      f"fails for model {m!r}: {exc}") from exc
 
     def connection(self):
         return from_config(self.g)

@@ -4,6 +4,13 @@ The central object is the exposure I(y) = lambda * integral_A g(|x - y|) dx:
 the expected number of neighbours a node at y would see.  Expectations of
 isolated-node counts are integrals of lambda * exp(-I(y)).
 
+Every expectation is computed in the square frame (_frame): side 1/r_rho,
+intensity lambda and g itself, from one derive of that frame.  Dense and
+extended are exact rescalings of it, and the torus and the window's core
+share its side and intensity, so every frame gets the square's numbers;
+only inner_exposure reads a point in its frame's coordinates, divided by
+the frame's conn_scale.
+
 Every exposure is a function of y's distances to the four walls of the
 square, and _exposure_model builds one model of it per (g, square), each
 taking a (4, m) array of wall distances.  Its cut radius R is the one
@@ -50,7 +57,7 @@ xi_2 weight can carry (_CROSS_WEIGHT_TOL).
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +65,7 @@ from ._quadcore import batched_quad, nested_quad
 from .connfn import (NonConvergentError, _structural_radii, classify_tail,
                      effective_cutoff, integral_constant)
 from .geometry import _disk_cross_batch, _disk_overlap_batch
-from .models import derive, frame_connection
+from .models import derive
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class IsolationIntegrals:
     central: float
     side: float
     corner: float
-    margin: float             # decomposition margin r_rho^(-eps)
+    margin: float             # r_rho^(-eps), in square-frame units
     eps: float
     tolerances: dict
 
@@ -81,8 +88,9 @@ def _check_rel_tol(rel_tol):
 
 
 def _frame(spec):
-    d = derive(spec)
-    return spec, d, frame_connection(spec)
+    """(square-frame spec, its derive, g): every expectation's inputs."""
+    square = replace(spec, model="square")
+    return square, derive(square), spec.g
 
 
 def _level_radii(g, R):
@@ -471,11 +479,14 @@ def _exposure(model, ax, ay, lam, rel_tol=1e-8):
 
 
 def inner_exposure(y, spec, rel_tol=1e-8):
-    """Exposure I(y) for a point of the model's square (core for window)."""
+    """Exposure I(y) at a point y of the model's square (core for window),
+    in the frame's coordinates: computed in the square frame at
+    y / conn_scale, so dense and extended give the square's exposure at
+    the matching point."""
+    y = np.asarray(y, dtype=float) / derive(spec).conn_scale
     spec, d, g = _frame(spec)
-    y = np.asarray(y, dtype=float)
-    return _exposure(_exposure_model(g, d.core_side, direct=True),
-                     float(y[0]), float(y[1]), d.density, rel_tol)
+    return _exposure(_exposure_model(g, d.side, direct=True),
+                     float(y[0]), float(y[1]), d.lam, rel_tol)
 
 
 def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
@@ -517,14 +528,14 @@ def _inner_tol(rel_tol):
 def _square_ew(d, model, rel_tol):
     """E(W) on the square, and the error it reached relative to it."""
     h = 0.5 * model.side
-    val, err = _region_integral(d.density, model, 0.0, h, lambda u, k: u,
+    val, err = _region_integral(d.lam, model, 0.0, h, lambda u, k: u,
                                 lambda u, k: h, rel_tol, _inner_tol(rel_tol))
     return 8.0 * float(val[0]), float(err[0])
 
 
 def _torus_ew(d, model, rel_tol):
     """rho * exp(-I) at the square's centre."""
-    i0 = _exposure(model, 0.0, 0.0, d.density, rel_tol)
+    i0 = _exposure(model, 0.0, 0.0, d.lam, rel_tol)
     return d.lam * model.side ** 2 * math.exp(-i0)
 
 
@@ -533,7 +544,7 @@ def expected_isolated_square(spec, rel_tol=1e-6):
     eight copies of the fundamental triangle {0 <= y <= x <= side/2}."""
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _square_ew(d, _exposure_model(g, d.core_side), rel_tol)[0]
+    return _square_ew(d, _exposure_model(g, d.side), rel_tol)[0]
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
@@ -544,7 +555,7 @@ def expected_isolated_torus(spec, rel_tol=1e-9):
     """
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _torus_ew(d, _exposure_model(g, d.core_side, direct=True),
+    return _torus_ew(d, _exposure_model(g, d.side, direct=True),
                      rel_tol)
 
 
@@ -572,17 +583,19 @@ def truncation_limit(g, b):
 
 
 def isolation_report(spec, rel_tol=1e-6, eps=0.2):
-    """All isolation expectations plus the boundary decomposition of EW.
+    """All isolation expectations plus the boundary decomposition of EW,
+    computed in the square frame for every frame of the spec.
 
-    The decomposition splits the square at margin r_rho^(-eps) into a
-    central block, four side strips, and four corner squares; their sum
-    reproduces EW to within the quadrature tolerance.
+    The decomposition splits the square at margin r_rho^(-eps), a distance
+    in square-frame units, into a central block, four side strips, and
+    four corner squares; their sum reproduces EW to within the quadrature
+    tolerance.
     """
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    side, lam = d.core_side, d.density
+    side, lam = d.side, d.lam
     margin = d.r_rho ** (-eps)
     if 2.0 * margin >= side:
         raise ValueError("decomposition margin exceeds the half-side; "
@@ -666,11 +679,11 @@ def expected_components_order2(spec, samples=20000, seed=0,
     Returns (estimate, standard_error) from exactly `samples` weights.  The
     standard error is NaN when samples is 1 (one sample has no spread), and
     exactly 0 only for a g of zero mass.  Walls are modelled for the square
-    and its rescalings (dense, extended) only: a torus or window spec raises
-    ValueError, as its exposures and cross masses differ, and so does a
-    samples or seed that is not an integer (a bool or a float).  A partner
-    draw that still has partners pending after 100000 rounds raises
-    NonConvergentError.
+    frame only, whose estimate its rescalings dense and extended share: a
+    torus or window spec raises ValueError, as its exposures and cross
+    masses differ, and so does a samples or seed that is not an integer (a
+    bool or a float).  A partner draw that still has partners pending after
+    100000 rounds raises NonConvergentError.
     """
     if spec.model in ("torus", "window"):
         raise ValueError("xi_2 is computed for the square frame and its "
@@ -685,7 +698,7 @@ def expected_components_order2(spec, samples=20000, seed=0,
             and not isinstance(seed, bool)):
         raise ValueError("seed must be an integer, got %r" % (seed,))
     spec, d, g = _frame(spec)
-    side, lam = d.core_side, d.density
+    side, lam = d.side, d.lam
     h = 0.5 * side
     area = side * side
     rng = np.random.default_rng(int(seed))

@@ -255,9 +255,10 @@ def _far_keys(pts, g, seed, reach, below):
 
     Row tiles as in _scan_pairs, but a tile only hashes: it keeps the pairs
     whose pair_bits fall below `below`, one mix per pair from per-row keys,
-    in two buffers reused by every tile.  Only those candidates get a
+    in two buffers reused by every tile, and their uniforms u = bits *
+    2^-53, the ones pair_uniform would draw.  Only those candidates get a
     distance, in blocks of _TILE / 16, and the ones more than reach apart
-    are decided by _links.
+    link where u < g(d): as in _links, p >= 1 links (u < 1) and NaN fails.
     """
     n = pts.n
     idx = np.arange(n, dtype=np.int64)
@@ -266,18 +267,22 @@ def _far_keys(pts, g, seed, reach, below):
     rows = max(1, min(n, _TILE // n))
     upper = np.triu(np.ones((rows, rows), dtype=bool), 1)
     bufs = [np.empty(rows * n, dtype=np.uint64) for _ in range(2)]
-    out_i, out_j = [idx[:0]], [idx[:0]]
+    out_i, out_j, out_u = [idx[:0]], [idx[:0]], [np.empty(0)]
     for r0 in range(0, n - 1, rows):
         r1 = min(n - 1, r0 + rows)
         shape = (r1 - r0, n - r0)
         views = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        cand = pair_bits(rows_key[r0:r1], cols[:, r0:], *views) < below
+        bits = pair_bits(rows_key[r0:r1], cols[:, r0:], *views)
+        cand = bits < below
         cand[:, :shape[0]] &= upper[:shape[0], :shape[0]]
-        ti, tj = np.divmod(np.flatnonzero(cand), shape[1])
+        flat = np.flatnonzero(cand)
+        ti, tj = np.divmod(flat, shape[1])
         out_i.append(ti + r0)
         out_j.append(tj + r0)
-    del bufs
+        out_u.append(bits.ravel()[flat] * 2.0 ** -53)
+    del bufs, bits
     cand_i, cand_j = np.concatenate(out_i), np.concatenate(out_j)
+    cand_u = np.concatenate(out_u)
     x, y = pts.positions[:, 0], pts.positions[:, 1]
     block = max(1, _TILE // 16)
     keys = [idx[:0]]
@@ -285,8 +290,7 @@ def _far_keys(pts, g, seed, reach, below):
         i, j = cand_i[lo:lo + block], cand_j[lo:lo + block]
         d = gap_distance(x[i] - x[j], y[i] - y[j], pts.region.period)
         far = np.flatnonzero(d > reach)
-        i, j = i[far], j[far]
-        link = _links(seed, i, j, g._eval(d[far]))
+        link = far[cand_u[lo + far] < g._eval(d[far])]
         keys.append(i[link] * n + j[link])
     return np.concatenate(keys)
 

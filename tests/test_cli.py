@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,7 +43,7 @@ def test_run_bad_config_exits_2(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("base_seed", "7"), ("base_seed", 1.5), ("tail_mass", "x"),
     ("out_dir", 5), ("quad", "no"), ("trials", True), ("workers", True),
-    ("rhos", [True])])
+    ("rhos", [True]), ("rhos", [math.inf]), ("rhos", [0.5])])
 def test_run_wrong_typed_field_exits_2_without_traceback(tmp_path, capsys,
                                                           field, value):
     cfg = {"g": {"family": "unit_disk", "params": {"r0": 1.0}},
@@ -76,6 +77,14 @@ def test_quad_command(tmp_path, capsys):
     # torus line is exp(-b) = 1 for the disk
     line = [l for l in out.splitlines() if "EW (torus)" in l][0]
     assert abs(float(line.split("=")[1]) - 1.0) < 1e-9
+
+
+def test_quad_has_no_model_option(capsys):
+    # every frame shares the square's expectations, so quad takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["quad", "--g", DISK, "--rho", "1000", "--model", "dense"])
+    assert exc.value.code == 2
+    assert "--model" in capsys.readouterr().err
 
 
 def _table_error_line(out):

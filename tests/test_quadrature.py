@@ -834,7 +834,67 @@ def test_xi2_of_a_rescaled_square_is_the_squares(model):
     spec = ModelSpec(model=model, rho=1e3, b=0.0, g=unit_disk(1.0))
     got = expected_components_order2(spec, samples=200, seed=1)
     want = expected_components_order2(square, samples=200, seed=1)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == want
+
+
+@pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0)],
+                         ids=["unit_disk", "lognormal"])
+def test_every_frame_gets_the_squares_expectations(g):
+    # every expectation is computed in the square frame: dense and extended
+    # rescale it, torus and window share its side and intensity.  In their
+    # own coordinates, with a stretched g, the unit disk's torus E(W) read
+    # 0.0021988 (dense) and 2.198807 (extended) for the square's 1.0
+    square = ModelSpec(model="square", rho=1e3, b=0.0, g=g)
+    ew = expected_isolated_square(square)
+    ew_t = expected_isolated_torus(square)
+    rep = isolation_report(square)
+    xi2 = expected_components_order2(square, samples=64, seed=3)
+    for model in ("torus", "window", "dense", "extended"):
+        spec = ModelSpec(model=model, rho=1e3, b=0.0, g=g)
+        assert expected_isolated_square(spec) == ew
+        assert expected_isolated_torus(spec) == ew_t
+        assert isolation_report(spec) == rep
+        if model in ("dense", "extended"):
+            assert expected_components_order2(spec, samples=64,
+                                              seed=3) == xi2
+
+
+@pytest.mark.parametrize("model", ["dense", "extended"])
+def test_inner_exposure_reads_frame_coordinates(model):
+    # a point within reach of a wall and a corner: the frame's point
+    # y * conn_scale sees what the square's y sees
+    g = lognormal(sigma=0.25, eta=4.0)
+    square = ModelSpec(model="square", rho=1e3, b=0.0, g=g)
+    spec = ModelSpec(model=model, rho=1e3, b=0.0, g=g)
+    h = 0.5 * derive(square).side
+    scale = derive(spec).conn_scale
+    for x, y in [(h - 0.3, 0.7), (-h + 0.2, h - 0.4)]:
+        want = inner_exposure((x, y), square)
+        assert want < inner_exposure((0.0, 0.0), square)
+        got = inner_exposure((x * scale, y * scale), spec)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["square", "dense", "extended"])
+def test_expectations_derive_their_frame_once(monkeypatch, model):
+    import rcm_lab.models as models
+    import rcm_lab.quadrature as quadrature
+
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.model)
+        return derive(spec)
+
+    monkeypatch.setattr(models, "derive", counted)
+    monkeypatch.setattr(quadrature, "derive", counted)
+    spec = _disk_spec(model, 1e3)
+    for call in (expected_isolated_square, expected_isolated_torus,
+                 isolation_report,
+                 lambda s: expected_components_order2(s, samples=16, seed=3)):
+        calls.clear()
+        call(spec)
+        assert calls == ["square"]
 
 
 @pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0),

@@ -363,6 +363,35 @@ def test_links_draw_only_where_g_is_below_one(monkeypatch):
     assert got.tolist()[:3] == [True, False, False] and got[4]
 
 
+def test_far_screen_draws_no_pair_uniform(monkeypatch):
+    # the far screen decides its candidates from the 53 bits it already
+    # hashed, so only pairs at most reach apart draw pair_uniform; the
+    # edges still match exact mode
+    g = theta_tail(0.5)
+    d = derive(ModelSpec(model="torus", rho=2e3, b=0.0, g=g))
+    pts = sample_poisson(Region("torus", d.side), d.density, 23,
+                         expected_count=d.expected_nodes)
+    reach, below = _reach(g, pts.region, 1e-6)
+    assert below > 0
+    drawn = []
+
+    def recorded(seed, i, j, stream):
+        drawn.append((i, j))
+        return pair_uniform(seed, i, j, stream=stream)
+
+    monkeypatch.setattr("rcm_lab.simulate.pair_uniform", recorded)
+    edges = build_graph(pts, g, mode="cells").edges
+    i, j = (np.concatenate(k) for k in zip(*drawn))
+    x, y = pts.positions[:, 0], pts.positions[:, 1]
+    assert i.size and np.all(
+        gap_distance(x[i] - x[j], y[i] - y[j], d.side) <= reach)
+    monkeypatch.undo()
+    far = gap_distance(x[edges[:, 0]] - x[edges[:, 1]],
+                       y[edges[:, 0]] - y[edges[:, 1]], d.side) > reach
+    assert far.any()
+    assert np.array_equal(edges, build_graph(pts, g, mode="exact").edges)
+
+
 def test_near_pair_memory_stays_bounded():
     # the disk torus of the benchmark at rho 1e5: about 1e5 nodes and 5.7e5
     # near pairs, decided in blocks of _TILE pairs and kept as edge keys;
