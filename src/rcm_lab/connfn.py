@@ -425,6 +425,20 @@ def _tail_upto_stop(panels, rel_tol):
     return panels[:stop + 1], running[stop]
 
 
+def _check_met(g, vals, errs, rel_tol):
+    """NonConvergentError naming g unless every integral of g's mass
+    (values vals, errors errs) met rel_tol, as batched_quad measures it: an
+    integral that stops at its panel limit can end above it."""
+    vals, errs = np.atleast_1d(vals), np.atleast_1d(errs)
+    over = np.flatnonzero(~(errs <= rel_tol * np.abs(vals)))
+    if over.size:
+        k = over[0]
+        raise NonConvergentError(
+            "mass of %s: integral %d of %d ended at error %.3g, above its "
+            "tolerance %.3g" % (g.name, k, vals.size, errs[k],
+                                rel_tol * abs(vals[k])))
+
+
 # g's mass quadratures by g.signature(), oldest first.  A custom g's
 # signature holds id(fn), which CPython reuses once fn is collected, so each
 # entry also holds its g: while an entry is cached no other callable can
@@ -442,7 +456,8 @@ def _mass(g):
     integrate x g(x) over [0, R0], R0 = max(1, twice every one of g.radii),
     and over the 60 panels [R0 2^k, R0 2^(k+1)] in one batched_quad call,
     to rel 1e-12 with at most 200 panels each; C sums the head and the
-    panels up to the first below 5e-11 of the running tail.
+    panels up to the first below 5e-11 of the running tail.  An integral
+    summed into C that ends above its tolerance raises NonConvergentError.
     """
     key = g.signature()
     if key in _MASS_CACHE:
@@ -455,11 +470,14 @@ def _mass(g):
         radii = _structural_radii(g, R0)
         brk = np.full((61, len(radii)), np.nan)
         brk[0] = radii
-        vals, _ = batched_quad(lambda x, k: x * g._eval(x),
-                               np.concatenate([[0.0], edges[:-1]]), edges,
-                               rel_tol=1e-12, breakpoints=brk, limit=200)
+        vals, errs = batched_quad(lambda x, k: x * g._eval(x),
+                                  np.concatenate([[0.0], edges[:-1]]), edges,
+                                  rel_tol=1e-12, breakpoints=brk, limit=200)
         panels = vals[1:]
-        total = 2.0 * math.pi * (vals[0] + _tail_upto_stop(panels, 5e-11)[1])
+        summed, tail_sum = _tail_upto_stop(panels, 5e-11)
+        used = slice(0, summed.size + 1)
+        _check_met(g, vals[used], errs[used], 1e-12)
+        total = 2.0 * math.pi * (vals[0] + tail_sum)
     else:
         upto, rest = g.support_radius, 0.0
         if tail is not None:
@@ -469,9 +487,10 @@ def _mass(g):
             a, p, x_from, scale = tail
             upto = x_from * scale
             rest = scale * scale * _power_log_mass(a, p, x_from)
-        head, _ = adaptive_quad(lambda x: x * g._eval(x), 0.0, upto,
-                                rel_tol=5e-11,
-                                breakpoints=_structural_radii(g, upto))
+        head, err = adaptive_quad(lambda x: x * g._eval(x), 0.0, upto,
+                                  rel_tol=5e-11,
+                                  breakpoints=_structural_radii(g, upto))
+        _check_met(g, head, err, 5e-11)
         total = 2.0 * math.pi * head + rest
     if not total > 0.0:
         raise ValueError("connection function must have positive mass")

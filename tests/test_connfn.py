@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
                             integral_constant, load_tabulated_csv, lognormal,
                             omega_tail, tabulated, theta_tail, unit_disk,
                             zero_function)
-from rcm_lab.connfn import _power_log
+from rcm_lab.connfn import _mass, _power_log, _tail_upto_stop
 from rcm_lab.cli import main
 
 
@@ -521,3 +522,74 @@ def test_nonfinite_table_is_rejected(tmp_path, x, g, rule, name, capsys):
     with pytest.raises(ValueError, match=name):
         from_config(json.loads(json.dumps(cfg)))
     _quad_rejects(cfg, name, capsys)
+
+
+def _short_of_tolerance(monkeypatch, name, fail):
+    # connfn's quadrature `name`, with the errors it reports replaced by
+    # fail(vals, errs); no cached mass is read
+    import rcm_lab._quadcore as qc
+    import rcm_lab.connfn as cf
+
+    real = getattr(qc, name)
+
+    def short(*args, **kwargs):
+        vals, errs = real(*args, **kwargs)
+        return vals, fail(vals, errs)
+
+    monkeypatch.setattr(cf, name, short)
+    monkeypatch.setattr(cf, "_MASS_CACHE", {})
+
+
+@pytest.mark.parametrize("g, name, rel_tol", [
+    (unit_disk(1.3), "adaptive_quad", 5e-11),
+    (theta_tail(0.5), "adaptive_quad", 5e-11),
+    (lognormal(0.3, 2.0), "batched_quad", 1e-12)])
+def test_mass_raises_when_its_quadrature_misses_the_tolerance(
+        monkeypatch, g, name, rel_tol):
+    # an error 1.01 times the tolerance raises, naming g; 0.99 times passes
+    for factor, ok in ((0.99, True), (1.01, False)):
+        _short_of_tolerance(monkeypatch, name, lambda vals, errs: np.fmax(
+            errs, factor * rel_tol * np.abs(vals)))
+        if ok:
+            assert integral_constant(g) > 0.0
+        else:
+            with pytest.raises(NonConvergentError, match=re.escape(g.name)):
+                integral_constant(g)
+
+
+def test_mass_raises_on_a_summed_doubling_panel(monkeypatch):
+    # lognormal's mass sums the head and the doubling panels up to the
+    # first below 5e-11 of the running tail; a summed panel above its
+    # tolerance raises, a later one is not read
+    g = lognormal(0.3, 2.0)
+    _, R0, panels = _mass(g)
+    stop = _tail_upto_stop(panels, 5e-11)[0].size
+
+    def panel_off(k):
+        def fail(vals, errs):
+            errs = errs.copy()
+            errs[1 + k] = np.abs(vals[1 + k]) + 1.0
+            return errs
+        return fail
+
+    _short_of_tolerance(monkeypatch, "batched_quad", panel_off(stop - 1))
+    with pytest.raises(NonConvergentError, match=re.escape(g.name)):
+        integral_constant(g)
+    _short_of_tolerance(monkeypatch, "batched_quad", panel_off(stop))
+    assert integral_constant(g) > 0.0
+
+
+def test_mass_raises_when_a_panel_limit_stops_it(monkeypatch):
+    # one panel per integral cannot reach 5e-11 on a Gaussian head
+    g = from_callable(lambda x: np.exp(-np.asarray(x) ** 2) * (x <= 3.0),
+                      name="cut_gauss", support_radius=3.0,
+                      discontinuities=(3.0,))
+    import rcm_lab._quadcore as qc
+    import rcm_lab.connfn as cf
+
+    real = qc.adaptive_quad
+    monkeypatch.setattr(cf, "adaptive_quad",
+                        lambda *a, **k: real(*a, **dict(k, limit=1)))
+    monkeypatch.setattr(cf, "_MASS_CACHE", {})
+    with pytest.raises(NonConvergentError, match="cut_gauss"):
+        integral_constant(g)

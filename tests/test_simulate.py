@@ -8,12 +8,13 @@ from rcm_lab.connfn import (check_monotonicity, effective_cutoff,
                             theta_tail, unit_disk)
 from rcm_lab.experiments import run_trial
 from rcm_lab.geometry import Region, gap_distance, toroidal_distance
-from rcm_lab.models import ModelSpec, derive, realize
+from rcm_lab.models import ModelSpec, derive, frame_connection, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (_TILE, MetricMismatchError, PointSet, RcmGraph,
-                              _links, _reach, _scan_pairs, boundary_coupling,
-                              build_graph, census, isolated_count,
-                              sample_poisson, window_truncation_census)
+                              _links, _reach, _scan_pairs, _unit_radius,
+                              boundary_coupling, build_graph, census,
+                              isolated_count, sample_poisson,
+                              window_truncation_census)
 
 from _oracles import (bfs_components, pairwise_edges_bruteforce,
                       torus_distance_reference)
@@ -237,6 +238,133 @@ def test_cells_mode_at_the_torus_seam():
     edges = build_graph(pts, g, mode="cells").edges
     assert np.array_equal(edges, build_graph(pts, g, mode="exact").edges)
     assert {(0, 1), (2, 3), (4, 5)} <= set(map(tuple, edges.tolist()))
+
+
+# g with a unit radius r1 > 0 (unit_disk, lognormal(0.25, 4), theta_tail(0.5)),
+# and two without: theta_tail capped at 0.8 and a table that starts at 0.8
+_UNIT_RADIUS_G = [
+    pytest.param(unit_disk(1.0), id="unit_disk"),
+    pytest.param(lognormal(0.25, 4.0), id="lognormal"),
+    pytest.param(theta_tail(0.5), id="theta_tail"),
+    pytest.param(theta_tail(0.5, g0=0.8), id="theta_tail_g0"),
+    pytest.param(tabulated([0.5, 1.0, 2.0], [0.8, 0.5, 0.1]),
+                 id="tabulated_below_one"),
+]
+
+
+@pytest.mark.parametrize("g", _UNIT_RADIUS_G)
+def test_unit_radius_bounds(g):
+    # g >= 1 up to r1 <= reach; r1 = 0 exactly when g(0) < 1; and g drops
+    # below 1 within the search's resolution past an r1 short of reach
+    for region in (Region("square", 16.0), Region("torus", 16.0)):
+        reach = _reach(g, region, 1e-6)[0]
+        r1 = _unit_radius(g, reach)
+        assert 0.0 <= r1 <= reach
+        if g._eval(np.asarray(0.0)) < 1.0:
+            assert r1 == 0.0
+            continue
+        assert r1 > 0.0 and g._eval(np.linspace(0.0, r1, 4097)).min() >= 1.0
+        assert r1 == reach or g._eval(np.asarray(r1 * (1.0 + 2e-5))) < 1.0
+    assert _unit_radius(unit_disk(1.3), 1.3) == 1.3
+    # the stretched disk's g reads 0 at its own support radius
+    g = unit_disk(0.7).scaled(0.37)
+    reach = g.support_radius
+    assert g._eval(np.asarray(reach)) == 0.0
+    assert reach * (1.0 - 2e-5) < _unit_radius(g, reach) < reach
+
+
+@pytest.mark.parametrize("g", _UNIT_RADIUS_G)
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_cells_equals_exact_around_the_unit_radius(kind, g):
+    # pairs inside r1 link from their squared gap; the edge sets still
+    # match exact mode's, and some edges lie inside r1 wherever it is
+    # positive
+    inside = 0
+    for seed in range(3):
+        pts = _pts(seed, side=16.0, density=1.5, kind=kind)
+        edges = build_graph(pts, g, mode="cells").edges
+        assert np.array_equal(edges, build_graph(pts, g, mode="exact").edges)
+        r1 = _unit_radius(g, _reach(g, pts.region, 1e-6)[0])
+        d = pts.region.distance(pts.positions[edges[:, 0]],
+                                pts.positions[edges[:, 1]])
+        inside += int((d < r1).sum())
+    assert (inside > 100) == (g._eval(np.asarray(0.0)) >= 1.0)
+
+
+def test_cells_equals_exact_for_a_dense_frame_disk():
+    # the dense frame stretches unit_disk(0.1) by conn_scale, and at rho
+    # 500 its g reads 0 at its own support radius, so r1 lies just inside
+    # reach and the pairs between them take the distance path
+    for r0, rho in ((1.0, 2e3), (0.1, 500.0)):
+        spec = ModelSpec(model="dense", rho=rho, b=0.0, g=unit_disk(r0))
+        g = frame_connection(spec)
+        for seed in range(3):
+            want = realize(spec, seed, mode="exact").edges
+            assert want.shape[0] > 500
+            assert np.array_equal(realize(spec, seed, mode="cells").edges,
+                                  want)
+    assert _unit_radius(g, g.support_radius) < g.support_radius
+
+
+def _ulps(d, k):
+    """d moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        d = np.nextafter(d, math.copysign(math.inf, k))
+    return float(d)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(unit_disk(1.0), id="unit_disk"),
+    pytest.param(unit_disk(0.7).scaled(0.37), id="stretched_disk"),
+    pytest.param(lognormal(0.25, 4.0), id="lognormal"),
+    pytest.param(theta_tail(0.5), id="theta_tail")])
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_cells_mode_at_the_unit_radius_and_reach(kind, g):
+    # pairs 0, 1 and 2 ulps either side of r1, of r1 (1 - 1e-9), where
+    # the squared-gap shortcut stops, and of reach, along x and along y
+    # from 0, so that each gap is exact; on the torus a third pair per gap
+    # sits across the fold, from x = -side/2 to side/2 - gap
+    side = 64.0
+    region = Region(kind, side)
+    reach = _reach(g, region, 1e-6)[0]
+    r1 = _unit_radius(g, reach)
+    assert 0.0 < r1 <= reach and 3.0 * reach < side
+    gaps = [_ulps(d, k) for d in (r1, r1 * (1.0 - 1e-9), reach)
+            for k in range(-2, 3)]
+    pos = []
+    for a, gap in enumerate(gaps):
+        t = (a + 0.5) * side / 16 - side / 2
+        pos += [(0.0, t), (gap, t), (t, 0.0), (t, gap)]
+        if kind == "torus":
+            pos += [(-side / 2, t + 1.0), (side / 2 - gap, t + 1.0)]
+    pts = PointSet(positions=np.array(pos), region=region, density=1.0,
+                   seed=7)
+    want = build_graph(pts, g, mode="exact").edges
+    assert np.array_equal(build_graph(pts, g, mode="cells").edges, want)
+    # a hard disk links no pair more than its reach apart
+    if g.base.kind == "unit_disk":
+        d = region.distance(pts.positions[want[:, 0]],
+                            pts.positions[want[:, 1]])
+        assert d.max() <= reach
+
+
+def test_cells_mode_with_torus_points_outside_the_domain():
+    # torus positions moved by whole sides, up to three either way: their
+    # gaps run far past side/2, and every gap longer than that must still
+    # be taken to its minimum image
+    rng = np.random.default_rng(53)
+    side = 12.0
+    pos = (rng.random((400, 2)) - 0.5) * side
+    moved = pos + side * rng.integers(-3, 4, size=pos.shape)
+    assert (np.abs(moved) > side / 2).any(axis=1).mean() > 0.7
+    for g in (unit_disk(1.0), lognormal(0.25, 4.0), theta_tail(0.5)):
+        for p in (pos, moved):
+            pts = PointSet(positions=p, region=Region("torus", side),
+                           density=1.0, seed=13)
+            want = build_graph(pts, g, mode="exact").edges
+            assert want.shape[0] > 400
+            assert np.array_equal(build_graph(pts, g, mode="cells").edges,
+                                  want)
 
 
 _MONOTONE = [

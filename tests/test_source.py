@@ -6,12 +6,44 @@ from pathlib import Path
 import rcm_lab
 
 
+def _modules():
+    files = sorted(Path(rcm_lab.__file__).parent.glob("*.py"))
+    assert files
+    return [(path, ast.parse(path.read_text(), str(path))) for path in files]
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so an invariant written as one
     # would go unchecked there: the package raises instead
-    files = sorted(Path(rcm_lab.__file__).parent.glob("*.py"))
-    assert files
-    found = ["%s:%d" % (path.name, node.lineno) for path in files
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _run_on_import(node):
+    """The statements under node that run when its module is imported:
+    everything but the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _run_on_import(child)
+
+
+def test_no_module_level_scipy_import():
+    # import scipy.special alone takes about 0.25 s, so scipy is imported
+    # inside the functions that use it, never when rcm_lab is imported
+    found = []
+    for path, tree in _modules():
+        for node in _run_on_import(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
     assert found == []
