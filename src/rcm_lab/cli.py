@@ -121,15 +121,16 @@ def _cmd_classify(args):
     g = _load_g(args.g)
     from .connfn import classify_tail
     try:
-        tc = classify_tail(g)
+        # first, so a non-finite --b fails before anything is printed
+        lim = truncation_limit(g, args.b)
     except InconclusiveTailError as exc:
         print(f"class      = inconclusive ({exc})")
         return 0
+    tc = classify_tail(g)
     print(f"class      = {tc.kind}")
     if tc.limit_estimate is not None:
         print(f"tail level = {tc.limit_estimate:.6g}")
     print(f"confidence = {tc.confidence}")
-    lim = truncation_limit(g, args.b)
     print(f"E(W^T) limit at b={args.b:g}: "
           + ("inf" if math.isinf(lim) else f"{lim:.12g}"))
     return 0

@@ -103,8 +103,6 @@ class ConnectionFunction:
             return out
         if k == "scaled":
             return self.params["base"]._eval(x / p["factor"])
-        if k == "zero":
-            return np.zeros_like(x)
         if k == "custom":
             return np.asarray(p["fn"](x), dtype=float)
         raise ValueError("unknown connection function kind %r" % k)
@@ -246,12 +244,6 @@ def omega_tail(p, x0=3.0, g0=1.0):
         name="omega_tail(%g,%g,%g)" % (p, x0, g0), kind="omega_tail",
         params={"p": float(p), "x0": float(x0), "g0": float(g0)},
         radii=(float(x0),), tail=(acont, float(p), float(x0), 1.0))
-
-
-def zero_function():
-    """Degenerate g = 0; valid for graph building, not for model densities."""
-    return ConnectionFunction(name="zero", kind="zero", params={},
-                              support_radius=0.0)
 
 
 def from_callable(fn, name="custom", support_radius=math.inf,

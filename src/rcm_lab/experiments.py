@@ -26,8 +26,7 @@ from .models import (MODELS, InvalidParamsError, ModelSpec, derive,
                      realize)
 from .quadrature import (expected_isolated_infinite, expected_isolated_square,
                          expected_isolated_torus)
-from .simulate import (boundary_coupling, census, isolated_count,
-                       window_truncation_census)
+from .simulate import boundary_coupling, census, window_truncation_census
 
 XI_COLUMNS = tuple(range(2, 9))
 
@@ -333,28 +332,3 @@ def convergence_check(series, target, ses=None):
     info["trend"] = float(dev[-1] - dev[0])
     return bool(dev[-1] <= dev[0] + 1e-12), info
 
-
-def necessary_condition_report(g, b_list, rho, trials=200, seed=0,
-                               mode="exact"):
-    """Empirical isolated-node persistence across offsets b on the torus.
-
-    For each b: mean torus W over the trials, the exp(-b) reference, and
-    the fraction of trials free of isolated nodes (a cheap upper proxy for
-    connectivity).  Offsets with ln(rho) + b <= 0 are reported as invalid
-    rather than run.
-    """
-    rows = []
-    for b in b_list:
-        row = {"b": float(b), "rho": float(rho), "trials": int(trials)}
-        if math.log(rho) + b <= 0.0:
-            row.update(valid=False, note="lambda would be non-positive")
-            rows.append(row)
-            continue
-        spec = ModelSpec(model="torus", rho=float(rho), b=float(b), g=g)
-        ws = np.asarray([isolated_count(realize(spec, seed + t, mode=mode))
-                         for t in range(trials)], dtype=float)
-        row.update(valid=True, mean_W=float(ws.mean()),
-                   reference=float(math.exp(-b)),
-                   frac_no_isolated=float(np.mean(ws == 0)))
-        rows.append(row)
-    return rows

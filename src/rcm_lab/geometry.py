@@ -66,11 +66,6 @@ def gap_distance(dx, dy, side=None):
     return np.hypot(dx, dy)
 
 
-def euclidean_distance(p, q):
-    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-    return gap_distance(d[..., 0], d[..., 1])
-
-
 def toroidal_distance(p, q, side):
     """Shortest distance on the side-length torus; exact for points
     confined to the fundamental domain."""

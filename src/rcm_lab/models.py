@@ -23,15 +23,10 @@ from .connfn import ConnectionFunction, effective_cutoff, integral_constant
 from .geometry import Region
 
 MODELS = ("dense", "extended", "square", "torus", "window")
-_RESCALABLE = ("dense", "extended", "square")
 
 
 class InvalidParamsError(ValueError):
     """Model parameters outside the admissible range (e.g. ln rho + b <= 0)."""
-
-
-class FrameMismatchError(ValueError):
-    """Instance rescaling attempted across incompatible specs."""
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,8 @@ def derive(spec):
         expected_nodes=spec.rho, conn_scale=scale, core_side=side, margin=0.0)
 
 
-def _frame_connection(spec, d):
-    return spec.g if d.conn_scale == 1.0 else spec.g.scaled(d.conn_scale)
-
-
 def _frame_region(spec, d):
     return Region("torus" if spec.model == "torus" else "square", d.side)
-
-
-def frame_connection(spec):
-    """The connection function evaluated on this frame's coordinates."""
-    return _frame_connection(spec, derive(spec))
 
 
 def frame_region(spec):
@@ -136,30 +122,6 @@ def realize(spec, seed, mode="exact", tail_mass=1e-6):
     d = derive(spec)
     pts = simulate.sample_poisson(_frame_region(spec, d), d.density, seed,
                                   expected_count=d.expected_nodes)
-    return simulate.build_graph(pts, _frame_connection(spec, d), mode=mode,
+    return simulate.build_graph(pts, spec.g.scaled(d.conn_scale), mode=mode,
                                 tail_mass=tail_mass)
 
-
-def rescale_instance(points, edges, from_spec, to_spec):
-    """Map a sampled instance between the dense/extended/square frames.
-
-    Coordinates scale by the side ratio; the edge index set is untouched
-    (connection decisions are scale-free).  Raises FrameMismatchError when
-    (rho, b, g) differ or either frame is not rescalable.
-    """
-    if from_spec.model not in _RESCALABLE or to_spec.model not in _RESCALABLE:
-        raise FrameMismatchError(
-            "rescaling is defined between the dense/extended/square frames")
-    if (from_spec.rho, from_spec.b) != (to_spec.rho, to_spec.b):
-        raise FrameMismatchError("rho and b must match to rescale")
-    if from_spec.g.signature() != to_spec.g.signature():
-        raise FrameMismatchError("connection functions differ")
-    d_from = derive(from_spec)
-    d_to = derive(to_spec)
-    factor = d_to.side / d_from.side
-    new_points = simulate.PointSet(
-        positions=points.positions * factor,
-        region=_frame_region(to_spec, d_to),
-        density=d_to.density,
-        seed=points.seed)
-    return new_points, edges

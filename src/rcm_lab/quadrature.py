@@ -573,9 +573,11 @@ def truncation_limit(g, b):
     limit to exp(-b + 4 pi a / C); heavier tails diverge (returns inf).
     Raises InconclusiveTailError when the diagnostic cannot classify g.
     """
+    if not math.isfinite(b):
+        raise ValueError("b must be finite")
     tc = classify_tail(g)
     if tc.kind == "little_o":
-        return math.exp(-b)
+        return expected_isolated_infinite(b)
     if tc.kind == "theta":
         C = integral_constant(g)
         return math.exp(-b + 4.0 * math.pi * tc.limit_estimate / C)

@@ -191,6 +191,15 @@ def test_bad_tolerance_or_count_exits_2_without_traceback(args, word):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("b", ["nan", "inf", "-inf"])
+def test_classify_non_finite_b_exits_2_without_traceback(b):
+    proc = _cli("classify", "--g", DISK, "--b=" + b)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: b must be finite"]
+    assert proc.stdout == ""
+
+
 def test_components_failed_partner_draw_exits_2_without_traceback():
     # at rho = 1e12 the theta tail's radial envelope reaches so far past
     # the square that some partners are never drawn inside it

@@ -9,8 +9,7 @@ from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
                             check_monotonicity, classify_tail,
                             effective_cutoff, from_callable, from_config,
                             integral_constant, load_tabulated_csv, lognormal,
-                            omega_tail, tabulated, theta_tail, unit_disk,
-                            zero_function)
+                            omega_tail, tabulated, theta_tail, unit_disk)
 from rcm_lab.connfn import _mass, _power_log, _tail_upto_stop
 from rcm_lab.cli import main
 
@@ -199,8 +198,8 @@ def test_integral_constant_raises_for_nonintegrable():
 
 
 def test_integral_constant_rejects_zero():
-    with pytest.raises(ValueError):
-        integral_constant(zero_function())
+    with pytest.raises(ValueError, match="positive mass"):
+        integral_constant(tabulated([0.0, 1.0], [0.0, 0.0]))
 
 
 def test_classify_little_o():

@@ -11,8 +11,7 @@ from rcm_lab.connfn import unit_disk
 from rcm_lab.experiments import (SUMMARY_HEADER, AggregateStats, ConfigError,
                                  SweepConfig, TrialError,
                                  aggregate_from_records, convergence_check,
-                                 necessary_condition_report, run_sweep,
-                                 run_trial, write_summary_csv)
+                                 run_sweep, run_trial, write_summary_csv)
 from rcm_lab.models import ModelSpec
 
 DISK_CFG = {"family": "unit_disk", "params": {"r0": 1.0}}
@@ -187,16 +186,6 @@ def test_convergence_check_with_ses():
     assert not ok
     with pytest.raises(ValueError):
         convergence_check([1.0], 1.0, ses=[0.0])
-
-
-def test_necessary_condition_report():
-    rows = necessary_condition_report(unit_disk(1.0), [-5.0, 0.0], rho=50.0,
-                                      trials=40, seed=2)
-    assert rows[0]["valid"] is False and "note" in rows[0]
-    assert rows[1]["valid"] is True
-    assert rows[1]["reference"] == 1.0
-    assert 0.0 <= rows[1]["frac_no_isolated"] <= 1.0
-    assert rows[1]["mean_W"] >= 0.0
 
 
 def test_import_leaves_process_pool_unloaded():

@@ -5,8 +5,8 @@ import pytest
 
 from rcm_lab.geometry import (Region, _disk_cross_batch, _disk_overlap_batch,
                               clipped_lens_difference_area,
-                              euclidean_distance, lens_difference_area,
-                              lens_difference_derivative, toroidal_distance)
+                              lens_difference_area, lens_difference_derivative,
+                              toroidal_distance)
 
 from _oracles import lens_area_mc, torus_distance_reference
 
@@ -42,7 +42,7 @@ def test_region_contains_array_shapes():
 
 
 def test_euclidean_distance():
-    assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert Region("square", 10.0).distance((0.0, 0.0), (3.0, 4.0)) == 5.0
 
 
 def test_toroidal_distance_matches_reference():
@@ -62,7 +62,7 @@ def test_toroidal_never_exceeds_euclidean():
     p = rng.uniform(-side / 2, side / 2, (300, 2))
     q = rng.uniform(-side / 2, side / 2, (300, 2))
     dt = toroidal_distance(p, q, side)
-    de = np.hypot(p[:, 0] - q[:, 0], p[:, 1] - q[:, 1])
+    de = Region("square", side).distance(p, q)
     assert np.all(dt <= de + 1e-12)
     assert np.all(dt <= side * math.sqrt(2.0) / 2.0 + 1e-12)
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from rcm_lab.connfn import integral_constant, lognormal, unit_disk
-from rcm_lab.models import (MODELS, FrameMismatchError, InvalidParamsError,
-                            ModelSpec, derive, frame_connection, frame_region,
-                            realize, rescale_instance)
+from rcm_lab.models import (MODELS, InvalidParamsError, ModelSpec, derive,
+                            frame_region, realize)
 
 
 def _disk_spec(model, rho=1000.0, b=0.0):
@@ -42,11 +41,11 @@ def test_frame_geometry_relations():
 def test_frame_connection_rescaling():
     spec = _disk_spec("dense")
     d = derive(spec)
-    gf = frame_connection(spec)
+    gf = realize(spec, 0).g
     xs = np.array([0.2 * d.r_rho, 0.9 * d.r_rho, 1.4 * d.r_rho])
     assert np.allclose(gf(xs), spec.g(xs / d.r_rho))
     # square frame uses g unscaled
-    gs = frame_connection(_disk_spec("square"))
+    gs = realize(_disk_spec("square"), 0).g
     assert gs(0.99) == 1.0 and gs(1.01) == 0.0
 
 
@@ -71,10 +70,6 @@ def test_realize_derives_its_frame_once(monkeypatch, model):
     graph = realize(_disk_spec(model, rho=100.0), 4)
     assert calls == [model]
     assert graph.points.region == frame_region(_disk_spec(model, rho=100.0))
-    calls.clear()
-    rescale_instance(graph.points, graph.edges, _disk_spec("dense"),
-                     _disk_spec("extended"))
-    assert calls == ["dense", "extended"]
 
 
 def test_invalid_params():
@@ -143,32 +138,19 @@ def test_all_models_realize():
 
 
 def test_rescale_instance_between_frames():
-    s_from = _disk_spec("square", rho=150.0)
-    s_to = _disk_spec("extended", rho=150.0)
-    graph = realize(s_from, seed=9)
-    pts2, edges2 = rescale_instance(graph.points, graph.edges, s_from, s_to)
-    f = derive(s_to).side / derive(s_from).side
-    assert np.allclose(pts2.positions, graph.points.positions * f)
-    assert np.array_equal(edges2, graph.edges)
-    # and the rescaled instance matches a direct draw at the same seed
-    direct = realize(s_to, seed=9)
-    assert np.allclose(direct.points.positions, pts2.positions)
-    assert np.array_equal(direct.edges, edges2)
-
-
-def test_rescale_rejects_bad_pairs():
-    s_sq = _disk_spec("square")
-    s_to = _disk_spec("torus")
-    graph = realize(s_sq, seed=0)
-    with pytest.raises(FrameMismatchError):
-        rescale_instance(graph.points, graph.edges, s_sq, s_to)
-    other = ModelSpec(model="extended", rho=999.0, b=0.0, g=unit_disk(1.0))
-    with pytest.raises(FrameMismatchError):
-        rescale_instance(graph.points, graph.edges, s_sq, other)
+    # a square and an extended draw at one seed are one instance: the
+    # positions differ by the side ratio and the edges are identical
+    s_sq = _disk_spec("square", rho=150.0)
+    s_ext = _disk_spec("extended", rho=150.0)
+    sq = realize(s_sq, seed=9)
+    ext = realize(s_ext, seed=9)
+    f = derive(s_ext).side / derive(s_sq).side
+    assert np.allclose(ext.points.positions, sq.points.positions * f)
+    assert np.array_equal(ext.edges, sq.edges)
 
 
 def test_window_uses_unscaled_g():
     spec = ModelSpec(model="window", rho=300.0, b=0.0,
                      g=lognormal(sigma=1.0, eta=2.0))
-    gf = frame_connection(spec.with_constant())
+    gf = spec.g.scaled(derive(spec.with_constant()).conn_scale)
     assert gf(0.5) == spec.g(0.5)

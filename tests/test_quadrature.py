@@ -5,7 +5,8 @@ import pytest
 
 from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
                             classify_tail, from_callable, integral_constant,
-                            lognormal, omega_tail, theta_tail, unit_disk)
+                            lognormal, omega_tail, tabulated, theta_tail,
+                            unit_disk)
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_infinite,
@@ -439,6 +440,13 @@ def test_truncation_limit_classes():
         truncation_limit(_wiggly(), 0.0)
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_truncation_limit_rejects_non_finite_b(b):
+    for g in (unit_disk(1.0), theta_tail(a=0.5), omega_tail(p=1.5)):
+        with pytest.raises(ValueError, match="b must be finite"):
+            truncation_limit(g, b)
+
+
 @pytest.mark.parametrize("f", [0.05, 0.3, 3.0, 100.0])
 def test_stretched_theta_tail_keeps_class_and_limit(f):
     # x^2 ln^2(x) g(x / f) -> f^2 a, and C scales by f^2 too, so the
@@ -564,8 +572,8 @@ def test_xi2_against_simulation():
 def test_xi2_zero_connection():
     # g = 0 has no plane integral C and so no frame: xi_2 refuses it, as
     # E(W) does
-    from rcm_lab.connfn import zero_function
-    spec = ModelSpec(model="square", rho=50.0, b=0.0, g=zero_function())
+    spec = ModelSpec(model="square", rho=50.0, b=0.0,
+                     g=tabulated([0.0, 1.0], [0.0, 0.0]))
     with pytest.raises(ValueError, match="positive mass"):
         expected_components_order2(spec, samples=100, seed=0)
 

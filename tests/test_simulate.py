@@ -8,7 +8,7 @@ from rcm_lab.connfn import (check_monotonicity, effective_cutoff,
                             theta_tail, unit_disk)
 from rcm_lab.experiments import run_trial
 from rcm_lab.geometry import Region, gap_distance, toroidal_distance
-from rcm_lab.models import ModelSpec, derive, frame_connection, realize
+from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (_TILE, MetricMismatchError, PointSet, RcmGraph,
                               _links, _reach, _scan_pairs, _unit_radius,
@@ -297,7 +297,7 @@ def test_cells_equals_exact_for_a_dense_frame_disk():
     # reach and the pairs between them take the distance path
     for r0, rho in ((1.0, 2e3), (0.1, 500.0)):
         spec = ModelSpec(model="dense", rho=rho, b=0.0, g=unit_disk(r0))
-        g = frame_connection(spec)
+        g = spec.g.scaled(derive(spec).conn_scale)
         for seed in range(3):
             want = realize(spec, seed, mode="exact").edges
             assert want.shape[0] > 500

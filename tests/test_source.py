@@ -47,3 +47,23 @@ def test_no_module_level_scipy_import():
                       for name in names
                       if name == "scipy" or name.startswith("scipy.")]
     assert found == []
+
+
+def test_no_unused_module_level_imports():
+    # a name imported at module level must be read in that module;
+    # __init__.py imports to re-export, so it is left out
+    found = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []
