@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,11 +29,6 @@ from .quadrature import (expected_isolated_infinite, expected_isolated_square,
 from .simulate import boundary_coupling, census, window_truncation_census
 
 XI_COLUMNS = tuple(range(2, 9))
-
-SUMMARY_HEADER = (["model", "rho", "b", "trials", "mean_W", "se_W",
-                   "quad_EW", "quad_EW_torus", "mean_W_T", "mean_W_E"]
-                  + [f"mean_xi{k}" for k in XI_COLUMNS]
-                  + ["zscore_W"])
 
 
 class ConfigError(ValueError):
@@ -75,17 +70,25 @@ class SweepConfig:
         for m in self.models:
             if m not in MODELS:
                 raise ConfigError(f"unknown model {m!r}; choose from {MODELS}")
+        # a repeated grid entry would run its trials again into one row
+        if len(set(self.models)) < len(self.models):
+            raise ConfigError("models must not repeat a model, got "
+                              f"{self.models!r}")
         if not self.rhos:
             raise ConfigError("rhos must be a non-empty list")
         for r in self.rhos:
             if not (_number(r) and r > 0):
                 raise ConfigError("rhos must be positive numbers")
+        if len({float(r) for r in self.rhos}) < len(self.rhos):
+            raise ConfigError("rhos must not repeat a value, got "
+                              f"{self.rhos!r}")
         if not (_number(self.b) and math.isfinite(self.b)):
             raise ConfigError("b must be a finite number")
         if not (_number(self.trials, numbers.Integral) and self.trials >= 1):
             raise ConfigError("trials must be a positive integer")
-        if not _number(self.base_seed, numbers.Integral):
-            raise ConfigError("base_seed must be an integer")
+        if not (_number(self.base_seed, numbers.Integral)
+                and self.base_seed >= 0):
+            raise ConfigError("base_seed must be a non-negative integer")
         if self.mode not in ("exact", "cells"):
             raise ConfigError("mode must be 'exact' or 'cells'")
         if not isinstance(self.quad, bool):
@@ -195,6 +198,13 @@ class AggregateStats:
     zscore_W: float = math.nan
 
 
+# summary.csv has one column per AggregateStats field, in field order, and
+# mean_xi spread over one column per order of XI_COLUMNS
+SUMMARY_HEADER = [name for f in fields(AggregateStats)
+                  for name in ([f"mean_xi{k}" for k in XI_COLUMNS]
+                               if f.name == "mean_xi" else [f.name])]
+
+
 def aggregate_from_records(records, quad=None):
     """Collapse trial records into one AggregateStats per (model, rho).
 
@@ -242,12 +252,13 @@ def write_summary_csv(path, aggregates):
         w = csv.writer(fh)
         w.writerow(SUMMARY_HEADER)
         for a in aggregates:
-            row = [a.model, _fmt(float(a.rho)), _fmt(float(a.b)),
-                   str(a.trials), _fmt(a.mean_W), _fmt(a.se_W),
-                   _fmt(a.quad_EW), _fmt(a.quad_EW_torus),
-                   _fmt(a.mean_W_T), _fmt(a.mean_W_E)]
-            row += [_fmt(a.mean_xi.get(k, math.nan)) for k in XI_COLUMNS]
-            row += [_fmt(a.zscore_W)]
+            row = []
+            for f in fields(AggregateStats):
+                v = getattr(a, f.name)
+                if f.name == "mean_xi":
+                    row += [_fmt(v.get(k, math.nan)) for k in XI_COLUMNS]
+                else:
+                    row.append(_fmt(float(v) if f.type is float else v))
             w.writerow(row)
 
 

@@ -32,8 +32,10 @@ with d_w the distance from y to wall w and
     Q(a, b) = int_{sqrt(a^2+b^2)}^R r g(r) (arccos(a/r) - arcsin(b/r)) dr
                                                         (beyond two walls).
 
-H depends on g and R alone, so a solve tabulates it once (_WallTable:
-piecewise Chebyshev series, Trefethen 2013) and every exposure reads four
+H and Q are one radial quadrature with two angle functions
+(_WallIntegrals._radial), and C_R is 2 H(0).  H depends on g and R alone,
+so a solve tabulates it once (_WallTable: piecewise Chebyshev series,
+Trefethen 2013, read by numpy's chebval) and every exposure reads four
 values from it; Q is integrated only for the corners within R of a point.
 A torus E(W) on its own needs one point, the centre, and inner_exposure
 one given point, so they integrate H and Q there directly (_WallIntegrals)
@@ -44,15 +46,17 @@ coordinates u = h - x, v = h - y over regions of the triangle
 {0 <= u <= v <= h}, eight copies of which make the square: one two-level
 array quadrature (_quadcore.nested_quad), split where a structural radius
 of g, or R, reaches a wall.  A near wall's distance is then a quadrature
-node itself, exact on squares of any size.  Each region reports the error
-it reached (isolation_report's region_error).  xi_2 samples centred pairs:
-the first point from an envelope whose wall band is R wide, the second
-from g on [0, R] around it.  Their exposures take the wall distances
-h -+ x, h -+ y; for a g other than a disk its cross masses are one more
-nested quadrature, over the lens of each pair's two R-disks clipped to the
-square, split where the pair's structural and half-level circles cross
-each line and the side walls, and integrated to the absolute error its
-xi_2 weight can carry (_CROSS_WEIGHT_TOL).
+node itself, exact on squares of any size.  isolation_report solves the
+whole triangle and the three pieces of its split in one such call, and
+each region reports the error it reached (region_error).
+
+xi_2 samples centred pairs: the first point from an envelope whose wall
+band is R wide, the second from g on [0, R] around it.  Their exposures
+take the wall distances h -+ x, h -+ y; for a g other than a disk its
+cross masses are one more nested quadrature, over the lens of each pair's
+two R-disks clipped to the square, split where the pair's structural and
+half-level circles cross each line and the side walls, and integrated to
+the absolute error its xi_2 weight can carry (_CROSS_WEIGHT_TOL).
 """
 
 import math
@@ -195,8 +199,9 @@ class _WallIntegrals:
     integrals: R from _cut_radius, the _table_radii that split every
     integral, the plane mass C_R, and H and Q at given distances.
 
-    Both H and Q are integrated in u with r = r0 + u^2, where r0 is the
-    lower limit: that removes the square-root edge of the angle at r0.
+    H and Q share one radial quadrature (_radial), in u with r = r0 + u^2,
+    where r0 is the lower limit: that removes the square-root edge of the
+    angle at r0.
     """
 
     def __init__(self, g, side):
@@ -205,23 +210,30 @@ class _WallIntegrals:
         self.radii = _table_radii(g, self.R, self.levels)
         self.C = 2.0 * float(self._wall_direct(np.zeros(1), 0.0)[0])
 
-    def _wall_direct(self, t, abs_tol):
-        """H at every distance of the array t, by one array batched_quad."""
+    def _radial(self, r0, angle, rel_tol, abs_tol):
+        """int_{r0_k}^R 2 r g(r) angle(u, r, k) dr for every k of the array
+        r0, by one array batched_quad in u with r = r0_k + u^2, split where
+        r reaches the _table_radii."""
         g = self.g
 
         def f(u, k):
-            tk = t[k]
-            r = tk + u * u
-            angle = np.arctan2(u * np.sqrt(r + tk), tk)     # arccos(t / r)
-            return 4.0 * u * r * g._eval(r) * angle
+            r = r0[k] + u * u
+            return 4.0 * u * r * g._eval(r) * angle(u, r, k)
 
         with np.errstate(invalid="ignore"):
-            brk = np.sqrt(self.radii[None, :] - t[:, None])
-        val, _ = batched_quad(f, np.zeros(t.size),
-                              np.sqrt(np.maximum(self.R - t, 0.0)),
-                              rel_tol=1e-13, abs_tol=abs_tol,
+            brk = np.sqrt(self.radii[None, :] - r0[:, None])
+        val, _ = batched_quad(f, np.zeros(r0.size),
+                              np.sqrt(np.maximum(self.R - r0, 0.0)),
+                              rel_tol=rel_tol, abs_tol=abs_tol,
                               breakpoints=brk)
         return val
+
+    def _wall_direct(self, t, abs_tol):
+        """H at every distance of the array t, by one _radial."""
+        def angle(u, r, k):
+            return np.arctan2(u * np.sqrt(r + t[k]), t[k])    # arccos(t / r)
+
+        return self._radial(t, angle, 1e-13, abs_tol)
 
     def walls(self, t):
         """H at every distance of the array t, by one direct integral per
@@ -235,7 +247,6 @@ class _WallIntegrals:
         batched_quad over the distinct pairs, each to within
         max(rel_tol * Q, rel_tol * C_R / 16): four corners stay within
         rel_tol * C_R / 4."""
-        g = self.g
         ab, inv = np.unique(np.stack([a, b], axis=1), axis=0,
                             return_inverse=True)
         a, b = ab.T
@@ -244,24 +255,18 @@ class _WallIntegrals:
         ra = b * b / np.maximum(rc + a, 1e-300)
         rb = a * a / np.maximum(rc + b, 1e-300)
 
-        def f(u, k):
+        def angle(u, r, k):
             ak, bk, ck = a[k], b[k], rc[k]
             u2 = u * u
-            r = ck + u2
             sa = np.sqrt((ra[k] + u2) * (r + ak))   # sqrt(r^2 - a^2)
             sb = np.sqrt((rb[k] + u2) * (r + bk))   # sqrt(r^2 - b^2)
             # arccos(a/r) - arcsin(b/r) from its sine and cosine times r^2,
-            # the sine with r^2 - rc^2 = u^2 (r + rc) factored out
-            angle = np.arctan2(r * r * u2 * (r + ck) / (sa * sb + ak * bk),
-                               ak * sb + bk * sa)
-            return 2.0 * u * r * g._eval(r) * angle
+            # the sine with r^2 - rc^2 = u^2 (r + rc) factored out; halved,
+            # as Q weighs r g(r) where _radial weighs 2 r g(r)
+            sine = r * r * u2 * (r + ck) / (sa * sb + ak * bk)
+            return 0.5 * np.arctan2(sine, ak * sb + bk * sa)
 
-        with np.errstate(invalid="ignore"):
-            brk = np.sqrt(self.radii[None, :] - rc[:, None])
-        val, _ = batched_quad(f, np.zeros(a.size),
-                              np.sqrt(np.maximum(self.R - rc, 0.0)),
-                              rel_tol=rel_tol, abs_tol=rel_tol * self.C / 16.0,
-                              breakpoints=brk)
+        val = self._radial(rc, angle, rel_tol, rel_tol * self.C / 16.0)
         return val[inv.reshape(-1)]
 
     def exposure(self, d, rel_tol):
@@ -409,17 +414,15 @@ class _WallTable(_WallIntegrals):
         self._top = top
 
     def walls(self, t):
-        """H at every distance of the array t, from the table (Clenshaw)."""
+        """H at every distance of the array t, from the table."""
         if not self._lo.size:
             return np.zeros_like(t)
         tc = np.clip(t, 0.0, self._top)
         i = np.maximum(np.searchsorted(self._lo, tc, side="right") - 1, 0)
         lo, hi = self._lo[i], self._hi[i]
         x = (2.0 * tc - lo - hi) / (hi - lo)
-        b1 = b2 = np.zeros_like(x)
-        for c in self._coef_t[:0:-1]:
-            b1, b2 = 2.0 * x * b1 - b2 + c[i], b1
-        val = x * b1 - b2 + self._coef_t[0][i]
+        val = np.polynomial.chebyshev.chebval(x, self._coef_t[:, i],
+                                              tensor=False)
         return np.where(t >= self.R, 0.0, val)
 
 
@@ -489,7 +492,7 @@ def inner_exposure(y, spec, rel_tol=1e-8):
                      float(y[0]), float(y[1]), d.lam, rel_tol)
 
 
-def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
+def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol):
     """lambda * integral of exp(-I) over each region k of
     {u0_k <= u <= u1_k, vlo(u, k) <= v <= vhi(u, k)}, and the error each
     reached relative to its value; two length-n arrays.
@@ -500,10 +503,12 @@ def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
     levels split where a structural radius of g reaches a wall, at rad and
     side - rad.  The radii include the model's cut radius R: farther than
     R from every wall, I is the plane mass C_R and exp(-I) is constant.
+    Exposures are taken to min(1e-8, rel_tol * 1e-2).
     """
     side = model.side
     radii = set(_structural_radii(model.g, side * math.sqrt(2.0)))
     kinks = [k for rad in sorted(radii | {model.R}) for k in (rad, side - rad)]
+    inner_tol = min(1e-8, rel_tol * 1e-2)
 
     def inner(us, k):
         return vlo(us, k), vhi(us, k), kinks
@@ -520,19 +525,6 @@ def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol, inner_tol):
     return lam * val, err / np.maximum(np.abs(val), 1e-300)
 
 
-def _inner_tol(rel_tol):
-    """Exposure tolerance inside an E(W) solve of tolerance rel_tol."""
-    return min(1e-8, rel_tol * 1e-2)
-
-
-def _square_ew(d, model, rel_tol):
-    """E(W) on the square, and the error it reached relative to it."""
-    h = 0.5 * model.side
-    val, err = _region_integral(d.lam, model, 0.0, h, lambda u, k: u,
-                                lambda u, k: h, rel_tol, _inner_tol(rel_tol))
-    return 8.0 * float(val[0]), float(err[0])
-
-
 def _torus_ew(d, model, rel_tol):
     """rho * exp(-I) at the square's centre."""
     i0 = _exposure(model, 0.0, 0.0, d.lam, rel_tol)
@@ -544,7 +536,10 @@ def expected_isolated_square(spec, rel_tol=1e-6):
     eight copies of the fundamental triangle {0 <= y <= x <= side/2}."""
     _check_rel_tol(rel_tol)
     spec, d, g = _frame(spec)
-    return _square_ew(d, _exposure_model(g, d.side), rel_tol)[0]
+    h = 0.5 * d.side
+    val, _ = _region_integral(d.lam, _exposure_model(g, d.side), 0.0, h,
+                              lambda u, k: u, lambda u, k: h, rel_tol)
+    return 8.0 * float(val[0])
 
 
 def expected_isolated_torus(spec, rel_tol=1e-9):
@@ -603,21 +598,21 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
         raise ValueError("decomposition margin exceeds the half-side; "
                          "increase rho or decrease eps")
 
-    inner_tol = _inner_tol(rel_tol)
     model = _exposure_model(g, side)
-    ew, ew_err = _square_ew(d, model, rel_tol)
     ew_t = _torus_ew(d, model, min(rel_tol, 1e-9))
     ew_inf = expected_isolated_infinite(spec.b)
 
-    # one _region_integral over three regions of the fundamental triangle
-    # {0 <= u <= v <= h}, split at wall distance margin: the central
-    # triangle (8 copies), a side strip (8) and a corner square (4)
+    # one _region_integral over four regions of the fundamental triangle
+    # {0 <= u <= v <= h}, split at wall distance margin: the whole triangle
+    # (E(W), 8 copies), the central triangle (8), a side strip (8) and a
+    # corner square (4)
     h = 0.5 * side
     val, err = _region_integral(
-        lam, model, [margin, 0.0, 0.0], [h, margin, margin],
-        lambda u, k: np.where(k == 0, u, np.where(k == 1, margin, 0.0)),
-        lambda u, k: np.where(k == 2, margin, h), rel_tol, inner_tol)
-    central, side_term, corner = (np.array([8.0, 8.0, 4.0]) * val).tolist()
+        lam, model, [0.0, margin, 0.0, 0.0], [h, h, margin, margin],
+        lambda u, k: np.where(k <= 1, u, np.where(k == 2, margin, 0.0)),
+        lambda u, k: np.where(k == 3, margin, h), rel_tol)
+    ew, central, side_term, corner = (np.array([8.0, 8.0, 8.0, 4.0])
+                                      * val).tolist()
 
     total = central + side_term + corner
     resid = abs(total - ew) / max(abs(ew), 1e-300)
@@ -625,10 +620,11 @@ def isolation_report(spec, rel_tol=1e-6, eps=0.2):
         EW=ew, EW_torus=ew_t, EW_infinite=ew_inf, ratio=ew / ew_inf,
         central=central, side=side_term, corner=corner,
         margin=margin, eps=eps,
-        tolerances={"rel_tol": rel_tol, "inner_tol": inner_tol,
+        tolerances={"rel_tol": rel_tol,
+                    "inner_tol": min(1e-8, rel_tol * 1e-2),
                     "decomposition_residual": resid,
                     "exposure_table_error": model.error,
-                    "region_error": max(ew_err, float(err.max()))})
+                    "region_error": float(err.max())})
 
 
 # Equal cells across the wall band, per axis, of the x1 envelope.
@@ -684,8 +680,8 @@ def expected_components_order2(spec, samples=20000, seed=0,
     frame only, whose estimate its rescalings dense and extended share: a
     torus or window spec raises ValueError, as its exposures and cross
     masses differ, and so does a samples or seed that is not an integer (a
-    bool or a float).  A partner draw that still has partners pending after
-    100000 rounds raises NonConvergentError.
+    bool or a float), or a negative seed.  A partner draw that still has
+    partners pending after 100000 rounds raises NonConvergentError.
     """
     if spec.model in ("torus", "window"):
         raise ValueError("xi_2 is computed for the square frame and its "
@@ -697,8 +693,9 @@ def expected_components_order2(spec, samples=20000, seed=0,
         raise ValueError("samples must be an integer of at least 1, got %r"
                          % (samples,))
     if not (isinstance(seed, numbers.Integral)
-            and not isinstance(seed, bool)):
-        raise ValueError("seed must be an integer, got %r" % (seed,))
+            and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError("seed must be a non-negative integer, got %r"
+                         % (seed,))
     spec, d, g = _frame(spec)
     side, lam = d.side, d.lam
     h = 0.5 * side

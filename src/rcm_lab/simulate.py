@@ -84,6 +84,9 @@ def sample_poisson(region, density, seed, expected_count=None):
     """
     if not density >= 0.0:
         raise ValueError("density must be non-negative")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %r"
+                         % (seed,))
     mu = density * region.area if expected_count is None else float(expected_count)
     if not mu >= 0.0:
         raise ValueError("expected_count must be non-negative")

@@ -191,6 +191,15 @@ def test_bad_tolerance_or_count_exits_2_without_traceback(args, word):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["coupling", "components"])
+def test_negative_seed_exits_2_naming_the_seed(command):
+    proc = _cli(command, "--g", DISK, "--rho", "60", "--seed", "-3")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: seed must be a non-negative integer, got -3"]
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("b", ["nan", "inf", "-inf"])
 def test_classify_non_finite_b_exits_2_without_traceback(b):
     proc = _cli("classify", "--g", DISK, "--b=" + b)

@@ -52,6 +52,31 @@ def test_config_rejects_bad_input(bad):
         _config(**bad)
 
 
+@pytest.mark.parametrize("bad, name", [
+    (dict(models=["square", "square"]), "models"),
+    (dict(models=["torus", "square", "torus"]), "models"),
+    (dict(rhos=[50, 50.0]), "rhos"),
+    (dict(rhos=[1e2, 30.0, 100]), "rhos"),
+    (dict(base_seed=-3), "base_seed"),
+])
+def test_config_rejects_repeats_and_negative_seeds_by_name(bad, name):
+    # a repeated grid entry would run the same seeds again and report them
+    # in one summary row with twice the trials and about half the se_W; a
+    # negative seed would fail in the first trial with numpy's message
+    with pytest.raises(ConfigError, match=name):
+        _config(**bad)
+
+
+def test_summary_header_follows_aggregate_fields():
+    # summary.csv's columns: the AggregateStats fields in order, mean_xi
+    # spread over one column per order
+    assert SUMMARY_HEADER == [
+        "model", "rho", "b", "trials", "mean_W", "se_W", "quad_EW",
+        "quad_EW_torus", "mean_W_T", "mean_W_E", "mean_xi2", "mean_xi3",
+        "mean_xi4", "mean_xi5", "mean_xi6", "mean_xi7", "mean_xi8",
+        "zscore_W"]
+
+
 def test_from_dict_unknown_and_missing_fields():
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"g": DISK_CFG, "models": ["square"],

@@ -13,10 +13,10 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_square,
                                 expected_isolated_torus, inner_exposure,
                                 isolation_report, truncation_limit)
-from rcm_lab.quadrature import (_CROSS_WEIGHT_TOL, _DiskExposure,
-                                _WallIntegrals, _WallTable, _exposure,
-                                _exposure_model, _frame, _region_integral,
-                                _torus_ew)
+from rcm_lab.quadrature import (_CROSS_WEIGHT_TOL, _TABLE_BUDGET,
+                                _DiskExposure, _WallIntegrals, _WallTable,
+                                _exposure, _exposure_model, _frame,
+                                _region_integral, _torus_ew)
 from rcm_lab.simulate import census
 
 from _oracles import (disk_square_overlap, polar_exposure,
@@ -181,6 +181,26 @@ def test_isolation_report_decomposes_at_huge_rho(g, rho):
     rep = isolation_report(ModelSpec(model="square", rho=rho, b=0.0, g=g))
     assert rep.tolerances["decomposition_residual"] <= 1e-9
     assert rep.side > 0.4 and 0.0 < rep.corner < 1e-6
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(lognormal(sigma=0.25, eta=4.0), id="lognormal"),
+    pytest.param(theta_tail(a=0.5), id="theta_tail"),
+    pytest.param(tabulated([0.0, 0.5, 1.0, 2.0, 3.0],
+                           [1.0, 0.9, 0.5, 0.1, 0.05],
+                           tail_rule=("power_log", 0.5, 2.0)),
+                 id="tabulated_power_log"),
+])
+def test_wall_table_matches_direct_integrals(g):
+    # the table's series, read by chebval, against the direct H it was
+    # fitted to, at random distances and at every piece's ends; the budget
+    # binds only at the check points, so 4 budgets leave room between them
+    table = _WallTable(g, 8.0)
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.random(400) * table._top, table._lo, table._hi])
+    direct = _WallIntegrals.walls(table, t)
+    assert np.abs(table.walls(t) - direct).max() <= (4.0 * _TABLE_BUDGET
+                                                     * table.C)
 
 
 def test_wall_table_says_when_it_misses_its_budget():
@@ -413,7 +433,7 @@ def test_region_integral_triangle_matches_frozen_ew():
     val, _ = _region_integral(d.density, _exposure_model(g, d.core_side),
                               [0.0, 0.0], [h, h],
                               lambda u, k: np.where(k == 0, u, 0.0),
-                              lambda u, k: h, 1e-6, 1e-8)
+                              lambda u, k: h, 1e-6)
     assert val.shape == (2,)
     assert 8.0 * val[0] == pytest.approx(2.2779393402, rel=1e-6)
     # the second region, {0 <= x, y <= h}, is 2 triangles
@@ -503,6 +523,19 @@ def test_isolation_report_consistency():
         isolation_report(_disk_spec("square", 1000.0), eps=0.3)
     with pytest.raises(ValueError):
         isolation_report(_disk_spec("square", 1000.0), eps=0.0)
+
+
+@pytest.mark.parametrize("rho", [1e2, 1e3])
+@pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0),
+                               theta_tail(a=0.5)],
+                         ids=["unit_disk", "lognormal", "theta_tail"])
+def test_isolation_report_ew_matches_expected_isolated_square(g, rho):
+    # the report solves E(W) in one call with its split; the two solves
+    # may group quadrature panels differently, so they agree to rel_tol
+    spec = ModelSpec(model="square", rho=rho, b=0.0, g=g)
+    rep = isolation_report(spec, rel_tol=1e-6)
+    assert rep.EW == pytest.approx(expected_isolated_square(spec, 1e-6),
+                                   rel=1e-6)
 
 
 @pytest.mark.parametrize("rho", [1e3, 1e5])
@@ -834,6 +867,13 @@ def test_xi2_rejects_frames_other_than_the_square(model):
     spec = ModelSpec(model=model, rho=1e3, b=0.0, g=unit_disk(1.0))
     with pytest.raises(ValueError, match="square frame"):
         expected_components_order2(spec, samples=10, seed=1)
+
+
+def test_xi2_rejects_a_negative_seed():
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=unit_disk(1.0))
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         "integer, got -1"):
+        expected_components_order2(spec, samples=10, seed=-1)
 
 
 @pytest.mark.parametrize("model", ["dense", "extended"])

@@ -58,6 +58,12 @@ def test_sample_poisson_rejects_nan_and_negative(density, count, name):
                        expected_count=count)
 
 
+def test_sample_poisson_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         "integer, got -3"):
+        sample_poisson(Region("square", 2.0), 1.0, -3)
+
+
 def test_build_graph_matches_bruteforce_euclidean():
     g = lognormal(sigma=1.0, eta=2.0)
     pts = _pts(11, side=6.0, density=2.0)

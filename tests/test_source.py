@@ -67,3 +67,37 @@ def test_no_unused_module_level_imports():
                 if name not in read:
                     found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_unused_private_names():
+    # a module-level function, class or assigned name with one leading
+    # underscore serves the package alone, so the package must read it
+    # somewhere: as a name, as an attribute or through an import
+    defined, read = [], set()
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, node.lineno, name) for name in names
+                        if _private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    found = ["%s:%d %s" % entry for entry in defined if entry[2] not in read]
+    assert found == []
