@@ -19,8 +19,8 @@ rule, or from a user callable.
 
 Every g is described when it is built: its support radius, its radii
 (where it jumps, kinks or changes formula) and its exact power-log tail.
-scaled() stretches all three, and g.base is the unscaled g underneath, so
-no reader has to unwrap a stretch.
+No g is ever stretched: the dense and extended frames rescale positions
+and keep the square frame's g (models.realize).
 
 integral_constant and every effective_cutoff read one quadrature of g's
 mass, made once per g and memoised by g.signature() (_mass): a head
@@ -65,8 +65,7 @@ class ConnectionFunction:
     support_radius: float = math.inf
     # every radius where g jumps, kinks or changes formula
     radii: tuple = ()
-    # (a, p, x_from, scale): g(x) = a / (u^2 ln^p u) with u = x / scale for
-    # u >= x_from, the base's exact tail stretched by scale.  None: no
+    # (a, p, x_from): g(x) = a / (x^2 ln^p x) for x >= x_from.  None: no
     # power-log tail (compact support, or a tail known only numerically).
     tail: tuple | None = None
 
@@ -101,44 +100,9 @@ class ConnectionFunction:
                 t = _power_log(x, *self.tail[:2])
                 out = np.where(beyond, np.minimum(t, 1.0), out)
             return out
-        if k == "scaled":
-            return self.params["base"]._eval(x / p["factor"])
         if k == "custom":
             return np.asarray(p["fn"](x), dtype=float)
         raise ValueError("unknown connection function kind %r" % k)
-
-    def scaled(self, factor):
-        """The function x -> g(x / factor); stretches all length scales."""
-        if not (factor > 0.0 and math.isfinite(factor)):
-            raise ValueError("scale factor must be positive and finite")
-        if factor == 1.0:
-            return self
-        tail = self.tail
-        if tail is not None:
-            # a power-log tail does not stay power-log in x (the log
-            # shifts): it keeps the base's form and stretches its scale
-            a, p, x_from, scale = tail
-            tail = (a, p, x_from, scale * factor)
-        return ConnectionFunction(
-            name="%s*%g" % (self.name, factor),
-            kind="scaled",
-            params={"base": self, "factor": factor},
-            support_radius=self.support_radius * factor,
-            radii=tuple(r * factor for r in self.radii),
-            tail=tail,
-        )
-
-    @property
-    def base(self):
-        """The unscaled g that this one stretches (itself when unscaled)."""
-        return self._unstretched()[0]
-
-    def _unstretched(self):
-        """(base, total stretch), the factors multiplied innermost first."""
-        if self.kind != "scaled":
-            return self, 1.0
-        base, stretch = self.params["base"]._unstretched()
-        return base, stretch * self.params["factor"]
 
     def analytic_tail_integral(self, R):
         """2 pi * integral_R^inf x g(x) dx when known in closed form, else None."""
@@ -146,10 +110,10 @@ class ConnectionFunction:
             return 0.0
         if self.tail is None:
             return None
-        a, p, x_from, scale = self.tail
-        if R / scale < x_from:
+        a, p, x_from = self.tail
+        if R < x_from:
             return None
-        return scale * scale * _power_log_mass(a, p, R / scale)
+        return _power_log_mass(a, p, R)
 
     def signature(self):
         """Hashable identity used to decide whether two specs share one g."""
@@ -158,8 +122,6 @@ class ConnectionFunction:
             v = self.params[key]
             if isinstance(v, np.ndarray):
                 items.append((key, v.tobytes()))
-            elif isinstance(v, ConnectionFunction):
-                items.append((key, v.signature()))
             elif callable(v):
                 items.append((key, id(v)))
             else:
@@ -233,7 +195,7 @@ def theta_tail(a, x0=3.0, g0=1.0):
     return ConnectionFunction(
         name="theta_tail(%g,%g,%g)" % (a, x0, g0), kind="theta_tail",
         params={"a": float(a), "x0": float(x0), "g0": float(g0)},
-        radii=(float(x0), xf), tail=(float(a), 2.0, xf, 1.0))
+        radii=(float(x0), xf), tail=(float(a), 2.0, xf))
 
 
 def omega_tail(p, x0=3.0, g0=1.0):
@@ -243,7 +205,7 @@ def omega_tail(p, x0=3.0, g0=1.0):
     return ConnectionFunction(
         name="omega_tail(%g,%g,%g)" % (p, x0, g0), kind="omega_tail",
         params={"p": float(p), "x0": float(x0), "g0": float(g0)},
-        radii=(float(x0),), tail=(acont, float(p), float(x0), 1.0))
+        radii=(float(x0),), tail=(acont, float(p), float(x0)))
 
 
 def from_callable(fn, name="custom", support_radius=math.inf,
@@ -283,7 +245,7 @@ def tabulated(x, g, tail_rule=("zero",), name="tabulated"):
             raise ValueError("power_log tail needs the table to end past x = 1")
         if _power_log(xs[-1], a, p) > gs[-1] + 1e-12:
             raise ValueError("power_log tail would increase g at the join")
-        support, tail = math.inf, (a, p, float(xs[-1]), 1.0)
+        support, tail = math.inf, (a, p, float(xs[-1]))
     return ConnectionFunction(
         name=name, kind="tabulated",
         params={"x": xs, "g": gs, "tail_rule": tuple(tail_rule)},
@@ -417,18 +379,19 @@ def _tail_upto_stop(panels, rel_tol):
     return panels[:stop + 1], running[stop]
 
 
-def _check_met(g, vals, errs, rel_tol):
-    """NonConvergentError naming g unless every integral of g's mass
-    (values vals, errors errs) met rel_tol, as batched_quad measures it: an
-    integral that stops at its panel limit can end above it."""
+def _check_met(g, vals, errs, rel_tol, abs_tol=0.0, what="mass"):
+    """NonConvergentError naming g unless every integral of g's `what`
+    (values vals, errors errs) met max(abs_tol, rel_tol |value|), as
+    batched_quad measures it: an integral that stops at its panel limit can
+    end above it.  A NaN error fails."""
     vals, errs = np.atleast_1d(vals), np.atleast_1d(errs)
-    over = np.flatnonzero(~(errs <= rel_tol * np.abs(vals)))
+    tol = np.maximum(abs_tol, rel_tol * np.abs(vals))
+    over = np.flatnonzero(~(errs <= tol))
     if over.size:
         k = over[0]
         raise NonConvergentError(
-            "mass of %s: integral %d of %d ended at error %.3g, above its "
-            "tolerance %.3g" % (g.name, k, vals.size, errs[k],
-                                rel_tol * abs(vals[k])))
+            "%s of %s: integral %d of %d ended at error %.3g, above its "
+            "tolerance %.3g" % (what, g.name, k, vals.size, errs[k], tol[k]))
 
 
 # g's mass quadratures by g.signature(), oldest first.  A custom g's
@@ -473,12 +436,8 @@ def _mass(g):
     else:
         upto, rest = g.support_radius, 0.0
         if tail is not None:
-            # The base's analytic_tail_integral(x_from), stretched by
-            # scale^2; taken from the tail itself, since x_from * scale /
-            # scale can round to just below x_from.
-            a, p, x_from, scale = tail
-            upto = x_from * scale
-            rest = scale * scale * _power_log_mass(a, p, x_from)
+            a, p, upto = tail
+            rest = _power_log_mass(a, p, upto)
         head, err = adaptive_quad(lambda x: x * g._eval(x), 0.0, upto,
                                   rel_tol=5e-11,
                                   breakpoints=_structural_radii(g, upto))
@@ -517,22 +476,17 @@ def classify_tail(g):
     Returns TailClass: little_o (limit 0), theta (finite positive limit,
     last 10 octaves agree within 1%), or omega (unbounded growth).
     Raises InconclusiveTailError when the samples oscillate without trend.
-
-    A stretched g(x / s) has the class of its base g and s^2 times its
-    limit, as ln^2(x) / ln^2(x / s) -> 1; its base is what gets sampled,
-    since over these octaves ln s still moves the product by percents.
     """
-    base, stretch = g._unstretched()
     ks = np.arange(10, 61)
     xs = np.power(2.0, ks)
-    fs = np.asarray(base._eval(xs), dtype=float) * xs * xs * np.log(xs) ** 2
+    fs = np.asarray(g._eval(xs), dtype=float) * xs * xs * np.log(xs) ** 2
     tail = fs[-10:]
 
     if np.all(tail == 0.0):
         return TailClass("little_o", 0.0, "exact-zero")
     mean = float(np.mean(tail))
     if mean > 0.0 and (tail.max() - tail.min()) <= 0.01 * mean:
-        return TailClass("theta", mean * stretch * stretch, "stable-window")
+        return TailClass("theta", mean, "stable-window")
     diffs = np.diff(fs[-20:])
     if np.all(diffs >= 0.0) and fs[-1] > fs[-20]:
         return TailClass("omega", math.inf, "trend")
@@ -562,13 +516,12 @@ def effective_cutoff(g, tail_mass):
     target = tail_mass * C
 
     if g.tail is not None:
-        a, p, tail_from, scale = g.tail
-        # Solve 2 pi a (ln u)^(1-p) / (p-1) = target / scale^2 for u = R/scale.
-        t = target / (scale * scale)
-        ln_u = (2.0 * math.pi * a / ((p - 1.0) * t)) ** (1.0 / (p - 1.0))
-        if ln_u > 700.0:
+        a, p, tail_from = g.tail
+        # Solve 2 pi a (ln R)^(1-p) / (p-1) = target for R.
+        ln_r = (2.0 * math.pi * a / ((p - 1.0) * target)) ** (1.0 / (p - 1.0))
+        if ln_r > 700.0:
             return math.inf
-        return max(math.exp(ln_u), tail_from) * scale
+        return max(math.exp(ln_r), tail_from)
 
     vals, _ = _tail_upto_stop(panels, 1e-14)
     # tail beyond panel k's left edge R0 2^k ~ suffix sum from k on, and

@@ -3,20 +3,23 @@
 All frames describe the same random graph at different length scales.  With
 C the plane integral of g and r = sqrt((ln rho + b) / (C rho)):
 
-  dense     unit square, intensity rho, connection g(x / r)
-  extended  square of side sqrt(rho), intensity 1, connection
-            g(x / sqrt((ln rho + b) / C))
+  dense     unit square, intensity rho: the square frame times r
+  extended  square of side sqrt(rho), intensity 1: the square frame times
+            sqrt((ln rho + b) / C)
   square    square of side 1/r, intensity (ln rho + b) / C, connection g
   torus     same numbers as square, periodic metric
   window    square frame padded on all sides; emulates the plane
 
-Every frame has expected node count rho (window: rho plus the pad) and the
-same expected edge-probability structure, which is what the shared-seed
-coupling tests rely on.
+Every frame has expected node count rho (window: rho plus the pad).  The
+factor that takes the square frame to dense or extended is their
+conn_scale: a pair x apart in the square frame lies x * conn_scale apart
+there and links with probability g(x).  realize builds both as the square
+frame's instance for the seed with its positions multiplied by
+conn_scale, so they share its edges and g by construction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import simulate
 from .connfn import ConnectionFunction, effective_cutoff, integral_constant
@@ -60,7 +63,7 @@ class DerivedParams:
     side: float
     density: float        # intensity in this frame
     expected_nodes: float
-    conn_scale: float     # this frame uses g(distance / conn_scale)
+    conn_scale: float     # this frame's lengths over the square frame's
     core_side: float      # observation core (differs from side for window)
     margin: float
 
@@ -114,14 +117,23 @@ def frame_region(spec):
 def realize(spec, seed, mode="exact", tail_mass=1e-6):
     """Sample one instance of the model: points plus edge set.
 
-    Shared-seed realizations of the dense/extended/square frames give the
-    same node count, the same unit-square positions (scaled), and identical
-    edge index sets, because the node draw is keyed by (seed, expected rho)
-    and edge decisions are keyed by (seed, i, j) alone.
+    Dense and extended are the square frame's instance for this seed, its
+    side 1/r_rho, intensity lam and expected count rho read from this
+    frame's derive: the positions are the square's times conn_scale, and
+    the edges and g are the square's.  Equal-seed realizations of the
+    three frames therefore share their node count and edge index sets by
+    construction.
     """
     d = derive(spec)
-    pts = simulate.sample_poisson(_frame_region(spec, d), d.density, seed,
-                                  expected_count=d.expected_nodes)
-    return simulate.build_graph(pts, spec.g.scaled(d.conn_scale), mode=mode,
-                                tail_mass=tail_mass)
+    if spec.model not in ("dense", "extended"):
+        pts = simulate.sample_poisson(_frame_region(spec, d), d.density,
+                                      seed, expected_count=d.expected_nodes)
+        return simulate.build_graph(pts, spec.g, mode=mode,
+                                    tail_mass=tail_mass)
+    pts = simulate.sample_poisson(Region("square", 1.0 / d.r_rho), d.lam,
+                                  seed, expected_count=d.expected_nodes)
+    graph = simulate.build_graph(pts, spec.g, mode=mode, tail_mass=tail_mass)
+    return replace(graph, points=replace(
+        pts, positions=pts.positions * d.conn_scale,
+        region=_frame_region(spec, d), density=d.density))
 

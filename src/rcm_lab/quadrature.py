@@ -66,8 +66,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quadcore import batched_quad, nested_quad
-from .connfn import (NonConvergentError, _structural_radii, classify_tail,
-                     effective_cutoff, integral_constant)
+from .connfn import (NonConvergentError, _check_met, _structural_radii,
+                     classify_tail, effective_cutoff, integral_constant)
 from .geometry import _disk_cross_batch, _disk_overlap_batch
 from .models import derive
 
@@ -213,7 +213,8 @@ class _WallIntegrals:
     def _radial(self, r0, angle, rel_tol, abs_tol):
         """int_{r0_k}^R 2 r g(r) angle(u, r, k) dr for every k of the array
         r0, by one array batched_quad in u with r = r0_k + u^2, split where
-        r reaches the _table_radii."""
+        r reaches the _table_radii.  NonConvergentError naming g when an
+        integral ends above max(abs_tol, rel_tol |value|)."""
         g = self.g
 
         def f(u, k):
@@ -222,10 +223,11 @@ class _WallIntegrals:
 
         with np.errstate(invalid="ignore"):
             brk = np.sqrt(self.radii[None, :] - r0[:, None])
-        val, _ = batched_quad(f, np.zeros(r0.size),
-                              np.sqrt(np.maximum(self.R - r0, 0.0)),
-                              rel_tol=rel_tol, abs_tol=abs_tol,
-                              breakpoints=brk)
+        val, err = batched_quad(f, np.zeros(r0.size),
+                                np.sqrt(np.maximum(self.R - r0, 0.0)),
+                                rel_tol=rel_tol, abs_tol=abs_tol,
+                                breakpoints=brk)
+        _check_met(g, val, err, rel_tol, abs_tol, what="wall integral")
         return val
 
     def _wall_direct(self, t, abs_tol):
@@ -453,12 +455,12 @@ class _DiskExposure:
 def _exposure_model(g, side, direct=False):
     """The one exposure model of g on a square of this side.
 
-    A hard disk (possibly rescaled) gets its closed form.  Any other g gets
-    the wall table, or with direct the plain H and Q integrals: a solve
-    that reads one point (a torus E(W) on its own, inner_exposure) would
-    spend far more on a table than its lookups save.
+    A hard disk gets its closed form.  Any other g gets the wall table, or
+    with direct the plain H and Q integrals: a solve that reads one point
+    (a torus E(W) on its own, inner_exposure) would spend far more on a
+    table than its lookups save.
     """
-    if g.base.kind == "unit_disk":
+    if g.kind == "unit_disk":
         return _DiskExposure(g, side)
     return _WallIntegrals(g, side) if direct else _WallTable(g, side)
 

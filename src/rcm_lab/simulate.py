@@ -78,9 +78,8 @@ def sample_poisson(region, density, seed, expected_count=None):
     """Poisson(density * area) points, uniform over the region.
 
     The count is drawn from Poisson(expected_count) when that override is
-    given (models pass the algebraically exact mean so equal-seed frames
-    draw identical counts), and positions are unit-square draws scaled by
-    the side so equal-seed frames agree up to the scale factor.
+    given (models pass the algebraically exact mean, rho for the square
+    and torus frames), and positions are unit-square draws times the side.
     """
     if not density >= 0.0:
         raise ValueError("density must be non-negative")
@@ -176,9 +175,9 @@ def _unit_radius(g, reach):
 
     g is read at 0, at reach and on a geometric grid of ratio 2^(1/64)
     below it; r1 is the last of these radii before the first where g < 1,
-    moved up on 1024 even steps towards that one.  An unstretched hard
-    disk's r1 is its reach.  Every pair less than r1 apart links, whatever
-    its uniform.
+    moved up on 1024 even steps towards that one.  A hard disk's r1 is its
+    reach; a g that reads 0 at its own reach has r1 just inside it.  Every
+    pair less than r1 apart links, whatever its uniform.
     """
     def units(r):
         # how many of the radii r, in rising order, g >= 1 holds before
@@ -344,7 +343,7 @@ def _edges_cells(pts, g, seed, tail_mass):
     # Both the grid and the far screen are exact only for a non-increasing
     # g, which a sampled check cannot confirm for a callable; every other g
     # is one by construction.
-    if g.base.kind == "custom":
+    if g.kind == "custom":
         raise ValueError("cells mode needs a non-increasing g; "
                          "use mode 'exact'")
     reach, below = _reach(g, pts.region, tail_mass)

@@ -64,51 +64,13 @@ def test_lognormal_eval_matches_guarded_formula(sigma, eta, r0):
     assert got[0] == 1.0
 
 
-def test_scaled_rescales_distance():
-    g = lognormal(sigma=1.0, eta=2.0)
-    s = g.scaled(2.5)
-    x = np.array([0.3, 1.0, 4.0])
-    assert np.allclose(s(x), g(x / 2.5), rtol=1e-14)
-    # plane integral picks up the square of the length factor
-    assert integral_constant(s) == pytest.approx(
-        2.5 ** 2 * integral_constant(g), rel=1e-8)
-
-
-@pytest.mark.parametrize("f1, f2", [(0.5, 0.6), (0.7, 1.3)])
-def test_twice_scaled_power_log_tail_matches_single_scaling(f1, f2):
-    # the analytic tail is found through every level of scaling, so the
-    # numeric doubling tail (which cannot converge on 1/(x^2 ln^2 x)) is
-    # never reached
-    g = theta_tail(a=0.5)
-    twice, once = g.scaled(f1).scaled(f2), g.scaled(f1 * f2)
-    assert integral_constant(twice) == pytest.approx(integral_constant(once),
-                                                     rel=1e-10)
-    # x_from * 0.7 / 0.7 rounds below x_from: the tail must still be found
-    assert integral_constant(g.scaled(f1)) == pytest.approx(
-        f1 * f1 * integral_constant(g), rel=1e-9)
-    for mass in (1e-12, 1e-3, 0.1):
-        assert effective_cutoff(twice, mass) == pytest.approx(
-            effective_cutoff(once, mass), rel=1e-10)
-
-
-def test_scaled_stretches_tail_and_radii_in_order():
-    base = theta_tail(a=0.5)
-    g = base.scaled(0.3).scaled(2.0)
-    assert g.base is base
-    assert g.tail[:3] == base.tail[:3]
-    assert g.tail[3] == (1.0 * 0.3) * 2.0
-    assert g.radii == tuple((r * 0.3) * 2.0 for r in base.radii)
-    assert g.radii == ((3.0 * 0.3) * 2.0, (base.tail[2] * 0.3) * 2.0)
-
-
 def test_tabulated_radii_list_every_sample():
     x = [0.5, 1.0, 2.0, 3.0]
     v = [1.0, 0.6, 0.3, 0.2]
     assert tabulated(x, v).radii == tuple(x)
     gp = tabulated(x, v, tail_rule=("power_log", 0.1, 2.0))
     assert gp.radii == tuple(x)
-    assert gp.tail == (0.1, 2.0, 3.0, 1.0)
-    assert gp.scaled(0.5).radii == tuple(r * 0.5 for r in x)
+    assert gp.tail == (0.1, 2.0, 3.0)
 
 
 def test_theta_tail_is_exact_past_x0():
@@ -403,7 +365,7 @@ def test_from_config_tabulated_power_log_tail(tmp_path):
     g = from_config(json.loads(json.dumps(cfg)))
     want = tabulated(*TABLE, tail_rule=("power_log", 0.1, 2.0))
     assert g.signature() == want.signature()
-    assert g.tail == want.tail == (0.1, 2.0, 3.0, 1.0)
+    assert g.tail == want.tail == (0.1, 2.0, 3.0)
     assert integral_constant(g) == integral_constant(want) == 12.06491329785865
 
 

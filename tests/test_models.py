@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import integral_constant, lognormal, unit_disk
+from rcm_lab.connfn import (from_callable, integral_constant, lognormal,
+                            theta_tail, unit_disk)
 from rcm_lab.models import (MODELS, InvalidParamsError, ModelSpec, derive,
                             frame_region, realize)
 
@@ -39,14 +40,11 @@ def test_frame_geometry_relations():
 
 
 def test_frame_connection_rescaling():
-    spec = _disk_spec("dense")
-    d = derive(spec)
-    gf = realize(spec, 0).g
-    xs = np.array([0.2 * d.r_rho, 0.9 * d.r_rho, 1.4 * d.r_rho])
-    assert np.allclose(gf(xs), spec.g(xs / d.r_rho))
-    # square frame uses g unscaled
-    gs = realize(_disk_spec("square"), 0).g
-    assert gs(0.99) == 1.0 and gs(1.01) == 0.0
+    # dense and extended keep the square frame's g: their positions, not
+    # g, carry the length scale
+    for model in ("dense", "extended", "square"):
+        spec = _disk_spec(model)
+        assert realize(spec, 0).g is spec.g
 
 
 def test_frame_region_kinds():
@@ -138,19 +136,24 @@ def test_all_models_realize():
 
 
 def test_rescale_instance_between_frames():
-    # a square and an extended draw at one seed are one instance: the
-    # positions differ by the side ratio and the edges are identical
-    s_sq = _disk_spec("square", rho=150.0)
-    s_ext = _disk_spec("extended", rho=150.0)
-    sq = realize(s_sq, seed=9)
-    ext = realize(s_ext, seed=9)
-    f = derive(s_ext).side / derive(s_sq).side
-    assert np.allclose(ext.points.positions, sq.points.positions * f)
-    assert np.array_equal(ext.edges, sq.edges)
-
-
-def test_window_uses_unscaled_g():
-    spec = ModelSpec(model="window", rho=300.0, b=0.0,
-                     g=lognormal(sigma=1.0, eta=2.0))
-    gf = spec.g.scaled(derive(spec.with_constant()).conn_scale)
-    assert gf(0.5) == spec.g(0.5)
+    # dense and extended draws at one seed are the square's instance: the
+    # positions are the square's times conn_scale, to the bit, and lie in
+    # the frame's region, and the edges are the square's
+    cases = [(unit_disk(1.0), ("exact", "cells")),
+             (lognormal(sigma=0.25, eta=4.0), ("exact", "cells")),
+             (theta_tail(0.5), ("exact", "cells")),
+             (from_callable(lambda x: np.exp(-np.asarray(x) ** 2),
+                            name="gauss"), ("exact",))]
+    for g, modes in cases:
+        for mode in modes:
+            for seed in (9, 10):
+                sq = realize(ModelSpec("square", 150.0, 0.0, g), seed, mode)
+                assert sq.edges.shape[0] > 100
+                for model in ("dense", "extended"):
+                    spec = ModelSpec(model, 150.0, 0.0, g)
+                    graph = realize(spec, seed, mode)
+                    pos = graph.points.positions
+                    assert np.array_equal(
+                        pos, sq.points.positions * derive(spec).conn_scale)
+                    assert graph.points.region.contains(pos).all()
+                    assert np.array_equal(graph.edges, sq.edges)

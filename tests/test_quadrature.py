@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,16 +88,17 @@ def test_array_exposure_matches_pointwise(g):
         _exposure(model, np.array([0.0, 1.01 * h]), 0.0, d.density)
 
 
-def _theta_ref(r):
-    return 1.0 if r <= 3.0 else min(1.0, 0.5 / (r * r * math.log(r) ** 2))
+def _theta_ref(r, x0=3.0):
+    return 1.0 if r <= x0 else min(1.0, 0.5 / (r * r * math.log(r) ** 2))
 
 
 @pytest.mark.parametrize("g, gref, jumps", [
     pytest.param(lognormal(sigma=0.25, eta=4.0),
                  lambda r: _lognormal_ref()(r), [], id="lognormal"),
     pytest.param(theta_tail(a=0.5), _theta_ref, [3.0], id="theta_tail"),
-    pytest.param(theta_tail(a=0.5).scaled(0.3).scaled(2.0),
-                 lambda r: _theta_ref(r / 0.6), [1.8], id="theta_scaled"),
+    # g falls from 1 to 0.447 at its x0 = 1.8
+    pytest.param(theta_tail(a=0.5, x0=1.8), lambda r: _theta_ref(r, 1.8),
+                 [1.8], id="theta_x0_1.8"),
     pytest.param(from_callable(_jump, discontinuities=(1.0,)),
                  lambda r: float(_jump(r)), [1.0], id="jump"),
 ])
@@ -208,6 +210,39 @@ def test_wall_table_says_when_it_misses_its_budget():
     # integrals the table is checked against: the build must say so
     with pytest.raises(NonConvergentError, match="reached error .* wanted"):
         _WallTable(from_callable(_jump), 8.0)
+
+
+@pytest.mark.parametrize("g", [lognormal(sigma=0.25, eta=4.0),
+                               theta_tail(a=0.5)],
+                         ids=["lognormal", "theta_tail"])
+def test_wall_integrals_raise_when_their_quadrature_misses_the_tolerance(
+        monkeypatch, g):
+    # _radial's errors raised to 0.99 times max(abs_tol, rel_tol |value|)
+    # pass, and to 1.01 times raise naming g: in C_R, direct H and Q (a
+    # far corner's Q is below its abs_tol)
+    import rcm_lab.quadrature as quadrature
+
+    real = quadrature.batched_quad
+    factor = [0.99]
+
+    def short(*args, **kwargs):
+        vals, errs = real(*args, **kwargs)
+        tol = np.maximum(kwargs.get("abs_tol", 0.0),
+                         kwargs["rel_tol"] * np.abs(vals))
+        return vals, np.fmax(errs, factor[0] * tol)
+
+    monkeypatch.setattr(quadrature, "batched_quad", short)
+    model = _WallIntegrals(g, 8.0)
+    calls = (lambda: _WallIntegrals(g, 8.0),
+             lambda: model.walls(np.array([0.3, 1.0])),
+             lambda: model.corners(np.array([0.3, 3.0]),
+                                   np.array([0.5, 3.5]), 1e-8))
+    for call in calls[1:]:
+        call()
+    factor[0] = 1.01
+    for call in calls:
+        with pytest.raises(NonConvergentError, match=re.escape(g.name)):
+            call()
 
 
 def test_exposure_memory_stays_bounded():
@@ -467,24 +502,21 @@ def test_truncation_limit_rejects_non_finite_b(b):
             truncation_limit(g, b)
 
 
-@pytest.mark.parametrize("f", [0.05, 0.3, 3.0, 100.0])
-def test_stretched_theta_tail_keeps_class_and_limit(f):
-    # x^2 ln^2(x) g(x / f) -> f^2 a, and C scales by f^2 too, so the
-    # truncation limit exp(-b + 4 pi a / C) does not depend on the stretch
-    g = theta_tail(a=0.5).scaled(f)
+def test_theta_tail_class_and_truncation_limit():
+    # x^2 ln^2(x) g(x) -> a, and the truncation limit is exp(-b + 4 pi a / C)
+    g = theta_tail(a=0.5)
     tc = classify_tail(g)
     assert tc.kind == "theta"
-    assert tc.limit_estimate == pytest.approx(0.5 * f * f, rel=1e-12)
+    assert tc.limit_estimate == pytest.approx(0.5, rel=1e-12)
     assert truncation_limit(g, 0.0) == pytest.approx(1.2236173044157852,
                                                      rel=1e-9)
 
 
-def test_stretched_disk_gets_closed_form_exposure():
-    g = unit_disk(1.3).scaled(0.7).scaled(1.9)
-    assert g.base.kind == "unit_disk"
+def test_disk_gets_closed_form_exposure():
+    g = unit_disk(1.3)
     model = _exposure_model(g, 10.0)
     assert isinstance(model, _DiskExposure)
-    assert model.R == model.r == g.support_radius == (1.3 * 0.7) * 1.9
+    assert model.R == model.r == g.support_radius == 1.3
 
 
 def _wiggly():
@@ -889,9 +921,10 @@ def test_xi2_of_a_rescaled_square_is_the_squares(model):
                          ids=["unit_disk", "lognormal"])
 def test_every_frame_gets_the_squares_expectations(g):
     # every expectation is computed in the square frame: dense and extended
-    # rescale it, torus and window share its side and intensity.  In their
-    # own coordinates, with a stretched g, the unit disk's torus E(W) read
-    # 0.0021988 (dense) and 2.198807 (extended) for the square's 1.0
+    # are it at another length scale, torus and window share its side and
+    # intensity.  Solved in their own coordinates, the unit disk's torus
+    # E(W) would read 0.0021988 (dense) and 2.198807 (extended) for the
+    # square's 1.0
     square = ModelSpec(model="square", rho=1e3, b=0.0, g=g)
     ew = expected_isolated_square(square)
     ew_t = expected_isolated_torus(square)

@@ -257,6 +257,10 @@ _UNIT_RADIUS_G = [
                  id="tabulated_below_one"),
 ]
 
+# g = 1 up to 0.7 (1 - 1e-6), falling to 0 at 0.7: it reads 0 at its own
+# support radius, the reach, so r1 lies just inside it
+_TO_ZERO = tabulated([0.7 * (1.0 - 1e-6), 0.7], [1.0, 0.0])
+
 
 @pytest.mark.parametrize("g", _UNIT_RADIUS_G)
 def test_unit_radius_bounds(g):
@@ -272,9 +276,9 @@ def test_unit_radius_bounds(g):
         assert r1 > 0.0 and g._eval(np.linspace(0.0, r1, 4097)).min() >= 1.0
         assert r1 == reach or g._eval(np.asarray(r1 * (1.0 + 2e-5))) < 1.0
     assert _unit_radius(unit_disk(1.3), 1.3) == 1.3
-    # the stretched disk's g reads 0 at its own support radius
-    g = unit_disk(0.7).scaled(0.37)
+    g = _TO_ZERO
     reach = g.support_radius
+    assert _reach(g, Region("square", 16.0), 1e-6)[0] == reach
     assert g._eval(np.asarray(reach)) == 0.0
     assert reach * (1.0 - 2e-5) < _unit_radius(g, reach) < reach
 
@@ -298,18 +302,17 @@ def test_cells_equals_exact_around_the_unit_radius(kind, g):
 
 
 def test_cells_equals_exact_for_a_dense_frame_disk():
-    # the dense frame stretches unit_disk(0.1) by conn_scale, and at rho
-    # 500 its g reads 0 at its own support radius, so r1 lies just inside
-    # reach and the pairs between them take the distance path
+    # a dense frame builds the square frame's graph, so its cells and exact
+    # edge sets both equal the square's exact ones
     for r0, rho in ((1.0, 2e3), (0.1, 500.0)):
         spec = ModelSpec(model="dense", rho=rho, b=0.0, g=unit_disk(r0))
-        g = spec.g.scaled(derive(spec).conn_scale)
+        square = ModelSpec(model="square", rho=rho, b=0.0, g=unit_disk(r0))
         for seed in range(3):
-            want = realize(spec, seed, mode="exact").edges
+            want = realize(square, seed, mode="exact").edges
             assert want.shape[0] > 500
-            assert np.array_equal(realize(spec, seed, mode="cells").edges,
-                                  want)
-    assert _unit_radius(g, g.support_radius) < g.support_radius
+            for mode in ("exact", "cells"):
+                assert np.array_equal(realize(spec, seed, mode=mode).edges,
+                                      want)
 
 
 def _ulps(d, k):
@@ -321,7 +324,7 @@ def _ulps(d, k):
 
 @pytest.mark.parametrize("g", [
     pytest.param(unit_disk(1.0), id="unit_disk"),
-    pytest.param(unit_disk(0.7).scaled(0.37), id="stretched_disk"),
+    pytest.param(_TO_ZERO, id="tabulated_to_zero"),
     pytest.param(lognormal(0.25, 4.0), id="lognormal"),
     pytest.param(theta_tail(0.5), id="theta_tail")])
 @pytest.mark.parametrize("kind", ["square", "torus"])
@@ -348,7 +351,7 @@ def test_cells_mode_at_the_unit_radius_and_reach(kind, g):
     want = build_graph(pts, g, mode="exact").edges
     assert np.array_equal(build_graph(pts, g, mode="cells").edges, want)
     # a hard disk links no pair more than its reach apart
-    if g.base.kind == "unit_disk":
+    if g.kind == "unit_disk":
         d = region.distance(pts.positions[want[:, 0]],
                             pts.positions[want[:, 1]])
         assert d.max() <= reach
@@ -384,7 +387,6 @@ _MONOTONE = [
     pytest.param(tabulated([1.0, 2.0, 4.0], [0.9, 0.4, 0.02],
                            tail_rule=("power_log", 0.1, 2.0)),
                  id="tabulated_power_log"),
-    pytest.param(theta_tail(0.5).scaled(0.37), id="theta_frame_scaled"),
     # once exp(-x) has decayed, g rises by up to 2e-13 here and there:
     # check_monotonicity allows that (up to 1e-12), so the screen's absolute
     # slack must cover it.  The rises stop at x = 50, so g has a finite mass
