@@ -47,6 +47,15 @@ def test_frame_connection_rescaling():
         assert realize(spec, 0).g is spec.g
 
 
+def test_window_uses_unscaled_g():
+    # the window frame has the square's length scale: it samples a larger
+    # square at the square's intensity and links pairs with g itself
+    spec = ModelSpec(model="window", rho=300.0, b=0.0,
+                     g=lognormal(sigma=1.0, eta=2.0))
+    assert derive(spec.with_constant()).conn_scale == 1.0
+    assert realize(spec, 0).g is spec.g
+
+
 def test_frame_region_kinds():
     assert frame_region(_disk_spec("square")).kind == "square"
     assert frame_region(_disk_spec("torus")).kind == "torus"
