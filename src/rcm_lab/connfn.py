@@ -360,6 +360,31 @@ def _structural_radii(g, upto):
     return sorted({r for r in (g.support_radius, *g.radii) if 0.0 < r < upto})
 
 
+def _unit_radius(g, reach):
+    """r1 <= reach with g >= 1 on [0, r1], for a non-increasing g; 0 when
+    g(0) < 1.
+
+    g is read at 0, at reach and on a geometric grid of ratio 2^(1/64)
+    below it; r1 is the last of these radii before the first where g < 1,
+    moved up on 1024 even steps towards that one.  A hard disk's r1 is its
+    reach; a g that reads 0 at its own reach has r1 just inside it.  It is
+    g's plateau edge: cells mode links every pair less than r1 apart,
+    whatever its uniform, and quadrature splits at it (_split_radii).
+    """
+    def units(r):
+        # how many of the radii r, in rising order, g >= 1 holds before
+        # the first failure
+        return int(np.count_nonzero(
+            np.logical_and.accumulate(g._eval(r) >= 1.0)))
+
+    r = np.concatenate([[0.0], reach * 2.0 ** (np.arange(-40 * 64, 1) / 64.0)])
+    c = units(r)
+    if c in (0, r.size):
+        return float(r[c - 1]) if c else 0.0
+    r = np.linspace(r[c - 1], r[c], 1025)
+    return float(r[units(r) - 1])
+
+
 def _power_log_mass(a, p, R):
     """2 pi * int_R^inf a / (x ln^p x) dx = 2 pi a (ln R)^(1-p) / (p-1)."""
     return 2.0 * math.pi * a * math.log(R) ** (1.0 - p) / (p - 1.0)

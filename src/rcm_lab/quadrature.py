@@ -44,19 +44,28 @@ and fit no table.
 E(W) and its central/side/corner split integrate exp(-I) in wall
 coordinates u = h - x, v = h - y over regions of the triangle
 {0 <= u <= v <= h}, eight copies of which make the square: one two-level
-array quadrature (_quadcore.nested_quad), split where a structural radius
-of g, or R, reaches a wall.  A near wall's distance is then a quadrature
-node itself, exact on squares of any size.  isolation_report solves the
-whole triangle and the three pieces of its split in one such call, and
-each region reports the error it reached (region_error).
+array quadrature (_quadcore.nested_quad), split where a split radius of
+g, or R, reaches a wall.  A near wall's distance is then a quadrature node
+itself, exact on squares of any size.  isolation_report solves the whole
+triangle and the three pieces of its split in one such call, and each
+region reports the error it reached (region_error).
 
 xi_2 samples centred pairs: the first point from an envelope whose wall
 band is R wide, the second from g on [0, R] around it.  Their exposures
 take the wall distances h -+ x, h -+ y; for a g other than a disk its
 cross masses are one more nested quadrature, over the lens of each pair's
-two R-disks clipped to the square, split where the pair's structural and
-half-level circles cross each line and the side walls, and integrated to
-the absolute error its xi_2 weight can carry (_CROSS_WEIGHT_TOL).
+two R-disks clipped to the square, split where the pair's circles at g's
+split radii cross each line and the side walls, and integrated to the
+absolute error its xi_2 weight can carry (_CROSS_WEIGHT_TOL).
+
+The split radii (_split_radii) are g's structural radii plus the two
+edges of its roll-off: the plateau edge, where g stops being exactly 1
+(connfn._unit_radius, the radius cells mode links inside), and the radius
+where g falls to 1/2.  A g that declares neither, as lognormal, would
+otherwise leave both inside GK15 panels, which refine slowly there and can
+converge falsely: split at both, lognormal(0.25, 4)'s xi_2 cross masses at
+rho 1e2 take 1.48 M nodes for 48 samples (seed 15000), its worst pair
+reaching 1.5e-5 of its weight tolerance, and its rel 1e-3 E(W) 126 k.
 """
 
 import math
@@ -67,7 +76,8 @@ import numpy as np
 
 from ._quadcore import batched_quad, nested_quad
 from .connfn import (NonConvergentError, _check_met, _structural_radii,
-                     classify_tail, effective_cutoff, integral_constant)
+                     _unit_radius, classify_tail, effective_cutoff,
+                     integral_constant)
 from .geometry import _disk_cross_batch, _disk_overlap_batch
 from .models import derive
 
@@ -116,7 +126,8 @@ def _cut_radius(g, side):
     R is the first level radius past which g holds under 1e-16 of its mass
     (else effective_cutoff's doubling radius at that tail mass), capped at
     the diagonal side * sqrt(2): past R no point of the square can tell g
-    from zero.
+    from zero.  The masses are integrated to rel 1e-3, and one that ends
+    above it raises NonConvergentError naming g.
     """
     R = side * math.sqrt(2.0)
     try:
@@ -126,9 +137,10 @@ def _cut_radius(g, side):
     levels = _level_radii(g, R)
     # g's mass beyond 0 and beyond each level radius, up to R
     starts = np.concatenate([[0.0], levels])
-    mass, _ = batched_quad(lambda r, k: r * g._eval(r), starts, R,
-                           rel_tol=1e-3, breakpoints=np.broadcast_to(
-                               levels, (starts.size, levels.size)))
+    mass, err = batched_quad(lambda r, k: r * g._eval(r), starts, R,
+                             rel_tol=1e-3, breakpoints=np.broadcast_to(
+                                 levels, (starts.size, levels.size)))
+    _check_met(g, mass, err, 1e-3, what="cut-radius mass")
     light = mass[1:] <= 1e-16 * mass[0]
     if light.any():
         R = float(levels[np.argmax(light)])
@@ -149,6 +161,24 @@ def _table_radii(g, R, levels):
     for r0, r1 in zip(radii, np.append(radii[1:], R)):
         out.extend(r0 * 2.0 ** np.arange(math.ceil(math.log2(r1 / r0))))
     return np.array(out)
+
+
+def _split_radii(g, R, levels):
+    """Radii in (0, R) that split every cross mass and E(W) of g.
+
+    g's structural radii, plus the two edges of a roll-off that no
+    structural radius marks: the plateau edge r1 (_unit_radius, searched up
+    to the first structural radius or R), past which g is no longer exactly
+    1, and the half-level radius levels[0].  A GK15 panel that straddles
+    either pays in refinement, and a loose one can converge falsely.  r1 and
+    levels[0] are dropped within 1e-9 relative of a structural radius: at a
+    jump of g they are that jump, found to rounding, and split nothing new.
+    """
+    structural = np.array(_structural_radii(g, R))
+    extra = np.array([_unit_radius(g, min([*structural, R])), *levels[:1]])
+    near = np.abs(extra[:, None] - structural) <= 1e-9 * structural
+    extra = extra[(extra > 0.0) & (extra < R) & ~near.any(axis=1)]
+    return np.unique(np.concatenate([structural, extra]))
 
 
 # Chebyshev degree of one piece of the wall table.  A piece interpolates H
@@ -196,8 +226,9 @@ _CROSS_WEIGHT_TOL = 1e-5
 class _WallIntegrals:
     """The exposure model I / lambda = C_R - sum_walls H(d_w) + sum_corners
     Q(d_a, d_b) of one g (not a hard disk) on one square, by direct
-    integrals: R from _cut_radius, the _table_radii that split every
-    integral, the plane mass C_R, and H and Q at given distances.
+    integrals: R from _cut_radius, the _table_radii that split every H and
+    Q integral, the _split_radii that split every cross mass and E(W), the
+    plane mass C_R, and H and Q at given distances.
 
     H and Q share one radial quadrature (_radial), in u with r = r0 + u^2,
     where r0 is the lower limit: that removes the square-root edge of the
@@ -206,8 +237,9 @@ class _WallIntegrals:
 
     def __init__(self, g, side):
         self.g, self.side = g, side
-        self.R, self.levels = _cut_radius(g, side)
-        self.radii = _table_radii(g, self.R, self.levels)
+        self.R, levels = _cut_radius(g, side)
+        self.radii = _table_radii(g, self.R, levels)
+        self.splits = _split_radii(g, self.R, levels)
         self.C = 2.0 * float(self._wall_direct(np.zeros(1), 0.0)[0])
 
     def _radial(self, r0, angle, rel_tol, abs_tol):
@@ -301,11 +333,11 @@ class _WallIntegrals:
         at both centres, at each centre -+ R and -+ every split radius,
         and where those circles cross the side walls; x along the chord
         both disks share at height y, split at both centres and where a
-        split circle crosses the line.  The split radii are g's structural
-        radii and the radius where g falls to 1/2 (the first level
-        radius): on a roll-off left inside panels, a loose GK15 rule can
-        converge falsely.  abs_tol is one figure or one per pair; the
-        outer level takes nine tenths of it and the inner errors, summed
+        split circle crosses the line.  The split radii are the model's
+        _split_radii, which hold g's plateau edge and half-level radius:
+        on a roll-off left inside panels, a loose GK15 rule refines slowly
+        and can converge falsely.  abs_tol is one figure or one per pair;
+        the outer level takes nine tenths of it and the inner errors, summed
         over the pair's y-range, the rest.  NonConvergentError says when a
         pair's reached error, both levels together, exceeds abs_tol (an
         integral that stopped at its panel limit, say); xi_2 passes
@@ -316,8 +348,7 @@ class _WallIntegrals:
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         n = x1.shape[0]
-        radii = np.unique(np.concatenate([_structural_radii(g, R),
-                                          self.levels[:1]]))
+        radii = self.splits
         cx = np.stack([x1[:, 0], x2[:, 0]], axis=1)
         cy = np.stack([x1[:, 1], x2[:, 1]], axis=1)
         around = np.append(radii, R)
@@ -434,6 +465,7 @@ class _DiskExposure:
     from geometry.  Its cut radius R is r, capped at the diagonal."""
 
     error = 0.0     # no table
+    splits = ()     # no roll-off: E(W) splits at R alone
 
     def __init__(self, g, side):
         self.g, self.side, self.r = g, side, g.support_radius
@@ -502,14 +534,16 @@ def _region_integral(lam, model, u0, u1, vlo, vhi, rel_tol):
     u and v are the distances to the right and top walls, so the point's
     wall distances are (u, side - u, v, side - v) and the near walls carry
     no rounding of the side.  One nested_quad for all n regions; both
-    levels split where a structural radius of g reaches a wall, at rad and
-    side - rad.  The radii include the model's cut radius R: farther than
-    R from every wall, I is the plane mass C_R and exp(-I) is constant.
-    Exposures are taken to min(1e-8, rel_tol * 1e-2).
+    levels split where one of the model's split radii (g's structural
+    radii, plateau edge and half-level radius; none for a hard disk)
+    reaches a wall, at rad and side - rad: there the exposure's wall term
+    changes shape.  The radii include the model's cut radius R: farther
+    than R from every wall, I is the plane mass C_R and exp(-I) is
+    constant.  Exposures are taken to min(1e-8, rel_tol * 1e-2).
     """
     side = model.side
-    radii = set(_structural_radii(model.g, side * math.sqrt(2.0)))
-    kinks = [k for rad in sorted(radii | {model.R}) for k in (rad, side - rad)]
+    kinks = [k for rad in sorted({*model.splits, model.R})
+             for k in (rad, side - rad)]
     inner_tol = min(1e-8, rel_tol * 1e-2)
 
     def inner(us, k):

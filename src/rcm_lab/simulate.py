@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connfn import ConnectionFunction, effective_cutoff
+from .connfn import ConnectionFunction, _unit_radius, effective_cutoff
 from .geometry import Region, gap_distance, min_image
 from .pairrng import (STREAM_COUPLING, STREAM_EDGE, pair_bits, pair_uniform,
                       row_key)
@@ -167,30 +167,6 @@ def _reach(g, region, tail_mass):
     if not bound < 1.0:
         return reach, 1 << 53
     return reach, math.ceil(max(bound, 0.0) * 2.0 ** 53)
-
-
-def _unit_radius(g, reach):
-    """r1 <= reach with g >= 1 on [0, r1], for a non-increasing g; 0 when
-    g(0) < 1.
-
-    g is read at 0, at reach and on a geometric grid of ratio 2^(1/64)
-    below it; r1 is the last of these radii before the first where g < 1,
-    moved up on 1024 even steps towards that one.  A hard disk's r1 is its
-    reach; a g that reads 0 at its own reach has r1 just inside it.  Every
-    pair less than r1 apart links, whatever its uniform.
-    """
-    def units(r):
-        # how many of the radii r, in rising order, g >= 1 holds before
-        # the first failure
-        return int(np.count_nonzero(
-            np.logical_and.accumulate(g._eval(r) >= 1.0)))
-
-    r = np.concatenate([[0.0], reach * 2.0 ** (np.arange(-40 * 64, 1) / 64.0)])
-    c = units(r)
-    if c in (0, r.size):
-        return float(r[c - 1]) if c else 0.0
-    r = np.linspace(r[c - 1], r[c], 1025)
-    return float(r[units(r) - 1])
 
 
 # The half stencil: a cell's own pairs and its pairs with four of its eight

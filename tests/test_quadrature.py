@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from rcm_lab.connfn import (InconclusiveTailError, NonConvergentError,
-                            classify_tail, from_callable, integral_constant,
-                            lognormal, omega_tail, tabulated, theta_tail,
-                            unit_disk)
+                            _structural_radii, _unit_radius, classify_tail,
+                            from_callable, integral_constant, lognormal,
+                            omega_tail, tabulated, theta_tail, unit_disk)
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.quadrature import (expected_components_order2,
                                 expected_isolated_infinite,
@@ -16,8 +16,8 @@ from rcm_lab.quadrature import (expected_components_order2,
                                 isolation_report, truncation_limit)
 from rcm_lab.quadrature import (_CROSS_WEIGHT_TOL, _TABLE_BUDGET,
                                 _DiskExposure, _WallIntegrals, _WallTable,
-                                _exposure, _exposure_model, _frame,
-                                _region_integral, _torus_ew)
+                                _cut_radius, _exposure, _exposure_model,
+                                _frame, _region_integral, _torus_ew)
 from rcm_lab.simulate import census
 
 from _oracles import (disk_square_overlap, polar_exposure,
@@ -176,6 +176,28 @@ def test_square_ew_cost_does_not_grow_with_rho(g, monkeypatch):
     assert ew24 == pytest.approx(disk, rel=1e-4)
 
 
+def test_lognormal_ew_stays_cheap(monkeypatch):
+    # the benchmark's lognormal E(W) (rho 1e2, rel_tol 1e-3), wall table
+    # and g's mass included: 126 k GK15 nodes (124 k with the mass cached)
+    # with its region integrals split at g's plateau edge and half-level
+    # radius, 309 k without; it is 2.2782245, against 2.2782246 at rel_tol
+    # 1e-8
+    import rcm_lab._quadcore as quadcore
+
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+    nodes = []
+    panels_eval = quadcore._panels_eval
+
+    def count_nodes(f, los, his, owner):
+        nodes.append(15 * los.size)
+        return panels_eval(f, los, his, owner)
+
+    monkeypatch.setattr(quadcore, "_panels_eval", count_nodes)
+    ew = expected_isolated_square(spec, rel_tol=1e-3)
+    assert 0 < sum(nodes) <= 1.37e5
+    assert ew == pytest.approx(2.2782246, rel=1e-6)
+
+
 @pytest.mark.parametrize("rho", [1e22, 1e24])
 @pytest.mark.parametrize("g", [unit_disk(1.0), lognormal(0.25, 4.0)],
                          ids=["unit_disk", "lognormal"])
@@ -243,6 +265,57 @@ def test_wall_integrals_raise_when_their_quadrature_misses_the_tolerance(
     for call in calls:
         with pytest.raises(NonConvergentError, match=re.escape(g.name)):
             call()
+
+
+def test_cut_radius_raises_when_its_mass_quadrature_misses_the_tolerance(
+        monkeypatch):
+    # the masses beyond each level radius, with errors raised to 0.99 times
+    # rel 1e-3 of their values, pass; at 1.01 times they raise naming g
+    import rcm_lab.quadrature as quadrature
+
+    g = lognormal(sigma=0.25, eta=4.0)
+    want = _cut_radius(g, 8.0)
+    real = quadrature.batched_quad
+    factor = [0.99]
+
+    def short(*args, **kwargs):
+        vals, errs = real(*args, **kwargs)
+        return vals, np.fmax(errs, factor[0] * kwargs["rel_tol"]
+                             * np.abs(vals))
+
+    monkeypatch.setattr(quadrature, "batched_quad", short)
+    got = _cut_radius(g, 8.0)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    factor[0] = 1.01
+    with pytest.raises(NonConvergentError,
+                       match="cut-radius mass of " + re.escape(g.name)):
+        _cut_radius(g, 8.0)
+
+
+def test_split_radii_of_a_jump_are_its_structural_radii():
+    # theta_tail(0.5) is 1 up to its jump at x0 = 3 and 0.046 past it: its
+    # plateau edge is x0 itself and its half-level radius lies within
+    # rounding of it, so neither adds a split and its E(W) and cross masses
+    # keep their panels.  A hard disk has no split radii.
+    g = theta_tail(0.5)
+    model = _WallIntegrals(g, 8.0)
+    assert abs(_cut_radius(g, 8.0)[1][0] - 3.0) <= 1e-15
+    assert list(model.splits) == _structural_radii(g, model.R) == [3.0]
+    assert _DiskExposure(unit_disk(1.0), 8.0).splits == ()
+
+
+def test_split_radii_hold_a_roll_off_s_plateau_edge_and_half_level():
+    # lognormal(0.25, 4) declares no radius: it is exactly 1 up to about
+    # 0.8875 and 1/2 at 1, and both edges split its quadratures
+    g = lognormal(sigma=0.25, eta=4.0)
+    model = _WallIntegrals(g, 8.0)
+    r1 = _unit_radius(g, model.R)
+    assert 0.8874 < r1 < 0.8876
+    assert len(model.splits) == 2
+    assert model.splits[0] == r1
+    half = _cut_radius(g, 8.0)[1][0]
+    assert model.splits[1] == half == pytest.approx(1.0, rel=1e-12)
+    assert g._eval(np.linspace(0.0, model.splits[0], 1001)).min() == 1.0
 
 
 def test_exposure_memory_stays_bounded():
@@ -738,9 +811,10 @@ def _xi2_pairs(spec, seed, monkeypatch):
 
 def test_xi2_cross_masses_stay_cheap(monkeypatch):
     # the 48 cross masses of the benchmark's lognormal xi_2 (seed 15000)
-    # integrate over the lens of each pair's R-disks: about 3.1 M GK15
-    # nodes at rel 1e-7, where a box of half-width effective_cutoff(g,
-    # 1e-12) took 5.1 M
+    # integrate over the lens of each pair's R-disks: 2.31 M GK15 nodes at
+    # rel 1e-7 with g's plateau edge and half-level radius split (3.07 M
+    # with the half-level radius alone; a box of half-width
+    # effective_cutoff(g, 1e-12) took 5.1 M)
     import rcm_lab._quadcore as quadcore
 
     spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
@@ -757,7 +831,7 @@ def test_xi2_cross_masses_stay_cheap(monkeypatch):
     tol = _rel_cross_tol(model, x1, x2)
     monkeypatch.setattr(quadcore, "_panels_eval", count_nodes)
     model.cross(x1, x2, tol)
-    assert sum(nodes) <= 3.6e6
+    assert sum(nodes) <= 2.55e6
 
 
 @pytest.mark.parametrize("g, rho", [
@@ -806,10 +880,12 @@ def test_cross_mass_wall_pairs_meet_a_loose_tolerance(pair, tau):
 
 
 def test_xi2_cross_masses_cost_what_their_weights_need(monkeypatch):
-    # the benchmark's lognormal xi_2 (seed 15000): its 48 cross masses took
-    # 3.4 M GK15 nodes at rel 1e-7 and take about 2.1 M to the error their
-    # weights can carry.  The partner of each pair is drawn on [0, R], R
-    # the exposure model's cut radius (1.126).
+    # the benchmark's lognormal xi_2 (seed 15000): its 48 cross masses take
+    # 1.48 M GK15 nodes to the error their weights can carry (2.12 M with
+    # the half-level radius split alone).  The partner of each pair is
+    # drawn on [0, R], R the exposure model's cut radius (1.126).  The
+    # estimate lies within rel 7e-12 of the _CROSS_WEIGHT_TOL = 1e-9 solve,
+    # 1.1349316122293707.
     import rcm_lab._quadcore as quadcore
 
     spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
@@ -828,8 +904,23 @@ def test_xi2_cross_masses_cost_what_their_weights_need(monkeypatch):
 
     monkeypatch.setattr(_WallIntegrals, "cross", counted_cross)
     est, _ = expected_components_order2(spec, samples=48, seed=15000)
-    assert 0 < sum(nodes) <= 2.2e6
-    assert est == pytest.approx(1.1349318081685624, rel=1e-7, abs=0.0)
+    assert 0 < sum(nodes) <= 1.65e6
+    assert est == pytest.approx(1.1349316122219455, rel=1e-7, abs=0.0)
+
+
+def test_xi2_matches_its_tight_solve(monkeypatch):
+    # the benchmark's lognormal xi_2 (seed 15000) against the same run with
+    # 1e4 times tighter cross masses: with the roll-off inside GK15 panels
+    # one pair reached 0.6 of its weight tolerance and the estimate sat
+    # rel 1.7e-7 off; split at g's plateau edge and half-level radius, the
+    # worst pair reaches 1.5e-5 of it
+    import rcm_lab.quadrature as quadrature
+
+    spec = ModelSpec(model="square", rho=1e2, b=0.0, g=lognormal(0.25, 4.0))
+    est, _ = expected_components_order2(spec, samples=48, seed=15000)
+    monkeypatch.setattr(quadrature, "_CROSS_WEIGHT_TOL", 1e-9)
+    tight, _ = expected_components_order2(spec, samples=48, seed=15000)
+    assert est == pytest.approx(tight, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [1e12, 1e16])

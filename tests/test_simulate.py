@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from rcm_lab.connfn import (check_monotonicity, effective_cutoff,
-                            from_callable, lognormal, omega_tail, tabulated,
-                            theta_tail, unit_disk)
+from rcm_lab.connfn import (_unit_radius, check_monotonicity,
+                            effective_cutoff, from_callable, lognormal,
+                            omega_tail, tabulated, theta_tail, unit_disk)
 from rcm_lab.experiments import run_trial
 from rcm_lab.geometry import Region, gap_distance, toroidal_distance
 from rcm_lab.models import ModelSpec, derive, realize
 from rcm_lab.pairrng import pair_uniform
 from rcm_lab.simulate import (_TILE, MetricMismatchError, PointSet, RcmGraph,
-                              _links, _reach, _scan_pairs, _unit_radius,
-                              boundary_coupling, build_graph, census,
-                              isolated_count, sample_poisson,
-                              window_truncation_census)
+                              _links, _reach, _scan_pairs, boundary_coupling,
+                              build_graph, census, isolated_count,
+                              sample_poisson, window_truncation_census)
 
 from _oracles import (bfs_components, pairwise_edges_bruteforce,
                       torus_distance_reference)
